@@ -8,30 +8,19 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from . import constants as constants_mod
 from . import reconstruction, residuals as residuals_mod, solver, transcription
 from .errors import ContractError, ConvergenceError
-from .numerics import nullspace_basis, sym_eig_min
+from .numerics import nullspace_basis_sparse, sym_eig_min
 
 TOOL_VERSION = "0.1.0"
 
 
 def variation_gram(layout: transcription.NlpLayout) -> np.ndarray:
-    """Gram matrix of the discrete product norm on the decision space.
-
-    Quadrature weights on the state/control samples realize the L2 part;
-    identity blocks at the first and last state samples add the endpoint
-    terms |dx(0)|^2 + |dx(T)|^2.
-    """
-    w = transcription.quadrature_weights(layout)
-    diag = np.repeat(w, layout.n + layout.m)
-    M = np.diag(diag)
-    first = layout.state_slice(0)
-    last = layout.state_slice(layout.n_samples - 1)
-    M[first, first] += np.eye(layout.n)
-    M[last, last] += np.eye(layout.n)
-    return M
+    """Dense form of :func:`transcription.variation_gram_sparse`."""
+    return transcription.variation_gram_sparse(layout).toarray()
 
 
 @dataclass
@@ -42,13 +31,18 @@ class CurvatureResult:
 
 
 def reduced_curvature(W, J, M) -> CurvatureResult:
-    """Smallest generalized eigenvalue of Z'WZ v = a Z'MZ v on null(J)."""
-    Z = nullspace_basis(np.asarray(J, dtype=float))
+    """Smallest generalized eigenvalue of Z'WZ v = a Z'MZ v on null(J).
+
+    W, J and M may be dense or sparse; Z comes from
+    :func:`numerics.nullspace_basis_sparse`.
+    """
+    W, J, M = (scipy.sparse.csr_matrix(a, dtype=float) for a in (W, J, M))
+    Z = nullspace_basis_sparse(J, M)
     if Z.shape[1] == 0:
         return CurvatureResult(math.inf, math.inf, 0)
-    A = Z.T @ np.asarray(W, dtype=float) @ Z
+    A = Z.T @ (W @ Z)
     A = 0.5 * (A + A.T)
-    B = Z.T @ np.asarray(M, dtype=float) @ Z
+    B = Z.T @ (M @ Z)
     B = 0.5 * (B + B.T)
     try:
         L = np.linalg.cholesky(B)
@@ -258,8 +252,8 @@ def run_certification(
     rec = reconstruction.reconstruct(prob, dkkt)
     report = residuals_mod.compute_residuals(prob, rec, settings.quad_points)
     layout = dkkt.layout
-    W = transcription.eval_lagrangian_hessian(prob, layout, dkkt.z, dkkt.nu)
-    J = transcription.eval_constraint_jacobian(prob, layout, dkkt.z)
+    W = transcription.eval_lagrangian_hessian_sparse(prob, layout, dkkt.z, dkkt.nu)
+    J = transcription.eval_constraint_jacobian_sparse(prob, layout, dkkt.z)
     bundle = constants_mod.estimate_all(
         prob,
         rec,
@@ -273,7 +267,7 @@ def run_certification(
         c_xp_scale=settings.c_xp_scale,
         paper_constants=settings.paper_constants,
     )
-    curvature = reduced_curvature(W, J, variation_gram(layout))
+    curvature = reduced_curvature(W, J, transcription.variation_gram_sparse(layout))
 
     e_n2 = report.E_N2_node
     e_source = "node-quadrature"

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse
 
 from . import model, transcription
 from .errors import LegendreViolationError, StrongRegularityError
-from .numerics import sigma_min
+from .numerics import sparse_sigma_min
 
 
 @dataclass
@@ -90,10 +91,18 @@ class ConstantsBundle:
 
 
 def _spectral_norms(stack):
-    """Spectral norm of each matrix in a (..., k, k) stack."""
+    """Spectral norm of each matrix in a (..., k, l) stack."""
     if stack.size == 0:
         return np.zeros(stack.shape[:-2])
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def _sym_spectral_norms(stack):
+    """Spectral norm of each symmetric matrix in a (..., k, k) stack: max |eigenvalue|."""
+    if stack.size == 0:
+        return np.zeros(stack.shape[:-2])
+    eigs = np.linalg.eigvalsh(stack)
+    return np.maximum(-eigs[..., 0], eigs[..., -1])
 
 
 def _axis_offsets(n, m, tube, scale):
@@ -145,9 +154,9 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
 
     _, Fx, Fu, Hf = model.dynamics_batch(prob, t_all, X_all, U_all, order=2)
     _, _, Lh = model.running_cost_batch(prob, t_all, X_all, U_all, order=2)
-    f_norms = _spectral_norms(Hf)  # (B, n)
+    f_norms = _sym_spectral_norms(Hf)  # (B, n)
     M2f = float(np.max(f_norms))
-    sup_L = float(np.max(_spectral_norms(Lh)))
+    sup_L = float(np.max(_sym_spectral_norms(Lh)))
 
     # endpoint cost Hessian over the endpoint tube
     x0v = rec.X.eval(0.0)
@@ -155,7 +164,7 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
     k_norms = []
     for d0 in _endpoint_offsets(n, tube, 1.0):
         ept = model.eval_endpoint_terms(prob, x0v + d0[:n], xTv + d0[n:], rec.lam)
-        k_norms.append(float(_spectral_norms(ept.K_hess[None])[0]))
+        k_norms.append(float(_sym_spectral_norms(ept.K_hess[None])[0]))
     sup_K = max(k_norms)
     L2 = max(sup_L, M2f, sup_K)
 
@@ -203,8 +212,8 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
         _, _, Lh_o = model.running_cost_batch(
             prob, ts, Xc + off[:n], Uc + off[n:], order=2
         )
-        L21_f = max(L21_f, float(np.max(_spectral_norms(Hf_o - Hf_c))) / step)
-        L21_L = max(L21_L, float(np.max(_spectral_norms(Lh_o - Lh_c))) / step)
+        L21_f = max(L21_f, float(np.max(_sym_spectral_norms(Hf_o - Hf_c))) / step)
+        L21_L = max(L21_L, float(np.max(_sym_spectral_norms(Lh_o - Lh_c))) / step)
     L21_K = 0.0
     ept_c = model.eval_endpoint_terms(prob, x0v, xTv, rec.lam)
     for off in _endpoint_offsets(n, tube, 0.5, include_center=False):
@@ -212,7 +221,7 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
         step = float(np.linalg.norm(off))
         L21_K = max(
             L21_K,
-            float(_spectral_norms((ept_o.K_hess - ept_c.K_hess)[None])[0]) / step,
+            float(_sym_spectral_norms((ept_o.K_hess - ept_c.K_hess)[None])[0]) / step,
         )
     L21_f *= safety_factor
     L21_L *= safety_factor
@@ -250,15 +259,16 @@ def _endpoint_offsets(n, tube, scale, include_center=True):
 
 
 def estimate_C_geo(Mh, lift=1.0, restrict=1.0):
-    """Geometric constant from the SVD of the discrete collocation Jacobian.
+    """Geometric constant from the smallest singular value of M_h.
 
     ``Mh`` is the Jacobian of the collocation equations at the discrete
-    solution (compressed form for Hermite-Simpson); the bound is
-    lift * restrict / sigma_min(Mh).
+    solution (compressed form for Hermite-Simpson), dense or sparse; the
+    bound is lift * restrict / sigma_min(Mh), with sigma_min from
+    shift-invert Lanczos on the sparse Gram M_h M_h^T.
     """
-    Mh = np.asarray(Mh, dtype=float)
-    smin = sigma_min(Mh)
-    scale = float(np.max(np.abs(Mh)))
+    Mh = scipy.sparse.csr_matrix(Mh, dtype=float)
+    smin = sparse_sigma_min(Mh)
+    scale = float(abs(Mh).max())
     if smin <= 1e-12 * max(1.0, scale):
         raise StrongRegularityError(
             f"sigma_min of the discrete KKT Jacobian is {smin:.3e}; "
@@ -342,7 +352,7 @@ def estimate_all(
     bundle = estimate_curvature_bounds(prob, rec, tube, safety_factor=safety_factor)
     bundle.c_Pi = scheme.lebesgue
     bundle.C_int = max(mesh.T, 1.0)
-    Mh = transcription.collocation_jacobian(prob, dkkt.layout, dkkt.z)
+    Mh = transcription.collocation_jacobian_sparse(prob, dkkt.layout, dkkt.z)
     geo = estimate_C_geo(Mh, lift=c_geo_lift, restrict=c_geo_restrict)
     bundle.sigma_min_Mh = geo["sigma_min_Mh"]
     bundle.C_geo = geo["C_geo"]

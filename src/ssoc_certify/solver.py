@@ -6,10 +6,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse
 
 from . import reconstruction, transcription
 from .errors import SolverBreakdownError
-from .numerics import LdlFactorization, kkt_matrix
+from .numerics import sparse_lu
+
+# Curvature test of a Newton step: dz'(W + delta I) dz >= KAPPA |dz|^2.
+CURVATURE_KAPPA = 1e-8
 
 
 @dataclass
@@ -53,22 +57,29 @@ def newton_step(W, J, grad, c, delta=0.0, delta0=1e-8, delta_max=1e6):
     """One regularized saddle solve.
 
     Solves [[W + dI, J^T], [J, 0]] [dz; nu] = -[grad; c] starting from
-    d = delta.  When the LDL^T factorization reports wrong inertia or a
-    singular pivot, d is raised to delta0 and then escalated by factors of
-    10; past delta_max the step is declared a breakdown.
+    d = delta, with a sparse LU factorization (W and J may be dense or
+    sparse).  Instead of counting inertia, the step is accepted when it has
+    positive curvature, dz'(W + dI) dz >= CURVATURE_KAPPA |dz|^2 (the
+    inertia-free test of Chiang and Zavala).  When the test fails or the
+    factorization hits an exactly zero pivot, d is raised to delta0 and then
+    escalated by factors of 10; past delta_max the step is declared a
+    breakdown.
 
     Returns (dz, nu, delta_used).
     """
-    W = np.asarray(W, dtype=float)
-    J = np.asarray(J, dtype=float)
-    n_z, n_c = W.shape[0], J.shape[0]
+    W = scipy.sparse.csr_matrix(W, dtype=float)
+    J = scipy.sparse.csr_matrix(J, dtype=float)
+    n_z = W.shape[0]
     rhs = -np.concatenate([np.asarray(grad, dtype=float), np.asarray(c, dtype=float)])
+    eye = scipy.sparse.identity(n_z, format="csr")
     d = float(delta)
     while True:
-        fact = LdlFactorization(kkt_matrix(W, J, d))
-        if not fact.singular and fact.inertia[0] == n_z and fact.inertia[1] == n_c:
-            sol = fact.solve(rhs)
-            return sol[:n_z], sol[n_z:], d
+        lu = sparse_lu(scipy.sparse.bmat([[W + d * eye, J.T], [J, None]]))
+        if lu is not None:
+            sol = lu.solve(rhs)
+            dz = sol[:n_z]
+            if dz @ (W @ dz) + d * (dz @ dz) >= CURVATURE_KAPPA * (dz @ dz):
+                return dz, sol[n_z:], d
         d = delta0 if d == 0.0 else d * 10.0
         if d > delta_max:
             raise SolverBreakdownError(
@@ -114,7 +125,7 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
     def kkt_state(z, nu):
         g = transcription.eval_objective_gradient(prob, layout, z)
         c = transcription.eval_defects(prob, layout, z)
-        J = transcription.eval_constraint_jacobian(prob, layout, z)
+        J = transcription.eval_constraint_jacobian_sparse(prob, layout, z)
         res = max(
             float(np.max(np.abs(g + J.T @ nu))),
             float(np.max(np.abs(c))) if c.size else 0.0,
@@ -126,7 +137,7 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
 
     while res > options.kkt_tolerance and iterations < options.max_iterations:
         iterations += 1
-        W = transcription.eval_lagrangian_hessian(prob, layout, z, nu)
+        W = transcription.eval_lagrangian_hessian_sparse(prob, layout, z, nu)
         dz, nu_new, delta_used = newton_step(
             W, J, g, c, 0.0, options.delta0, options.delta_max
         )
@@ -159,7 +170,7 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
         for _ in range(options.polish_steps):
             if res <= floor:
                 break
-            W = transcription.eval_lagrangian_hessian(prob, layout, z, nu)
+            W = transcription.eval_lagrangian_hessian_sparse(prob, layout, z, nu)
             try:
                 dz, nu_new, _ = newton_step(W, J, g, c, 0.0, options.delta0, options.delta_max)
             except SolverBreakdownError:

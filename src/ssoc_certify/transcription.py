@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from . import model
 from .errors import DimensionError, MeshError
@@ -32,20 +33,51 @@ class Scheme:
     ``degree`` is the state reconstruction degree (1 for trapezoidal, 3 for
     Hermite-Simpson); ``lebesgue`` the interpolation stability constant used
     by the certification bounds (2 covers piecewise linear and cubic Hermite).
+
+    The remaining fields are the per-interval coefficient table that every
+    scheme-dependent formula is derived from.  Interval k owns the samples
+    ``stride*k + p`` for ``p = 0..stride`` (its two nodes and, with stride 2,
+    its midpoint).  Row block r of its constraints is
+    ``sum_p state[r][p] x_p + h_k sum_p flow[r][p] f_p`` over those samples,
+    and sample p adds ``quad[p] * h_k`` to the running-cost weights.
     """
 
     kind: str
     degree: int
+    stride: int
+    state: tuple
+    flow: tuple
+    quad: tuple
     lebesgue: float = 2.0
 
     def __post_init__(self):
         if self.degree < 1 or self.lebesgue < 1.0:
             raise DimensionError("scheme requires degree >= 1 and lebesgue >= 1")
 
+    @property
+    def blocks(self):
+        """Constraint row blocks per interval."""
+        return len(self.state)
+
 
 SCHEMES = {
-    TRAPEZOIDAL: Scheme(TRAPEZOIDAL, 1),
-    HERMITE_SIMPSON: Scheme(HERMITE_SIMPSON, 3),
+    TRAPEZOIDAL: Scheme(
+        TRAPEZOIDAL,
+        1,
+        stride=1,
+        state=((-1.0, 1.0),),
+        flow=((-0.5, -0.5),),
+        quad=(0.5, 0.5),
+    ),
+    # a Simpson defect block, then the Hermite midpoint block
+    HERMITE_SIMPSON: Scheme(
+        HERMITE_SIMPSON,
+        3,
+        stride=2,
+        state=((-1.0, 0.0, 1.0), (-0.5, 1.0, -0.5)),
+        flow=((-1.0 / 6.0, -4.0 / 6.0, -1.0 / 6.0), (-1.0 / 8.0, 0.0, 1.0 / 8.0)),
+        quad=(1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0),
+    ),
 }
 
 
@@ -120,12 +152,7 @@ class NlpLayout:
 
     def __post_init__(self):
         self.n_z = self.n_samples * (self.n + self.m)
-        per_interval = self.n if self.scheme.kind == TRAPEZOIDAL else 2 * self.n
-        self.n_c = (
-            self.mesh.n_intervals * per_interval
-            + self.n_b
-            + (self.n if self.fixed_x0 else 0)
-        )
+        self.n_c = self.n_defect_rows + self.n_b + (self.n if self.fixed_x0 else 0)
 
     @property
     def n_samples(self):
@@ -135,15 +162,20 @@ class NlpLayout:
     def n_nodes(self):
         return self.mesh.n_intervals + 1
 
+    @property
+    def n_defect_rows(self):
+        """Rows of the interval constraints, which come first in c."""
+        return self.mesh.n_intervals * self.scheme.blocks * self.n
+
+    @property
+    def interval_samples(self):
+        """(N, stride + 1) sample indices owned by each interval."""
+        stride = self.scheme.stride
+        return stride * np.arange(self.mesh.n_intervals)[:, None] + np.arange(stride + 1)
+
     def node_sample(self, k):
         """Sample index of mesh node k."""
-        if self.scheme.kind == TRAPEZOIDAL:
-            return k
-        return 2 * k
-
-    def mid_sample(self, k):
-        """Sample index of the midpoint of interval k (Hermite-Simpson only)."""
-        return 2 * k + 1
+        return self.scheme.stride * k
 
     def state_slice(self, j):
         base = j * (self.n + self.m)
@@ -153,27 +185,15 @@ class NlpLayout:
         base = j * (self.n + self.m) + self.n
         return slice(base, base + self.m)
 
-    def defect_rows(self, k):
-        if self.scheme.kind == TRAPEZOIDAL:
-            return slice(k * self.n, (k + 1) * self.n)
-        return slice(2 * k * self.n, (2 * k + 1) * self.n)
-
-    def hermite_rows(self, k):
-        return slice((2 * k + 1) * self.n, (2 * k + 2) * self.n)
-
     @property
     def boundary_rows(self):
-        per_interval = self.n if self.scheme.kind == TRAPEZOIDAL else 2 * self.n
-        base = self.mesh.n_intervals * per_interval
+        base = self.n_defect_rows
         return slice(base, base + self.n_b)
 
     @property
     def x0_rows(self):
-        per_interval = self.n if self.scheme.kind == TRAPEZOIDAL else 2 * self.n
-        base = self.mesh.n_intervals * per_interval + self.n_b
-        if not self.fixed_x0:
-            return slice(base, base)
-        return slice(base, base + self.n)
+        base = self.n_defect_rows + self.n_b
+        return slice(base, base + (self.n if self.fixed_x0 else 0))
 
     def pack(self, X, U):
         """Stack sample states (S, n) and controls (S, m) into z."""
@@ -214,19 +234,17 @@ def assemble(prob: model.OcpProblem, mesh: Mesh, scheme) -> NlpLayout:
     )
 
 
+def _scatter_to_samples(layout, per_interval):
+    """Add (N, P, ...) per-interval contributions onto their samples."""
+    out = np.zeros((layout.n_samples,) + per_interval.shape[2:])
+    np.add.at(out, layout.interval_samples, per_interval)
+    return out
+
+
 def quadrature_weights(layout: NlpLayout) -> np.ndarray:
     """Per-sample running-cost quadrature weights (sum equals T)."""
     h = layout.mesh.h
-    w = np.zeros(layout.n_samples)
-    if layout.scheme.kind == TRAPEZOIDAL:
-        w[:-1] += 0.5 * h
-        w[1:] += 0.5 * h
-    else:
-        for k in range(layout.mesh.n_intervals):
-            w[layout.node_sample(k)] += h[k] / 6.0
-            w[layout.mid_sample(k)] += 4.0 * h[k] / 6.0
-            w[layout.node_sample(k + 1)] += h[k] / 6.0
-    return w
+    return _scatter_to_samples(layout, h[:, None] * np.asarray(layout.scheme.quad))
 
 
 def eval_objective(prob, layout, z) -> float:
@@ -252,27 +270,12 @@ def eval_defects(prob, layout, z) -> np.ndarray:
     """All equality constraints at z (defects, boundary, fixed initial state)."""
     X, U = layout.unpack(z)
     F = model.dynamics_batch(prob, layout.sample_times, X, U)
+    scheme = layout.scheme
+    picked = layout.interval_samples
+    state = np.einsum("rp,kpi->kri", np.asarray(scheme.state), X[picked])
+    flow = np.einsum("rp,kpi->kri", np.asarray(scheme.flow), F[picked])
     c = np.zeros(layout.n_c)
-    h = layout.mesh.h
-    N = layout.mesh.n_intervals
-    if layout.scheme.kind == TRAPEZOIDAL:
-        for k in range(N):
-            c[layout.defect_rows(k)] = (
-                X[k + 1] - X[k] - 0.5 * h[k] * (F[k] + F[k + 1])
-            )
-    else:
-        for k in range(N):
-            a, mid, b = (
-                layout.node_sample(k),
-                layout.mid_sample(k),
-                layout.node_sample(k + 1),
-            )
-            c[layout.defect_rows(k)] = (
-                X[b] - X[a] - h[k] / 6.0 * (F[a] + 4.0 * F[mid] + F[b])
-            )
-            c[layout.hermite_rows(k)] = (
-                X[mid] - 0.5 * (X[a] + X[b]) - h[k] / 8.0 * (F[a] - F[b])
-            )
+    c[: layout.n_defect_rows] = (state + layout.mesh.h[:, None, None] * flow).reshape(-1)
     if layout.n_b > 0 or layout.fixed_x0:
         ept = model.eval_endpoint_terms(prob, X[0], X[-1])
         if layout.n_b > 0:
@@ -282,52 +285,73 @@ def eval_defects(prob, layout, z) -> np.ndarray:
     return c
 
 
-def eval_constraint_jacobian(prob, layout, z) -> np.ndarray:
-    """Dense Jacobian of :func:`eval_defects` (n_c x n_z)."""
+def _sparse(shape, *parts):
+    """CSR matrix from (rows, cols, values) parts; duplicate entries add up.
+
+    The three arrays of a part are broadcast against each other first.
+    """
+    triplets = [np.broadcast_arrays(*part) for part in parts]
+    rows, cols, vals = (
+        np.concatenate([t[i].ravel() for t in triplets]) for i in range(3)
+    )
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
+def _endpoint_states(layout):
+    """Indices in z of the first and the last state sample, stacked."""
+    last = (layout.n_samples - 1) * (layout.n + layout.m)
+    return np.concatenate([np.arange(layout.n), last + np.arange(layout.n)])
+
+
+def eval_constraint_jacobian_sparse(prob, layout, z) -> scipy.sparse.csr_matrix:
+    """Jacobian of :func:`eval_defects` (n_c x n_z), assembled sparse.
+
+    Each nonzero ``flow`` coefficient of the scheme places a dense
+    n x (n + m) block ``h_k flow[r][p] [f_x f_u]`` per interval, and each
+    nonzero ``state`` coefficient a multiple of the identity.
+    """
     X, U = layout.unpack(z)
     _, Fx, Fu = model.dynamics_batch(prob, layout.sample_times, X, U, order=1)
-    J = np.zeros((layout.n_c, layout.n_z))
-    h = layout.mesh.h
+    n, nm = layout.n, layout.n + layout.m
+    scheme = layout.scheme
+    state, flow = np.asarray(scheme.state), np.asarray(scheme.flow)
+    samples = layout.interval_samples
     N = layout.mesh.n_intervals
-    n = layout.n
-    eye = np.eye(n)
-
-    def put(rows, j, dFx, dFu, shift):
-        J[rows, layout.state_slice(j)] += shift + dFx
-        J[rows, layout.control_slice(j)] += dFu
-
-    if layout.scheme.kind == TRAPEZOIDAL:
-        for k in range(N):
-            rows = layout.defect_rows(k)
-            put(rows, k, -0.5 * h[k] * Fx[k], -0.5 * h[k] * Fu[k], -eye)
-            put(rows, k + 1, -0.5 * h[k] * Fx[k + 1], -0.5 * h[k] * Fu[k + 1], eye)
-    else:
-        for k in range(N):
-            a, mid, b = (
-                layout.node_sample(k),
-                layout.mid_sample(k),
-                layout.node_sample(k + 1),
-            )
-            rows = layout.defect_rows(k)
-            put(rows, a, -h[k] / 6.0 * Fx[a], -h[k] / 6.0 * Fu[a], -eye)
-            put(rows, mid, -4.0 * h[k] / 6.0 * Fx[mid], -4.0 * h[k] / 6.0 * Fu[mid], 0.0)
-            put(rows, b, -h[k] / 6.0 * Fx[b], -h[k] / 6.0 * Fu[b], eye)
-            rows = layout.hermite_rows(k)
-            put(rows, a, -h[k] / 8.0 * Fx[a], -h[k] / 8.0 * Fu[a], -0.5 * eye)
-            put(rows, mid, np.zeros((n, n)), np.zeros((n, layout.m)), eye)
-            put(rows, b, h[k] / 8.0 * Fx[b], h[k] / 8.0 * Fu[b], -0.5 * eye)
-    if layout.n_b > 0 or layout.fixed_x0:
+    first_row = n * (scheme.blocks * np.arange(N)[:, None] + np.arange(scheme.blocks))
+    i = np.arange(n)
+    r_f, p_f = np.nonzero(flow)
+    r_s, p_s = np.nonzero(state)
+    parts = [
+        (
+            first_row[:, r_f, None, None] + i[:, None],
+            nm * samples[:, p_f, None, None] + np.arange(nm),
+            (layout.mesh.h[:, None] * flow[r_f, p_f])[:, :, None, None]
+            * np.concatenate([Fx, Fu], axis=2)[samples[:, p_f]],
+        ),
+        (
+            first_row[:, r_s, None] + i,
+            nm * samples[:, p_s, None] + i,
+            state[r_s, p_s][:, None],
+        ),
+    ]
+    if layout.n_b > 0:
         ept = model.eval_endpoint_terms(prob, X[0], X[-1])
-        if layout.n_b > 0:
-            J[layout.boundary_rows, layout.state_slice(0)] = ept.b_x0
-            J[layout.boundary_rows, layout.state_slice(layout.n_samples - 1)] = ept.b_xT
-        if layout.fixed_x0:
-            J[layout.x0_rows, layout.state_slice(0)] = eye
-    return J
+        rows = layout.boundary_rows.start + np.arange(layout.n_b)
+        parts.append(
+            (rows[:, None], _endpoint_states(layout), np.hstack([ept.b_x0, ept.b_xT]))
+        )
+    if layout.fixed_x0:
+        parts.append((layout.x0_rows.start + i, i, 1.0))
+    return _sparse((layout.n_c, layout.n_z), *parts)
 
 
-def collocation_jacobian(prob, layout, z) -> np.ndarray:
-    """Jacobian of the collocation equations in compressed form.
+def eval_constraint_jacobian(prob, layout, z) -> np.ndarray:
+    """Dense Jacobian of :func:`eval_defects` (n_c x n_z)."""
+    return eval_constraint_jacobian_sparse(prob, layout, z).toarray()
+
+
+def collocation_jacobian_sparse(prob, layout, z) -> scipy.sparse.csr_matrix:
+    """Jacobian of the collocation equations in compressed form, sparse.
 
     For Hermite-Simpson the midpoint states are eliminated through the
     Hermite relation, leaving one defect row block per interval over node
@@ -335,23 +359,29 @@ def collocation_jacobian(prob, layout, z) -> np.ndarray:
     Boundary and fixed-initial-state rows are kept.  This is the matrix
     whose smallest singular value feeds the geometric constant.
     """
-    J = eval_constraint_jacobian(prob, layout, z)
-    if layout.scheme.kind == TRAPEZOIDAL:
+    J = eval_constraint_jacobian_sparse(prob, layout, z)
+    if layout.scheme.stride == 1:
         return J
-    blocks = []
-    for k in range(layout.mesh.n_intervals):
-        simpson = J[layout.defect_rows(k)].copy()
-        hermite = J[layout.hermite_rows(k)]
-        mid_cols = layout.state_slice(layout.mid_sample(k))
-        simpson -= simpson[:, mid_cols] @ hermite
-        blocks.append(simpson)
-    blocks.append(J[layout.boundary_rows])
-    blocks.append(J[layout.x0_rows])
-    Jc = np.vstack(blocks)
+    # the second row block of each interval pins its midpoint state with an
+    # identity coefficient, so substituting it removes the midpoint columns
+    n, nm = layout.n, layout.n + layout.m
+    N = layout.mesh.n_intervals
+    rows = np.arange(layout.n_defect_rows).reshape(N, 2, n)
+    simpson = J[rows[:, 0].ravel()]
+    hermite = J[rows[:, 1].ravel()]
+    mid_cols = (nm * layout.interval_samples[:, 1, None] + np.arange(n)).ravel()
+    compressed = scipy.sparse.vstack(
+        [simpson - simpson[:, mid_cols] @ hermite, J[layout.n_defect_rows :]],
+        format="csr",
+    )
     keep = np.ones(layout.n_z, dtype=bool)
-    for k in range(layout.mesh.n_intervals):
-        keep[layout.state_slice(layout.mid_sample(k))] = False
-    return Jc[:, keep]
+    keep[mid_cols] = False
+    return compressed[:, np.flatnonzero(keep)]
+
+
+def collocation_jacobian(prob, layout, z) -> np.ndarray:
+    """Dense form of :func:`collocation_jacobian_sparse`."""
+    return collocation_jacobian_sparse(prob, layout, z).toarray()
 
 
 def split_multipliers(layout: NlpLayout, nu_all):
@@ -361,8 +391,7 @@ def split_multipliers(layout: NlpLayout, nu_all):
         raise DimensionError("multiplier vector has wrong length")
     lam = nu_all[layout.boundary_rows]
     eta = nu_all[layout.x0_rows]
-    per_interval = layout.n if layout.scheme.kind == TRAPEZOIDAL else 2 * layout.n
-    return nu_all[: layout.mesh.n_intervals * per_interval], lam, eta
+    return nu_all[: layout.n_defect_rows], lam, eta
 
 
 def sample_multipliers(layout: NlpLayout, nu_all) -> np.ndarray:
@@ -375,31 +404,20 @@ def sample_multipliers(layout: NlpLayout, nu_all) -> np.ndarray:
     quadrature weight.
     """
     nu_defect, _, _ = split_multipliers(layout, nu_all)
-    h = layout.mesh.h
-    N = layout.mesh.n_intervals
-    S = np.zeros((layout.n_samples, layout.n))
-    if layout.scheme.kind == TRAPEZOIDAL:
-        nu = nu_defect.reshape(N, layout.n)
-        for k in range(N):
-            S[k] += -0.5 * h[k] * nu[k]
-            S[k + 1] += -0.5 * h[k] * nu[k]
-    else:
-        nu = nu_defect.reshape(N, 2, layout.n)
-        for k in range(N):
-            sim, her = nu[k, 0], nu[k, 1]
-            a, mid, b = (
-                layout.node_sample(k),
-                layout.mid_sample(k),
-                layout.node_sample(k + 1),
-            )
-            S[a] += -h[k] / 6.0 * sim - h[k] / 8.0 * her
-            S[mid] += -4.0 * h[k] / 6.0 * sim
-            S[b] += -h[k] / 6.0 * sim + h[k] / 8.0 * her
-    return S
+    scheme = layout.scheme
+    nu = nu_defect.reshape(layout.mesh.n_intervals, scheme.blocks, layout.n)
+    per_interval = layout.mesh.h[:, None, None] * np.einsum(
+        "rp,kri->kpi", np.asarray(scheme.flow), nu
+    )
+    return _scatter_to_samples(layout, per_interval)
 
 
-def eval_lagrangian_hessian(prob, layout, z, nu_all, lam=None) -> np.ndarray:
-    """Hessian of objective + nu.c over z; symmetric dense (n_z x n_z)."""
+def eval_lagrangian_hessian_sparse(prob, layout, z, nu_all, lam=None) -> scipy.sparse.csr_matrix:
+    """Hessian of objective + nu.c over z, assembled sparse (n_z x n_z).
+
+    One (n + m) block per sample on the diagonal, plus the endpoint terms
+    over the first and the last state sample, corner blocks included.
+    """
     X, U = layout.unpack(z)
     if lam is None:
         _, lam, _ = split_multipliers(layout, nu_all)
@@ -408,20 +426,33 @@ def eval_lagrangian_hessian(prob, layout, z, nu_all, lam=None) -> np.ndarray:
     _, _, _, Hf = model.dynamics_batch(prob, layout.sample_times, X, U, order=2)
     _, _, Lh = model.running_cost_batch(prob, layout.sample_times, X, U, order=2)
     blocks = w[:, None, None] * Lh + np.einsum("bi,bijk->bjk", S, Hf)
-    W = np.zeros((layout.n_z, layout.n_z))
     nm = layout.n + layout.m
-    for j in range(layout.n_samples):
-        base = j * nm
-        W[base : base + nm, base : base + nm] += blocks[j]
+    base = nm * np.arange(layout.n_samples)[:, None, None]
     ept = model.eval_endpoint_terms(prob, X[0], X[-1], lam)
-    first = layout.state_slice(0)
-    last = layout.state_slice(layout.n_samples - 1)
-    n = layout.n
-    W[first, first] += ept.lagr_hess[:n, :n]
-    W[last, last] += ept.lagr_hess[n:, n:]
-    W[first, last] += ept.lagr_hess[:n, n:]
-    W[last, first] += ept.lagr_hess[n:, :n]
-    return W
+    ends = _endpoint_states(layout)
+    return _sparse(
+        (layout.n_z, layout.n_z),
+        (base + np.arange(nm)[:, None], base + np.arange(nm), blocks),
+        (ends[:, None], ends, ept.lagr_hess),
+    )
+
+
+def eval_lagrangian_hessian(prob, layout, z, nu_all, lam=None) -> np.ndarray:
+    """Hessian of objective + nu.c over z; symmetric dense (n_z x n_z)."""
+    return eval_lagrangian_hessian_sparse(prob, layout, z, nu_all, lam).toarray()
+
+
+def variation_gram_sparse(layout: NlpLayout) -> scipy.sparse.csr_matrix:
+    """Gram matrix of the discrete product norm on the decision space.
+
+    Quadrature weights on the state/control samples realize the L2 part;
+    identity blocks at the first and last state samples add the endpoint
+    terms |dx(0)|^2 + |dx(T)|^2.
+    """
+    diag = np.repeat(quadrature_weights(layout), layout.n + layout.m)
+    idx = np.arange(layout.n_z)
+    ends = _endpoint_states(layout)
+    return _sparse((layout.n_z, layout.n_z), (idx, idx, diag), (ends, ends, 1.0))
 
 
 @dataclass

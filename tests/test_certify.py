@@ -38,6 +38,28 @@ def test_rank_deficient_jacobian_raises():
         sc.reduced_curvature(W, J, np.eye(4))
 
 
+def test_near_duplicate_jacobian_row_raises(quad_run, quad_problem):
+    # the extra row differs from row 0 by 1e-13 on its nonzeros: the saddle
+    # factorization is not exactly singular, so only the relative rank test
+    # on sigma_min(J) catches it
+    layout = quad_run.dkkt.layout
+    W = sc.eval_lagrangian_hessian(quad_problem, layout, quad_run.dkkt.z, quad_run.dkkt.nu)
+    J = sc.eval_constraint_jacobian(quad_problem, layout, quad_run.dkkt.z)
+    row = J[0].copy()
+    row[row != 0.0] += 1e-13
+    with pytest.raises(ConstraintQualificationError):
+        sc.reduced_curvature(W, np.vstack([J, row]), sc.variation_gram(layout))
+
+
+def test_repeat_certification_is_bitwise_equal(quad_run, quad_problem):
+    run = sc.run_certification(
+        quad_problem, sc.Mesh.uniform(quad_problem.T, 35), "hermite-simpson"
+    )
+    assert run.certificate.alpha_hat == quad_run.certificate.alpha_hat
+    assert run.bundle.sigma_min_Mh == quad_run.bundle.sigma_min_Mh
+    assert np.array_equal(run.dkkt.z, quad_run.dkkt.z)
+
+
 def test_lq_alpha_is_unit_and_stable_across_meshes(lq_problem):
     values = []
     for n in (10, 20, 40):

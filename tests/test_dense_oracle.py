@@ -1,0 +1,68 @@
+"""Sparse certification kernels against the dense reference kernels.
+
+The certification path factors and projects sparse matrices; the dense
+kernels in ``numerics`` (full SVD null-space basis, SVD sigma_min and the
+LDL^T saddle solve) stay as the oracle.  Both run on the same discrete
+quadrotor KKT points, for both schemes, at two mesh sizes.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import ssoc_certify as sc
+from ssoc_certify import constants as cn, numerics, solver, transcription as tr
+
+CASES = [(scheme, n) for scheme in ("hermite-simpson", "trapezoidal") for n in (35, 70)]
+
+
+@pytest.fixture(scope="module", params=CASES, ids=[f"{s}-{n}" for s, n in CASES])
+def kkt_point(request, quad_problem):
+    scheme, n = request.param
+    dkkt, rep = sc.solve(quad_problem, sc.Mesh.uniform(quad_problem.T, n), scheme)
+    assert rep.converged
+    return dkkt
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+def test_curvature_and_sigma_min_match_dense_oracle(kkt_point, quad_problem):
+    layout, z, nu = kkt_point.layout, kkt_point.z, kkt_point.nu
+    W = tr.eval_lagrangian_hessian_sparse(quad_problem, layout, z, nu)
+    J = tr.eval_constraint_jacobian_sparse(quad_problem, layout, z)
+    M = tr.variation_gram_sparse(layout)
+    curv = sc.reduced_curvature(W, J, M)
+    smin = cn.estimate_C_geo(tr.collocation_jacobian_sparse(quad_problem, layout, z))[
+        "sigma_min_Mh"
+    ]
+
+    Z = numerics.nullspace_basis(J.toarray())
+    A = Z.T @ W.toarray() @ Z
+    B = Z.T @ M.toarray() @ Z
+    alpha = scipy.linalg.eigh(A, B, eigvals_only=True)[0]
+    alpha_euclid = np.linalg.eigvalsh(A)[0]
+    smin_dense = numerics.sigma_min(tr.collocation_jacobian(quad_problem, layout, z))
+
+    assert curv.null_dim == Z.shape[1]
+    assert _rel(curv.alpha_hat, alpha) <= 1e-8
+    assert _rel(curv.alpha_hat_euclidean, alpha_euclid) <= 1e-8
+    assert _rel(smin, smin_dense) <= 1e-8
+
+
+def test_newton_step_matches_ldl_solve(kkt_point, quad_problem):
+    # the first Newton step from the solver's default initial guess
+    layout = kkt_point.layout
+    z0 = solver.default_initial_guess(quad_problem, layout)
+    W = tr.eval_lagrangian_hessian(quad_problem, layout, z0, np.zeros(layout.n_c))
+    J = tr.eval_constraint_jacobian(quad_problem, layout, z0)
+    g = tr.eval_objective_gradient(quad_problem, layout, z0)
+    c = tr.eval_defects(quad_problem, layout, z0)
+    dz, nu, delta = sc.newton_step(W, J, g, c)
+
+    ref = numerics.LdlFactorization(numerics.kkt_matrix(W, J, delta)).solve(
+        -np.concatenate([g, c])
+    )
+    sol = np.concatenate([dz, nu])
+    assert np.max(np.abs(sol - ref)) <= 1e-10 * np.max(np.abs(ref))

@@ -119,54 +119,126 @@ def test_constraint_jacobian_constant_for_linear_dynamics():
     assert J1.shape == (layout.n_c, layout.n_z)
 
 
+def _boundary_problem():
+    # free initial state, two nonlinear boundary equations and an endpoint
+    # cost coupling x(0) and x(T): exercises the boundary rows of J and the
+    # x0-xT corner blocks of W
+    return model.OcpProblem(
+        name="bc", n=2, m=1, T=1.0,
+        dynamics=lambda t, x, u: [x[1], u[0] - x[0] * x[1]],
+        running_cost=lambda t, x, u: 0.5 * u[0] * u[0],
+        endpoint_cost=lambda x0, xT: x0[1] * xT[0],
+        boundary=lambda x0, xT: [xT[0] - 2.0 * x0[1], x0[0] * xT[1]],
+        n_b=2,
+    )
+
+
+def _fd_cases(scheme):
+    """(problem, layout, endpoint state columns) for the quadrotor and the boundary problem."""
+    for prob in (sc.builtin_problem("quadrotor"), _boundary_problem()):
+        layout = sc.assemble(prob, sc.Mesh.uniform(prob.T, 2), scheme)
+        last = layout.state_slice(layout.n_samples - 1)
+        yield prob, layout, np.r_[layout.state_slice(0), last]
+
+
 @pytest.mark.parametrize("scheme", ["trapezoidal", "hermite-simpson"])
 def test_constraint_jacobian_matches_finite_differences(scheme):
-    prob = sc.builtin_problem("quadrotor")
-    layout = sc.assemble(prob, sc.Mesh.uniform(prob.T, 2), scheme)
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        z = rng.normal(size=layout.n_z)
-        J = sc.eval_constraint_jacobian(prob, layout, z)
-        h = 1e-6
-        cols = rng.choice(layout.n_z, size=8, replace=False)
-        for col in cols:
-            e = np.zeros(layout.n_z)
-            e[col] = h
-            fd = (
-                sc.eval_defects(prob, layout, z + e)
-                - sc.eval_defects(prob, layout, z - e)
-            ) / (2 * h)
-            scale = max(1.0, np.abs(fd).max())
-            assert np.max(np.abs(J[:, col] - fd)) <= 1e-6 * scale
+    for prob, layout, endpoint_cols in _fd_cases(scheme):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            z = rng.normal(size=layout.n_z)
+            J = sc.eval_constraint_jacobian(prob, layout, z)
+            h = 1e-6
+            cols = np.union1d(rng.choice(layout.n_z, size=8, replace=False), endpoint_cols)
+            for col in cols:
+                e = np.zeros(layout.n_z)
+                e[col] = h
+                fd = (
+                    sc.eval_defects(prob, layout, z + e)
+                    - sc.eval_defects(prob, layout, z - e)
+                ) / (2 * h)
+                scale = max(1.0, np.abs(fd).max())
+                assert np.max(np.abs(J[:, col] - fd)) <= 1e-6 * scale
 
 
 def test_lagrangian_hessian_symmetric_and_matches_fd():
+    for prob, layout, endpoint_cols in _fd_cases("hermite-simpson"):
+        rng = np.random.default_rng(12)
+        z = rng.normal(size=layout.n_z) * 0.3
+        nu = rng.normal(size=layout.n_c)
+        W = sc.eval_lagrangian_hessian(prob, layout, z, nu)
+        assert np.max(np.abs(W - W.T)) <= 1e-12
+
+        def lagr(zz):
+            return tr.eval_objective(prob, layout, zz) + nu @ sc.eval_defects(
+                prob, layout, zz
+            )
+
+        h = 1e-4
+        cols = np.union1d(rng.choice(layout.n_z, size=6, replace=False), endpoint_cols)
+        for i in cols:
+            for j in cols:
+                ei = np.zeros(layout.n_z)
+                ej = np.zeros(layout.n_z)
+                ei[i] = h
+                ej[j] = h
+                fd = (
+                    lagr(z + ei + ej) - lagr(z + ei - ej) - lagr(z - ei + ej)
+                    + lagr(z - ei - ej)
+                ) / (4 * h * h)
+                assert W[i, j] == pytest.approx(fd, abs=1e-4 * max(1.0, abs(fd)))
+
+
+def _interval_loop_reference(layout, X, F, nu_defect):
+    """Per-interval loop form of the scheme formulas: defects, s_j, w_j."""
+    h, N, n = layout.mesh.h, layout.mesh.n_intervals, layout.n
+    S = np.zeros((layout.n_samples, n))
+    w = np.zeros(layout.n_samples)
+    c = []
+    if layout.scheme.kind == "trapezoidal":
+        nu = nu_defect.reshape(N, n)
+        for k in range(N):
+            c.append(X[k + 1] - X[k] - 0.5 * h[k] * (F[k] + F[k + 1]))
+            S[k] += -0.5 * h[k] * nu[k]
+            S[k + 1] += -0.5 * h[k] * nu[k]
+            w[k] += 0.5 * h[k]
+            w[k + 1] += 0.5 * h[k]
+    else:
+        nu = nu_defect.reshape(N, 2, n)
+        for k in range(N):
+            a, mid, b = 2 * k, 2 * k + 1, 2 * k + 2
+            c.append(X[b] - X[a] - h[k] / 6.0 * (F[a] + 4.0 * F[mid] + F[b]))
+            c.append(X[mid] - 0.5 * (X[a] + X[b]) - h[k] / 8.0 * (F[a] - F[b]))
+            S[a] += -h[k] / 6.0 * nu[k, 0] - h[k] / 8.0 * nu[k, 1]
+            S[mid] += -4.0 * h[k] / 6.0 * nu[k, 0]
+            S[b] += -h[k] / 6.0 * nu[k, 0] + h[k] / 8.0 * nu[k, 1]
+            w[a] += h[k] / 6.0
+            w[mid] += 4.0 * h[k] / 6.0
+            w[b] += h[k] / 6.0
+    return np.concatenate(c), S, w
+
+
+@pytest.mark.parametrize("scheme", ["trapezoidal", "hermite-simpson"])
+def test_coefficient_table_matches_interval_loop(scheme):
+    # the table-driven, vectorized formulas sum in another order than the
+    # loop: agreement to a few ulps of the largest term
     prob = sc.builtin_problem("quadrotor")
-    layout = sc.assemble(prob, sc.Mesh.uniform(prob.T, 2), "hermite-simpson")
-    rng = np.random.default_rng(12)
-    z = rng.normal(size=layout.n_z) * 0.3
+    rng = np.random.default_rng(4)
+    nodes = np.sort(np.r_[0.0, rng.uniform(0.0, prob.T, 6), prob.T])
+    layout = sc.assemble(prob, sc.Mesh(nodes), scheme)
+    z = rng.normal(size=layout.n_z)
     nu = rng.normal(size=layout.n_c)
-    W = sc.eval_lagrangian_hessian(prob, layout, z, nu)
-    assert np.max(np.abs(W - W.T)) <= 1e-12
-
-    def lagr(zz):
-        return tr.eval_objective(prob, layout, zz) + nu @ sc.eval_defects(
-            prob, layout, zz
-        )
-
-    h = 1e-4
-    cols = rng.choice(layout.n_z, size=6, replace=False)
-    for i in cols:
-        for j in cols:
-            ei = np.zeros(layout.n_z)
-            ej = np.zeros(layout.n_z)
-            ei[i] = h
-            ej[j] = h
-            fd = (
-                lagr(z + ei + ej) - lagr(z + ei - ej) - lagr(z - ei + ej)
-                + lagr(z - ei - ej)
-            ) / (4 * h * h)
-            assert W[i, j] == pytest.approx(fd, abs=1e-4 * max(1.0, abs(fd)))
+    X, U = layout.unpack(z)
+    F = model.dynamics_batch(prob, layout.sample_times, X, U)
+    c_ref, S_ref, w_ref = _interval_loop_reference(
+        layout, X, F, nu[: layout.n_defect_rows]
+    )
+    tol = 8 * np.finfo(float).eps
+    c = sc.eval_defects(prob, layout, z)[: layout.n_defect_rows]
+    assert np.max(np.abs(c - c_ref)) <= tol * max(np.abs(X).max(), np.abs(F).max())
+    S = tr.sample_multipliers(layout, nu)
+    assert np.max(np.abs(S - S_ref)) <= tol * np.abs(nu).max()
+    assert np.max(np.abs(tr.quadrature_weights(layout) - w_ref)) <= tol * prob.T
 
 
 def test_lq_hessian_constant_block_structure():
