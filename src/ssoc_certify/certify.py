@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -114,29 +114,9 @@ class Certificate:
     residuals: dict
     constants: dict
     provenance: dict
-    switch_inflation: Optional[float] = None  # reserved, never set
 
     def to_dict(self):
-        return {
-            "accepted": self.accepted,
-            "alpha_hat": self.alpha_hat,
-            "alpha_hat_euclidean": self.alpha_hat_euclidean,
-            "certified_e_n2": self.certified_e_n2,
-            "certified_e_source": self.certified_e_source,
-            "threshold": self.threshold,
-            "lhs": self.lhs,
-            "projection_margin": self.projection_margin,
-            "alpha_cont": self.alpha_cont,
-            "trust_radius": self.trust_radius,
-            "simplified_test_used": self.simplified_test_used,
-            "simplified_accepted": self.simplified_accepted,
-            "reject_reason": self.reject_reason,
-            "proximity": self.proximity,
-            "residuals": self.residuals,
-            "constants": self.constants,
-            "provenance": self.provenance,
-            "switch_inflation": self.switch_inflation,
-        }
+        return asdict(self)
 
 
 def finalize_certificate(
@@ -209,13 +189,11 @@ class CertifySettings:
     quad_points: int = 5
     safety_factor: float = 1.5
     c_geo_lift: float = 1.0
-    c_geo_restrict: float = 1.0
     c_xp_scale: float = 1.0
     paper_constants: bool = False
     inject_e_n2: Optional[float] = None
     inject_e_inf: Optional[float] = None
     inject_alpha: Optional[float] = None
-    seed: Optional[int] = None
 
 
 @dataclass
@@ -263,7 +241,6 @@ def run_certification(
         tube=settings.tube,
         safety_factor=settings.safety_factor,
         c_geo_lift=settings.c_geo_lift,
-        c_geo_restrict=settings.c_geo_restrict,
         c_xp_scale=settings.c_xp_scale,
         paper_constants=settings.paper_constants,
     )
@@ -278,6 +255,9 @@ def run_certification(
     alpha = curvature.alpha_hat if settings.inject_alpha is None else settings.inject_alpha
 
     test = acceptance_test(alpha, bundle, e_n2)
+    recorded = asdict(settings)
+    del recorded["tube"]  # recorded in constants.tube
+    recorded["tolerance"] = (options or solver.SolverOptions()).kkt_tolerance
     provenance = {
         "problem": prob.name,
         "n_intervals": mesh.n_intervals,
@@ -285,19 +265,7 @@ def run_certification(
         "scheme": scheme.kind,
         "solver": solve_report.to_dict(),
         "tool_version": TOOL_VERSION,
-        "settings": {
-            "quad_points": settings.quad_points,
-            "safety_factor": settings.safety_factor,
-            "c_geo_lift": settings.c_geo_lift,
-            "c_geo_restrict": settings.c_geo_restrict,
-            "c_xp_scale": settings.c_xp_scale,
-            "paper_constants": settings.paper_constants,
-            "inject_e_n2": settings.inject_e_n2,
-            "inject_e_inf": settings.inject_e_inf,
-            "inject_alpha": settings.inject_alpha,
-            "seed": settings.seed,
-            "tolerance": (options or solver.SolverOptions()).kkt_tolerance,
-        },
+        "settings": recorded,
         "costate_anchor_shift": rec.anchor_shift,
         "costate_jump": rec.costate_jump,
     }

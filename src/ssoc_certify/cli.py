@@ -31,7 +31,7 @@ def _cap_threads():
 _cap_threads()
 
 from . import certify, model, refine, solver, transcription  # noqa: E402
-from .errors import SsocError  # noqa: E402
+from .errors import SettingsError, SsocError  # noqa: E402
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tube-dp", type=float, default=0.1)
         p.add_argument("--quad-points", type=int, default=5)
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="recorded in provenance")
         p.add_argument(
             "--safety-factor",
             type=float,
@@ -113,10 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _settings_from_args(args) -> certify.CertifySettings:
+def _config_from_args(args):
+    """(solver options, certification settings); SettingsError on bad values."""
     from .constants import TubeSpec
 
-    return certify.CertifySettings(
+    options = solver.SolverOptions(kkt_tolerance=args.tol)
+    settings = certify.CertifySettings(
         tube=TubeSpec(dx=args.tube_dx, du=args.tube_du, dp=args.tube_dp),
         quad_points=args.quad_points,
         safety_factor=args.safety_factor,
@@ -126,8 +127,8 @@ def _settings_from_args(args) -> certify.CertifySettings:
         inject_e_n2=args.inject_en2,
         inject_e_inf=args.inject_einf,
         inject_alpha=args.inject_alpha,
-        seed=args.seed,
     )
+    return options, settings
 
 
 def _json_dump(payload, path: Path):
@@ -186,20 +187,31 @@ def cmd_list(_args) -> int:
     return EXIT_ACCEPTED
 
 
-def _run_single(args):
+def _parse_n_list(text):
+    try:
+        n_list = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        n_list = []
+    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise SettingsError(
+            f"--n-list must be comma separated ascending interval counts, got {text!r}"
+        )
+    return n_list
+
+
+def _run_single(args, n, options, settings):
     prob = model.builtin_problem(args.problem)
-    mesh = transcription.Mesh.uniform(prob.T, args.n)
-    options = solver.SolverOptions(kkt_tolerance=args.tol)
-    settings = _settings_from_args(args)
+    mesh = transcription.Mesh.uniform(prob.T, n)
     return certify.run_certification(
         prob, mesh, args.scheme, options=options, settings=settings
     )
 
 
 def cmd_certify(args) -> int:
+    options, settings = _config_from_args(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    run = _run_single(args)
+    run = _run_single(args, args.n, options, settings)
     _json_dump(run.certificate.to_dict(), out / "certificate.json")
     _write_trajectory(run, out / "trajectory.csv")
     _write_residuals(run, out / "residuals.csv")
@@ -207,18 +219,14 @@ def cmd_certify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    n_list = _parse_n_list(args.n_list)
+    options, settings = _config_from_args(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise SystemExit(EXIT_ERROR)
     rows = []
-    any_accepted = False
     for n in n_list:
-        ns = argparse.Namespace(**vars(args))
-        ns.n = n
         try:
-            run = _run_single(ns)
+            run = _run_single(args, n, options, settings)
             cert = run.certificate
             rows.append(
                 [
@@ -231,7 +239,6 @@ def cmd_sweep(args) -> int:
                     "ok",
                 ]
             )
-            any_accepted = any_accepted or cert.accepted
         except SsocError as err:
             rows.append([n, "", "", "", "", "false", f"error: {err}"])
     with (out / "convergence.csv").open("w", newline="") as fh:
@@ -243,19 +250,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    prob = model.builtin_problem(args.problem)
-    mesh = transcription.Mesh.uniform(prob.T, args.n)
     policy = refine.RefinePolicy(
         fraction=args.fraction,
         max_rounds=args.max_rounds,
         max_total_intervals=args.max_intervals,
     )
-    options = solver.SolverOptions(kkt_tolerance=args.tol)
+    options, settings = _config_from_args(args)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    prob = model.builtin_problem(args.problem)
+    mesh = transcription.Mesh.uniform(prob.T, args.n)
     result = refine.certify_loop(
-        prob, mesh, args.scheme, policy=policy, options=options,
-        settings=_settings_from_args(args),
+        prob, mesh, args.scheme, policy=policy, options=options, settings=settings
     )
     payload = {
         "termination": result.termination,
@@ -285,8 +291,6 @@ def main(argv=None) -> int:
         if hasattr(err, "report"):
             sys.stderr.write(f"solver report: {err.report.to_dict()}\n")
         return EXIT_ERROR
-    except SystemExit as exc:
-        return int(exc.code or 0)
 
 
 if __name__ == "__main__":

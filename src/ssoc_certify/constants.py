@@ -9,14 +9,14 @@ carry a safety factor because sampled quotients lower-bound the true sup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse
 
 from . import model, transcription
-from .errors import LegendreViolationError, StrongRegularityError
+from .errors import LegendreViolationError, SettingsError, StrongRegularityError
 from .numerics import sparse_sigma_min
 
 
@@ -32,9 +32,9 @@ class TubeSpec:
 
     def __post_init__(self):
         if min(self.dx, self.du, self.dp) <= 0:
-            raise ValueError("tube radii must be positive")
+            raise SettingsError("tube radii must be positive")
         if self.samples_per_axis < 2:
-            raise ValueError("need at least 2 samples per axis")
+            raise SettingsError("need at least 2 samples per axis")
 
 
 @dataclass
@@ -58,7 +58,6 @@ class ConstantsBundle:
     sigma_min_Mh: float = math.nan
     C_geo: float = math.nan
     C_geo_lift: float = 1.0
-    C_geo_restrict: float = 1.0
     C_T: float = math.nan
     C_quad: float = math.nan
     C_Tprime: float = math.nan
@@ -75,19 +74,7 @@ class ConstantsBundle:
     formulas: dict = field(default_factory=dict)
 
     def to_dict(self):
-        d = {}
-        for k, v in self.__dict__.items():
-            if k == "tube":
-                d[k] = None if v is None else {
-                    "dx": v.dx,
-                    "du": v.du,
-                    "dp": v.dp,
-                    "samples_per_axis": v.samples_per_axis,
-                    "time_samples": v.time_samples,
-                }
-            else:
-                d[k] = v
-        return d
+        return asdict(self)
 
 
 def _spectral_norms(stack):
@@ -105,17 +92,12 @@ def _sym_spectral_norms(stack):
     return np.maximum(-eigs[..., 0], eigs[..., -1])
 
 
-def _axis_offsets(n, m, tube, scale):
-    """Per-axis offset vectors (x block then u block) at radius*scale."""
-    d = n + m
-    radii = np.concatenate([np.full(n, tube.dx), np.full(m, tube.du)])
-    offs = []
-    for a in range(d):
-        e = np.zeros(d)
-        e[a] = radii[a] * scale
-        offs.append(e)
-        offs.append(-e)
-    return np.asarray(offs)
+def _axis_offsets(radii, scales):
+    """Offsets radii[a] * s along each axis a, for each s in scales (axis-major)."""
+    d = len(radii)
+    offs = np.zeros((d, len(scales), d))
+    offs[np.arange(d), :, np.arange(d)] = np.outer(radii, scales)
+    return offs.reshape(-1, d)
 
 
 def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
@@ -135,22 +117,12 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
     # intermediate points when samples_per_axis > 3 (grids nest for odd counts)
     scales = np.linspace(-1.0, 1.0, tube.samples_per_axis)
     scales = scales[scales != 0.0]
-    radii = np.concatenate([np.full(n, tube.dx), np.full(m, tube.du)])
-    points_x = [Xc]
-    points_u = [Uc]
-    for a in range(n + m):
-        for s in scales:
-            dX = np.zeros(n)
-            dU = np.zeros(m)
-            if a < n:
-                dX[a] = radii[a] * s
-            else:
-                dU[a - n] = radii[a] * s
-            points_x.append(Xc + dX)
-            points_u.append(Uc + dU)
-    X_all = np.concatenate(points_x)
-    U_all = np.concatenate(points_u)
-    t_all = np.tile(ts, len(points_x))
+    xu_radii = np.concatenate([np.full(n, tube.dx), np.full(m, tube.du)])
+    end_radii = np.full(2 * n, tube.dx)
+    offsets = _axis_offsets(xu_radii, scales)
+    X_all = np.concatenate([Xc[None], Xc + offsets[:, None, :n]]).reshape(-1, n)
+    U_all = np.concatenate([Uc[None], Uc + offsets[:, None, n:]]).reshape(-1, m)
+    t_all = np.tile(ts, len(offsets) + 1)
 
     _, Fx, Fu, Hf = model.dynamics_batch(prob, t_all, X_all, U_all, order=2)
     _, _, Lh = model.running_cost_batch(prob, t_all, X_all, U_all, order=2)
@@ -162,7 +134,7 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
     x0v = rec.X.eval(0.0)
     xTv = rec.X.eval(rec.T)
     k_norms = []
-    for d0 in _endpoint_offsets(n, tube, 1.0):
+    for d0 in np.vstack([np.zeros(2 * n), _axis_offsets(end_radii, (1.0, -1.0))]):
         ept = model.eval_endpoint_terms(prob, x0v + d0[:n], xTv + d0[n:], rec.lam)
         k_norms.append(float(_sym_spectral_norms(ept.K_hess[None])[0]))
     sup_K = max(k_norms)
@@ -170,15 +142,10 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
 
     # strengthened Legendre constant and H-derivative sups need costate
     # offsets as well; contract the dynamics Hessians with each offset p
-    p_offsets = [np.zeros(n)]
-    for a in range(n):
-        for s in scales:
-            e = np.zeros(n)
-            e[a] = tube.dp * s
-            p_offsets.append(e)
+    p_offsets = np.vstack([np.zeros(n), _axis_offsets(np.full(n, tube.dp), scales)])
     rho = math.inf
     H_ux_inf = 0.0
-    P_all_center = np.tile(Pc, (len(points_x), 1))
+    P_all_center = np.tile(Pc, (len(offsets) + 1, 1))
     for dp in p_offsets:
         Hfull = Lh + np.einsum("bi,bijk->bjk", P_all_center + dp, Hf)
         rho = min(rho, float(np.min(np.linalg.eigvalsh(Hfull[:, n:, n:])[..., 0])))
@@ -198,7 +165,7 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
 
     # Lipschitz constants of second derivatives: difference quotients between
     # the center and half-radius axis offsets
-    half = _axis_offsets(n, m, tube, 0.5)
+    half = _axis_offsets(xu_radii, (0.5, -0.5))
     B0 = ts.size
     Hf_c = Hf[:B0]
     Lh_c = Lh[:B0]
@@ -216,7 +183,7 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
         L21_L = max(L21_L, float(np.max(_sym_spectral_norms(Lh_o - Lh_c))) / step)
     L21_K = 0.0
     ept_c = model.eval_endpoint_terms(prob, x0v, xTv, rec.lam)
-    for off in _endpoint_offsets(n, tube, 0.5, include_center=False):
+    for off in _axis_offsets(end_radii, (0.5, -0.5)):
         ept_o = model.eval_endpoint_terms(prob, x0v + off[:n], xTv + off[n:], rec.lam)
         step = float(np.linalg.norm(off))
         L21_K = max(
@@ -247,23 +214,12 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
     return bundle
 
 
-def _endpoint_offsets(n, tube, scale, include_center=True):
-    offs = [np.zeros(2 * n)] if include_center else []
-    for a in range(2 * n):
-        e = np.zeros(2 * n)
-        e[a] = tube.dx * scale
-        offs.append(e.copy())
-        e[a] = -tube.dx * scale
-        offs.append(e.copy())
-    return offs
-
-
-def estimate_C_geo(Mh, lift=1.0, restrict=1.0):
+def estimate_C_geo(Mh, lift=1.0):
     """Geometric constant from the smallest singular value of M_h.
 
     ``Mh`` is the Jacobian of the collocation equations at the discrete
     solution (compressed form for Hermite-Simpson), dense or sparse; the
-    bound is lift * restrict / sigma_min(Mh), with sigma_min from
+    bound is lift / sigma_min(Mh), with sigma_min from
     shift-invert Lanczos on the sparse Gram M_h M_h^T.
     """
     Mh = scipy.sparse.csr_matrix(Mh, dtype=float)
@@ -274,7 +230,7 @@ def estimate_C_geo(Mh, lift=1.0, restrict=1.0):
             f"sigma_min of the discrete KKT Jacobian is {smin:.3e}; "
             "strong regularity is violated"
         )
-    return {"sigma_min_Mh": smin, "C_geo": lift * restrict / smin}
+    return {"sigma_min_Mh": smin, "C_geo": lift / smin}
 
 
 def compute_C_T(bundle: ConstantsBundle, scheme, T: float) -> float:
@@ -336,7 +292,6 @@ def estimate_all(
     tube: Optional[TubeSpec] = None,
     safety_factor: float = 1.5,
     c_geo_lift: float = 1.0,
-    c_geo_restrict: float = 1.0,
     c_xp_scale: float = 1.0,
     paper_constants: bool = False,
 ) -> ConstantsBundle:
@@ -353,11 +308,10 @@ def estimate_all(
     bundle.c_Pi = scheme.lebesgue
     bundle.C_int = max(mesh.T, 1.0)
     Mh = transcription.collocation_jacobian_sparse(prob, dkkt.layout, dkkt.z)
-    geo = estimate_C_geo(Mh, lift=c_geo_lift, restrict=c_geo_restrict)
+    geo = estimate_C_geo(Mh, lift=c_geo_lift)
     bundle.sigma_min_Mh = geo["sigma_min_Mh"]
     bundle.C_geo = geo["C_geo"]
     bundle.C_geo_lift = c_geo_lift
-    bundle.C_geo_restrict = c_geo_restrict
     bundle.C_T = compute_C_T(bundle, scheme, mesh.T)
     qc = compute_quadrature_and_conformity(bundle, scheme, mesh)
     bundle.C_quad = qc["C_quad"]
@@ -371,7 +325,7 @@ def estimate_all(
     bundle.c_xp_scale = c_xp_scale
     bundle.formulas.update(
         {
-            "C_geo": "lift * restrict / sigma_min(M_h)",
+            "C_geo": "lift / sigma_min(M_h)",
             "C_T": "c_Pi * exp(A_inf * T) * (1 + B_inf / rho)",
             "C_quad": qc["formula_C_quad"],
             "C_Tprime": qc["formula_C_Tprime"],

@@ -5,6 +5,10 @@ class SsocError(Exception):
     """Base class for all package errors."""
 
 
+class SettingsError(SsocError, ValueError):
+    """An option, tolerance or policy value lies outside its valid range."""
+
+
 class DimensionError(SsocError):
     """A vector or matrix does not have the shape the contract requires."""
 

@@ -71,15 +71,6 @@ class PiecewisePoly:
         return out
 
 
-def eval(poly: PiecewisePoly, t):
-    """Value of the piecewise polynomial at t (right piece at breakpoints)."""
-    return poly.eval(t)
-
-
-def eval_derivative(poly: PiecewisePoly, t):
-    return poly.eval_derivative(t)
-
-
 def hermite_cubic(nodes, values, slopes) -> PiecewisePoly:
     """Cubic Hermite interpolant through (nodes, values) with given slopes."""
     nodes = np.asarray(nodes, dtype=float)
@@ -106,6 +97,14 @@ def piecewise_linear(times, values) -> PiecewisePoly:
 def extract_costates(prob, layout, z, nu_all):
     """Costates from the defect multipliers.
 
+    The state-stationarity row of the NLP at node k splits into the shares of
+    interval k (its sample p = 0) and of interval k - 1 (its sample
+    p = stride).  With the scheme table, the share of interval k at sample p
+    is ``sum_r state[r][p] nu_kr + h_k quad[p] H_x(t, x, u; q)`` with the
+    costate argument ``q = sum_r (flow[r][p] / quad[p]) nu_kr``.  The node
+    costate is the share of interval k (from the right of node k) or minus the
+    share of interval k - 1 (from the left); stationarity makes the two agree.
+
     Returns (p_station (S, n), p_nodes (N+1, n), jump) where ``jump`` is the
     largest disagreement between the left and right node-costate assemblies
     at interior nodes (a stationarity diagnostic, near zero at converged
@@ -116,30 +115,21 @@ def extract_costates(prob, layout, z, nu_all):
     w = transcription.quadrature_weights(layout)
     p_station = S / w[:, None]
     nu_defect, _, _ = transcription.split_multipliers(layout, nu_all)
-    nodes = layout.mesh.nodes
-    h = layout.mesh.h
+    scheme = layout.scheme
     N = layout.mesh.n_intervals
-    n = layout.n
-    if layout.scheme.kind == transcription.TRAPEZOIDAL:
-        nu = nu_defect.reshape(N, n)
-        hb_l = model.hamiltonian_batch(prob, nodes[:-1], X[:-1], U[:-1], -nu)
-        p_right = -nu + 0.5 * h[:, None] * hb_l.H_x
-        hb_r = model.hamiltonian_batch(prob, nodes[1:], X[1:], U[1:], -nu)
-        p_left = -nu - 0.5 * h[:, None] * hb_r.H_x
-    else:
-        nu = nu_defect.reshape(N, 2, n)
-        sim, her = nu[:, 0], nu[:, 1]
-        node_idx = np.array([layout.node_sample(k) for k in range(N + 1)])
-        Xn, Un = X[node_idx], U[node_idx]
-        # right-of-node assembly uses p = -nu - 3/4 mu, left uses p = -nu + 3/4 mu
-        hb_l = model.hamiltonian_batch(
-            prob, nodes[:-1], Xn[:-1], Un[:-1], -sim - 0.75 * her
-        )
-        p_right = -sim - 0.5 * her + (h / 6.0)[:, None] * hb_l.H_x
-        hb_r = model.hamiltonian_batch(
-            prob, nodes[1:], Xn[1:], Un[1:], -sim + 0.75 * her
-        )
-        p_left = -sim + 0.5 * her - (h / 6.0)[:, None] * hb_r.H_x
+    nu = nu_defect.reshape(N, scheme.blocks, layout.n)
+    state, flow = np.asarray(scheme.state), np.asarray(scheme.flow)
+
+    def interval_share(p):
+        j = layout.interval_samples[:, p]
+        quad = scheme.quad[p]
+        q = np.einsum("r,kri->ki", flow[:, p] / quad, nu)
+        hb = model.hamiltonian_batch(prob, layout.sample_times[j], X[j], U[j], q)
+        weighted_H_x = (layout.mesh.h * quad)[:, None] * hb.H_x
+        return np.einsum("r,kri->ki", state[:, p], nu) + weighted_H_x
+
+    p_right = interval_share(0)
+    p_left = -interval_share(scheme.stride)
     p_nodes = np.vstack([p_right, p_left[-1:]])
     jump = 0.0
     if N > 1:
@@ -155,9 +145,7 @@ class Reconstruction:
     U: PiecewisePoly  # controls, linear
     P: PiecewisePoly  # costate, cubic
     lam: np.ndarray
-    mesh: transcription.Mesh
-    scheme: transcription.Scheme
-    sample_times: np.ndarray
+    layout: transcription.NlpLayout
     x_samples: np.ndarray
     u_samples: np.ndarray
     p_station: np.ndarray
@@ -165,6 +153,18 @@ class Reconstruction:
     anchor_shift: float  # |raw terminal costate - transversality value|
     costate_jump: float
     terminal_residual: float
+
+    @property
+    def mesh(self):
+        return self.layout.mesh
+
+    @property
+    def scheme(self):
+        return self.layout.scheme
+
+    @property
+    def sample_times(self):
+        return self.layout.sample_times
 
     @property
     def T(self):
@@ -177,7 +177,7 @@ def reconstruct(prob, dkkt) -> Reconstruction:
         raise ConvergenceError("reconstruction refused: discrete point not converged")
     layout = dkkt.layout
     nodes = layout.mesh.nodes
-    node_idx = np.array([layout.node_sample(k) for k in range(layout.n_nodes)])
+    node_idx = layout.node_sample(np.arange(layout.n_nodes))
     x_nodes = dkkt.x[node_idx]
     u_nodes = dkkt.u[node_idx]
     slopes = model.dynamics_batch(prob, nodes, x_nodes, u_nodes)
@@ -198,9 +198,7 @@ def reconstruct(prob, dkkt) -> Reconstruction:
         U=U,
         P=P,
         lam=dkkt.lam.copy(),
-        mesh=layout.mesh,
-        scheme=layout.scheme,
-        sample_times=layout.sample_times.copy(),
+        layout=layout,
         x_samples=dkkt.x.copy(),
         u_samples=dkkt.u.copy(),
         p_station=dkkt.p_station.copy(),

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from . import certify, residuals as residuals_mod, solver, transcription
-from .errors import SsocError
+from .errors import SettingsError, SsocError
 
 
 @dataclass
@@ -17,9 +17,9 @@ class RefinePolicy:
 
     def __post_init__(self):
         if not 0.0 < self.fraction <= 1.0:
-            raise ValueError("fraction must lie in (0, 1]")
+            raise SettingsError("fraction must lie in (0, 1]")
         if self.max_rounds < 0 or self.max_total_intervals < 1:
-            raise ValueError("policy bounds must be positive")
+            raise SettingsError("policy bounds must be positive")
 
 
 @dataclass
@@ -34,7 +34,7 @@ class RoundSummary:
     reject_reason: Optional[str]
 
     def to_dict(self):
-        return dict(self.__dict__)
+        return asdict(self)
 
 
 @dataclass

@@ -15,7 +15,7 @@ Two flavors are computed:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -49,45 +49,12 @@ class ResidualReport:
     inf_samples_per_cell: int
 
     def to_dict(self):
-        d = {
-            k: getattr(self, k)
-            for k in (
-                "e_dyn_L2",
-                "e_stat_L2",
-                "e_bc",
-                "E_N2",
-                "e_dyn_node_L2",
-                "e_stat_node_L2",
-                "E_N2_node",
-                "kkt_node_inf",
-                "e_dyn_inf",
-                "e_adj_inf",
-                "e_stat_inf",
-                "E_inf",
-                "E_inf_basic",
-                "e_bc_weighted",
-                "quad_points",
-                "inf_samples_per_cell",
-            )
-        }
+        d = asdict(self)
         d["per_interval"] = [
             {"interval": int(k), "dyn_l2": dy, "stat_l2": st}
             for (k, dy, st) in self.per_interval
         ]
         return d
-
-
-def _quadrature_cells(rec):
-    """Per-cell (interval index, left, right); cells split at control kinks."""
-    cells = []
-    breaks = rec.U.breaks
-    nodes = rec.mesh.nodes
-    for i in range(breaks.size - 1):
-        left, right = breaks[i], breaks[i + 1]
-        k = int(np.searchsorted(nodes, left, side="right") - 1)
-        k = min(max(k, 0), nodes.size - 2)
-        cells.append((k, left, right))
-    return cells
 
 
 def compute_residuals(prob, rec, quad_points_per_interval: int = 5) -> ResidualReport:
@@ -96,20 +63,16 @@ def compute_residuals(prob, rec, quad_points_per_interval: int = 5) -> ResidualR
         raise DimensionError("need at least 3 quadrature points per interval")
     n_inf = 21
 
-    cells = _quadrature_cells(rec)
+    # quadrature cells run between consecutive control breakpoints (the
+    # sample times); each belongs to the mesh interval containing its left end
+    a, b = rec.U.breaks[:-1], rec.U.breaks[1:]
+    nodes = rec.mesh.nodes
+    interval_of = np.clip(np.searchsorted(nodes, a, side="right") - 1, 0, nodes.size - 2)
     gl_x, gl_w = np.polynomial.legendre.leggauss(quad_points_per_interval)
-    # quadrature grid over all cells
-    t_quad = []
-    w_quad = []
-    cell_of = []
-    for idx, (k, a, b) in enumerate(cells):
-        half = 0.5 * (b - a)
-        t_quad.append(0.5 * (a + b) + half * gl_x)
-        w_quad.append(half * gl_w)
-        cell_of.extend([idx] * quad_points_per_interval)
-    t_quad = np.concatenate(t_quad)
-    w_quad = np.concatenate(w_quad)
-    cell_of = np.asarray(cell_of)
+    half = (0.5 * (b - a))[:, None]
+    t_quad = ((0.5 * (a + b))[:, None] + half * gl_x).ravel()
+    w_quad = (half * gl_w).ravel()
+    cell_of = np.repeat(np.arange(a.size), quad_points_per_interval)
 
     def pointwise(t):
         Xv = rec.X.eval(t)
@@ -128,17 +91,16 @@ def compute_residuals(prob, rec, quad_points_per_interval: int = 5) -> ResidualR
     dyn_sq = np.einsum("b,bi->b", w_quad, r_dyn_q**2)
     stat_sq = np.einsum("b,bi->b", w_quad, r_stat_q**2)
 
-    n_cells = len(cells)
-    dyn_cell = np.zeros(n_cells)
-    stat_cell = np.zeros(n_cells)
+    # accumulate in cell order so that per_interval is reproducible bitwise
+    dyn_cell = np.zeros(a.size)
+    stat_cell = np.zeros(a.size)
     np.add.at(dyn_cell, cell_of, dyn_sq)
     np.add.at(stat_cell, cell_of, stat_sq)
     N = rec.mesh.n_intervals
     dyn_int = np.zeros(N)
     stat_int = np.zeros(N)
-    for idx, (k, _, _) in enumerate(cells):
-        dyn_int[k] += dyn_cell[idx]
-        stat_int[k] += stat_cell[idx]
+    np.add.at(dyn_int, interval_of, dyn_cell)
+    np.add.at(stat_int, interval_of, stat_cell)
     per_interval = [
         (k, math.sqrt(dyn_int[k]), math.sqrt(stat_int[k])) for k in range(N)
     ]
@@ -146,10 +108,7 @@ def compute_residuals(prob, rec, quad_points_per_interval: int = 5) -> ResidualR
     e_stat_L2 = math.sqrt(float(np.sum(stat_int)))
 
     # sup norms on quadrature points plus uniform samples per cell
-    t_inf = [t_quad]
-    for (_, a, b) in cells:
-        t_inf.append(np.linspace(a, b, n_inf))
-    t_inf = np.unique(np.concatenate(t_inf))
+    t_inf = np.unique(np.concatenate([t_quad, np.linspace(a, b, n_inf, axis=-1).ravel()]))
     r_dyn_i, r_stat_i, r_adj_i = pointwise(t_inf)
     e_dyn_inf = float(np.max(np.abs(r_dyn_i)))
     e_stat_inf = float(np.max(np.abs(r_stat_i)))
@@ -179,7 +138,7 @@ def compute_residuals(prob, rec, quad_points_per_interval: int = 5) -> ResidualR
     hbs = model.hamiltonian_batch(prob, t_nodes, Xs, Us, Ps)
     r_dyn_n = dXs - Fs
     r_stat_n = hbs.H_u
-    w_nodes = transcription_weights(rec)
+    w_nodes = transcription.quadrature_weights(rec.layout)
     e_dyn_node = math.sqrt(float(np.einsum("b,bi->", w_nodes, r_dyn_n**2)))
     e_stat_node = math.sqrt(float(np.einsum("b,bi->", w_nodes, r_stat_n**2)))
     kkt_node_inf = max(
@@ -209,22 +168,6 @@ def compute_residuals(prob, rec, quad_points_per_interval: int = 5) -> ResidualR
         quad_points=quad_points_per_interval,
         inf_samples_per_cell=n_inf,
     )
-
-
-def transcription_weights(rec) -> np.ndarray:
-    """Scheme quadrature weights aligned with the reconstruction samples."""
-    h = rec.mesh.h
-    S = rec.sample_times.size
-    w = np.zeros(S)
-    if rec.scheme.kind == transcription.TRAPEZOIDAL:
-        w[:-1] += 0.5 * h
-        w[1:] += 0.5 * h
-    else:
-        for k in range(rec.mesh.n_intervals):
-            w[2 * k] += h[k] / 6.0
-            w[2 * k + 1] += 4.0 * h[k] / 6.0
-            w[2 * k + 2] += h[k] / 6.0
-    return w
 
 
 def residual_relation_check(report: ResidualReport, T: float) -> bool:

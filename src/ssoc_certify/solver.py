@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse
 
 from . import reconstruction, transcription
-from .errors import SolverBreakdownError
+from .errors import SettingsError, SolverBreakdownError
 from .numerics import sparse_lu
 
 # Curvature test of a Newton step: dz'(W + delta I) dz >= KAPPA |dz|^2.
@@ -29,7 +29,7 @@ class SolverOptions:
 
     def __post_init__(self):
         if self.kkt_tolerance <= 0 or self.max_iterations < 1:
-            raise ValueError("tolerance must be positive and max_iterations >= 1")
+            raise SettingsError("tolerance must be positive and max_iterations >= 1")
 
 
 @dataclass
@@ -43,14 +43,9 @@ class SolveReport:
     merit_history: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "iterations": self.iterations,
-            "kkt_residual": self.kkt_residual,
-            "constraint_residual": self.constraint_residual,
-            "converged": self.converged,
-            "delta_final": self.delta_final,
-            "guess": self.guess,
-        }
+        d = asdict(self)
+        del d["merit_history"]
+        return d
 
 
 def newton_step(W, J, grad, c, delta=0.0, delta0=1e-8, delta_max=1e6):

@@ -174,7 +174,7 @@ class NlpLayout:
         return stride * np.arange(self.mesh.n_intervals)[:, None] + np.arange(stride + 1)
 
     def node_sample(self, k):
-        """Sample index of mesh node k."""
+        """Sample index of mesh node k (k may be an index array)."""
         return self.scheme.stride * k
 
     def state_slice(self, j):
@@ -216,13 +216,11 @@ def assemble(prob: model.OcpProblem, mesh: Mesh, scheme) -> NlpLayout:
     scheme = parse_scheme(scheme)
     if abs(mesh.T - prob.T) > 1e-12 * max(1.0, prob.T):
         raise MeshError("mesh horizon does not match the problem horizon")
+    # sample p of interval k sits at (1 - theta) t_k + theta t_{k+1}, theta = p / stride
     nodes = mesh.nodes
-    if scheme.kind == TRAPEZOIDAL:
-        times = nodes.copy()
-    else:
-        times = np.empty(2 * mesh.n_intervals + 1)
-        times[0::2] = nodes
-        times[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    theta = np.arange(scheme.stride) / scheme.stride
+    inner = (1.0 - theta) * nodes[:-1, None] + theta * nodes[1:, None]
+    times = np.append(inner.ravel(), nodes[-1])
     return NlpLayout(
         mesh=mesh,
         scheme=scheme,

@@ -1,7 +1,26 @@
 import csv
 import json
 
+import pytest
+
 from ssoc_certify import cli
+
+CERTIFICATE_KEYS = {
+    "accepted", "alpha_cont", "alpha_hat", "alpha_hat_euclidean", "certified_e_n2",
+    "certified_e_source", "constants", "lhs", "projection_margin", "provenance",
+    "proximity", "reject_reason", "residuals", "simplified_accepted",
+    "simplified_test_used", "threshold", "trust_radius",
+}
+SETTINGS_KEYS = {
+    "c_geo_lift", "c_xp_scale", "inject_alpha", "inject_e_inf", "inject_e_n2",
+    "paper_constants", "quad_points", "safety_factor", "tolerance",
+}
+CONSTANTS_KEYS = {
+    "A_inf", "B_inf", "C_T", "C_Tprime", "C_close_inf", "C_geo", "C_geo_lift", "C_int",
+    "C_quad", "C_u_inf", "C_xp_inf", "Gamma", "Gamma_tot", "H_up_inf", "H_ux_inf", "L2",
+    "L21_H", "L21_K", "L21_L", "L21_f", "Lambda", "M2f", "P_max", "c_Pi", "c_xp_scale",
+    "formulas", "paper_constants", "rho", "safety_factor", "sigma_min_Mh", "tube",
+}
 
 
 def run_cli(args):
@@ -25,7 +44,12 @@ def test_certify_writes_outputs_and_exit_zero(tmp_path):
     assert code == 0
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["accepted"] is True
-    assert cert["switch_inflation"] is None
+    assert set(cert) == CERTIFICATE_KEYS
+    assert set(cert["provenance"]["settings"]) == SETTINGS_KEYS
+    assert set(cert["constants"]) == CONSTANTS_KEYS
+    assert cert["constants"]["tube"] == {
+        "dx": 0.1, "du": 0.1, "dp": 0.1, "samples_per_axis": 3, "time_samples": None,
+    }
     assert cert["provenance"]["scheme"] == "hermite-simpson"
     with (tmp_path / "trajectory.csv").open() as fh:
         rows = list(csv.reader(fh))
@@ -63,6 +87,25 @@ def test_unknown_problem_exits_one(tmp_path, capsys):
 def test_invalid_flag_exits_one(capsys):
     assert run_cli(["certify", "--nope"]) == 1
     assert "usage" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--n-list", "10,x"],
+        ["sweep", "--n-list", "10,5"],
+        ["refine", "--fraction", "0"],
+        ["certify", "--tube-dx", "0"],
+        ["certify", "--tol", "0"],
+    ],
+    ids=["n-list-not-int", "n-list-unordered", "fraction-zero", "tube-dx-zero", "tol-zero"],
+)
+def test_bad_input_reports_error_without_traceback(args, tmp_path, capsys):
+    code = run_cli(args + ["--problem", "double-integrator-lq", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_sweep_csv_layout(tmp_path):

@@ -140,3 +140,24 @@ def test_costate_curve_matches_lq_oracle_between_nodes(lq_run, lq_oracle):
     P = rec.P.eval(ts)
     exact = np.array([lq_oracle(t)[1] for t in ts])
     assert np.max(np.abs(P - exact)) <= 1e-5
+
+
+def _trapezoidal_lq_costate_error(prob, oracle, n_intervals):
+    dkkt, _ = sc.solve(prob, sc.Mesh.uniform(prob.T, n_intervals), "trapezoidal")
+    rec = sc.reconstruct(prob, dkkt)
+    return max(
+        np.abs(rec.p_nodes[k] - oracle(t)[1]).max() for k, t in enumerate(rec.mesh.nodes)
+    )
+
+
+def test_trapezoidal_node_costates_agree_from_both_sides(quad_problem):
+    dkkt, _ = sc.solve(quad_problem, sc.Mesh.uniform(quad_problem.T, 35), "trapezoidal")
+    assert dkkt.costate_jump <= 1e-10
+
+
+def test_trapezoidal_costate_nodes_converge_to_lq_oracle(lq_problem, lq_oracle):
+    # trapezoidal node costates are second-order accurate
+    e20 = _trapezoidal_lq_costate_error(lq_problem, lq_oracle, 20)
+    e40 = _trapezoidal_lq_costate_error(lq_problem, lq_oracle, 40)
+    assert e20 <= 2e-3
+    assert e20 / e40 >= 3.0
