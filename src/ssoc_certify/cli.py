@@ -192,26 +192,25 @@ def _parse_n_list(text):
         n_list = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         n_list = []
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+    if not n_list or n_list[0] < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise SettingsError(
-            f"--n-list must be comma separated ascending interval counts, got {text!r}"
+            "--n-list must be comma separated ascending interval counts >= 1, "
+            f"got {text!r}"
         )
     return n_list
 
 
-def _run_single(args, n, options, settings):
-    prob = model.builtin_problem(args.problem)
+def _run_single(prob, scheme, n, options, settings):
     mesh = transcription.Mesh.uniform(prob.T, n)
-    return certify.run_certification(
-        prob, mesh, args.scheme, options=options, settings=settings
-    )
+    return certify.run_certification(prob, mesh, scheme, options=options, settings=settings)
 
 
 def cmd_certify(args) -> int:
     options, settings = _config_from_args(args)
+    prob = model.builtin_problem(args.problem)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    run = _run_single(args, args.n, options, settings)
+    run = _run_single(prob, args.scheme, args.n, options, settings)
     _json_dump(run.certificate.to_dict(), out / "certificate.json")
     _write_trajectory(run, out / "trajectory.csv")
     _write_residuals(run, out / "residuals.csv")
@@ -219,14 +218,16 @@ def cmd_certify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # invalid input is an error of the whole command, not a rejected row
     n_list = _parse_n_list(args.n_list)
     options, settings = _config_from_args(args)
+    prob = model.builtin_problem(args.problem)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for n in n_list:
         try:
-            run = _run_single(args, n, options, settings)
+            run = _run_single(prob, args.scheme, n, options, settings)
             cert = run.certificate
             rows.append(
                 [

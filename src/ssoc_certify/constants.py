@@ -78,10 +78,16 @@ class ConstantsBundle:
 
 
 def _spectral_norms(stack):
-    """Spectral norm of each matrix in a (..., k, l) stack."""
+    """Spectral norm of each matrix in a (..., k, l) stack.
+
+    The square root of the largest eigenvalue of the smaller Gram matrix,
+    A A^T or A^T A.
+    """
     if stack.size == 0:
         return np.zeros(stack.shape[:-2])
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    trans = np.swapaxes(stack, -1, -2)
+    gram = stack @ trans if stack.shape[-2] <= stack.shape[-1] else trans @ stack
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
 def _sym_spectral_norms(stack):
@@ -130,14 +136,18 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
     M2f = float(np.max(f_norms))
     sup_L = float(np.max(_sym_spectral_norms(Lh)))
 
-    # endpoint cost Hessian over the endpoint tube
+    # endpoint cost Hessian over the endpoint tube, in one batch: the center,
+    # the full-radius axis offsets, then the half-radius ones for L21_K
     x0v = rec.X.eval(0.0)
     xTv = rec.X.eval(rec.T)
-    k_norms = []
-    for d0 in np.vstack([np.zeros(2 * n), _axis_offsets(end_radii, (1.0, -1.0))]):
-        ept = model.eval_endpoint_terms(prob, x0v + d0[:n], xTv + d0[n:], rec.lam)
-        k_norms.append(float(_sym_spectral_norms(ept.K_hess[None])[0]))
-    sup_K = max(k_norms)
+    end_full = _axis_offsets(end_radii, (1.0, -1.0))
+    end_half = _axis_offsets(end_radii, (0.5, -0.5))
+    end_offsets = np.vstack([np.zeros(2 * n), end_full, end_half])
+    K_hess = model.endpoint_hessian_batch(
+        prob, x0v + end_offsets[:, :n], xTv + end_offsets[:, n:]
+    )
+    n_full = 1 + len(end_full)
+    sup_K = float(np.max(_sym_spectral_norms(K_hess[:n_full])))
     L2 = max(sup_L, M2f, sup_K)
 
     # strengthened Legendre constant and H-derivative sups need costate
@@ -157,16 +167,17 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
             "strengthened Legendre condition fails"
         )
 
-    # linearized dynamics along the reconstruction only
-    _, Fx_c, Fu_c = model.dynamics_batch(prob, ts, Xc, Uc, order=1)
-    A_inf = float(np.max(_spectral_norms(Fx_c)))
-    B_inf = float(np.max(_spectral_norms(Fu_c)))
+    # linearized dynamics along the reconstruction only: the first ts.size
+    # rows of the tube batch
+    B0 = ts.size
+    A_inf = float(np.max(_spectral_norms(Fx[:B0])))
+    B_inf = float(np.max(_spectral_norms(Fu[:B0])))
     P_max = float(np.max(np.linalg.norm(Pc, axis=1))) + tube.dp
 
     # Lipschitz constants of second derivatives: difference quotients between
-    # the center and half-radius axis offsets
+    # the center and half-radius axis offsets; one model call per offset,
+    # because a single batch over all of them would set the peak memory
     half = _axis_offsets(xu_radii, (0.5, -0.5))
-    B0 = ts.size
     Hf_c = Hf[:B0]
     Lh_c = Lh[:B0]
     L21_f = 0.0
@@ -181,15 +192,10 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
         )
         L21_f = max(L21_f, float(np.max(_sym_spectral_norms(Hf_o - Hf_c))) / step)
         L21_L = max(L21_L, float(np.max(_sym_spectral_norms(Lh_o - Lh_c))) / step)
-    L21_K = 0.0
-    ept_c = model.eval_endpoint_terms(prob, x0v, xTv, rec.lam)
-    for off in _axis_offsets(end_radii, (0.5, -0.5)):
-        ept_o = model.eval_endpoint_terms(prob, x0v + off[:n], xTv + off[n:], rec.lam)
-        step = float(np.linalg.norm(off))
-        L21_K = max(
-            L21_K,
-            float(_sym_spectral_norms((ept_o.K_hess - ept_c.K_hess)[None])[0]) / step,
-        )
+    k_quotients = _sym_spectral_norms(K_hess[n_full:] - K_hess[0]) / np.linalg.norm(
+        end_half, axis=1
+    )
+    L21_K = max(0.0, float(np.max(k_quotients)))
     L21_f *= safety_factor
     L21_L *= safety_factor
     L21_K *= safety_factor

@@ -153,7 +153,7 @@ def dynamics_batch(prob: OcpProblem, t, X, U, order=0):
         return F, Fx, Fu
     Hf = np.zeros((B, prob.n, d, d))
     for i, c in enumerate(out):
-        if isinstance(c, ad.AdScalar2):
+        if isinstance(c, ad.AdScalar2) and not c.is_affine:
             Hf[:, i] = c.hess
     return F, Fx, Fu, Hf
 
@@ -177,14 +177,11 @@ def running_cost_batch(prob: OcpProblem, t, X, U, order=0):
     _require_finite(L, "running cost")
     if order == 0:
         return L
-    if isinstance(out, ad.AdScalar2):
-        g, H = out.grad, out.hess
-    else:
-        g = np.zeros((X.shape[0], d))
-        H = np.zeros((X.shape[0], d, d))
+    if not isinstance(out, ad.AdScalar2):
+        out = ad.AdScalar2.constant(L, d)
     if order == 1:
-        return L, g
-    return L, g, H
+        return L, out.grad
+    return L, out.grad, out.hess
 
 
 @dataclass
@@ -281,7 +278,8 @@ def eval_endpoint_terms(prob: OcpProblem, x0, xT, lam=None) -> EndpointTerms:
                 b_val[i] = c.val[0]
                 b_x0[i] = c.grad[0, :n]
                 b_xT[i] = c.grad[0, n:]
-                lagr_hess += lam[i] * c.hess[0]
+                if not c.is_affine:
+                    lagr_hess += lam[i] * c.hess[0]
             else:
                 b_val[i] = float(c)
     else:
@@ -300,6 +298,26 @@ def eval_endpoint_terms(prob: OcpProblem, x0, xT, lam=None) -> EndpointTerms:
         b_xT=b_xT,
         lagr_hess=lagr_hess,
     )
+
+
+def endpoint_hessian_batch(prob: OcpProblem, X0, XT) -> np.ndarray:
+    """Endpoint cost Hessians over (x0, xT) at a batch of endpoint pairs.
+
+    Returns (B, 2n, 2n); row b equals
+    ``eval_endpoint_terms(prob, X0[b], XT[b]).K_hess`` bitwise. The
+    boundary map is not evaluated.
+    """
+    n = prob.n
+    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+    XT = np.atleast_2d(np.asarray(XT, dtype=float))
+    if X0.shape[1:] != (n,) or XT.shape != X0.shape:
+        raise DimensionError("endpoint states must have shape (B, n)")
+    d = 2 * n
+    K = prob.endpoint_cost(ad.seed_vector(X0, 0, d), ad.seed_vector(XT, n, d))
+    _require_finite(ad.value_of(K), "endpoint cost")
+    if not isinstance(K, ad.AdScalar2):
+        return np.zeros((X0.shape[0], d, d))
+    return K.hess
 
 
 # -- builtin problems ---------------------------------------------------------

@@ -97,3 +97,23 @@ def test_batched_values_agree_with_scalar_loop():
         assert out.val[b] == one.val[0]
         assert np.array_equal(out.grad[b], one.grad[0])
         assert np.array_equal(out.hess[b], one.hess[0])
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda a, b: a + b, lambda a, b: b + a, lambda a, b: a - b, lambda a, b: b - a,
+     lambda a, b: a * b, lambda a, b: b * a, lambda a, b: a / b, lambda a, b: b / a],
+    ids=["add", "radd", "sub", "rsub", "mul", "rmul", "div", "rdiv"],
+)
+def test_plain_operand_of_larger_batch_matches_lifted_constant(op):
+    # a one-point AD value meets a (B,) array: the fast path spans the batch
+    # like the AD-AD rule on the lifted constant
+    x = ad.seed_vector(np.array([[0.7, -1.3]]), 0, 2)
+    for a in (x[0], x[0] * ad.sin(x[1])):
+        arr = np.array([1.5, -2.0, 0.25, 3.0])
+        fast = op(a, arr)
+        lifted = op(a, ad.AdScalar2.constant(arr, 2))
+        assert fast.grad.shape == (4, 2) and fast.hess.shape == (4, 2, 2)
+        assert np.array_equal(fast.val, lifted.val)
+        assert np.array_equal(fast.grad, lifted.grad)
+        assert np.array_equal(fast.hess, lifted.hess)

@@ -97,11 +97,18 @@ def test_invalid_flag_exits_one(capsys):
         ["refine", "--fraction", "0"],
         ["certify", "--tube-dx", "0"],
         ["certify", "--tol", "0"],
+        ["sweep", "--n-list", "0,5"],
+        ["sweep", "--problem", "foo", "--n-list", "5,6"],
     ],
-    ids=["n-list-not-int", "n-list-unordered", "fraction-zero", "tube-dx-zero", "tol-zero"],
+    ids=[
+        "n-list-not-int", "n-list-unordered", "fraction-zero", "tube-dx-zero", "tol-zero",
+        "n-list-zero", "sweep-unknown-problem",
+    ],
 )
 def test_bad_input_reports_error_without_traceback(args, tmp_path, capsys):
-    code = run_cli(args + ["--problem", "double-integrator-lq", "--out-dir", str(tmp_path)])
+    if "--problem" not in args:
+        args = args + ["--problem", "double-integrator-lq"]
+    code = run_cli(args + ["--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import ssoc_certify as sc
 from ssoc_certify import constants as cn
+from ssoc_certify import ad, model
 from ssoc_certify.errors import LegendreViolationError, StrongRegularityError
 
 
@@ -137,3 +139,101 @@ def test_quadrotor_quadrature_terms_small_next_to_gamma(quad_run):
     b = quad_run.bundle
     assert b.C_quad + b.C_Tprime <= 0.10 * b.Gamma
     assert b.C_Tprime <= 1e-3 * b.Gamma
+
+
+def _svd_norms(stack):
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def _per_offset_curvature_bounds(prob, rec, tube, safety_factor=1.5):
+    """The tube with one model call per endpoint offset and an SVD per norm."""
+    n, m = prob.n, prob.m
+    ts = np.linspace(0.0, rec.T, tube.time_samples or 4 * rec.mesh.n_intervals)
+    Xc, Uc, Pc = rec.X.eval(ts), rec.U.eval(ts), rec.P.eval(ts)
+    scales = np.linspace(-1.0, 1.0, tube.samples_per_axis)
+    scales = scales[scales != 0.0]
+    xu_radii = np.concatenate([np.full(n, tube.dx), np.full(m, tube.du)])
+    end_radii = np.full(2 * n, tube.dx)
+    offsets = cn._axis_offsets(xu_radii, scales)
+    X_all = np.concatenate([Xc[None], Xc + offsets[:, None, :n]]).reshape(-1, n)
+    U_all = np.concatenate([Uc[None], Uc + offsets[:, None, n:]]).reshape(-1, m)
+    t_all = np.tile(ts, len(offsets) + 1)
+    _, Fx, Fu, Hf = model.dynamics_batch(prob, t_all, X_all, U_all, order=2)
+    _, _, Lh = model.running_cost_batch(prob, t_all, X_all, U_all, order=2)
+    M2f = float(np.max(cn._sym_spectral_norms(Hf)))
+    sup_L = float(np.max(cn._sym_spectral_norms(Lh)))
+    x0v, xTv = rec.X.eval(0.0), rec.X.eval(rec.T)
+    sup_K = max(
+        float(cn._sym_spectral_norms(
+            sc.eval_endpoint_terms(prob, x0v + d0[:n], xTv + d0[n:], rec.lam).K_hess[None]
+        )[0])
+        for d0 in np.vstack([np.zeros(2 * n), cn._axis_offsets(end_radii, (1.0, -1.0))])
+    )
+    rho, H_ux_inf = math.inf, 0.0
+    P_all = np.tile(Pc, (len(offsets) + 1, 1))
+    for dp in np.vstack([np.zeros(n), cn._axis_offsets(np.full(n, tube.dp), scales)]):
+        Hfull = Lh + np.einsum("bi,bijk->bjk", P_all + dp, Hf)
+        rho = min(rho, float(np.min(np.linalg.eigvalsh(Hfull[:, n:, n:])[..., 0])))
+        H_ux_inf = max(H_ux_inf, float(np.max(_svd_norms(Hfull[:, n:, :n]))))
+    _, Fx_c, Fu_c = model.dynamics_batch(prob, ts, Xc, Uc, order=1)
+    B0 = ts.size
+    L21_f = L21_L = L21_K = 0.0
+    for off in cn._axis_offsets(xu_radii, (0.5, -0.5)):
+        step = float(np.linalg.norm(off))
+        _, _, _, Hf_o = model.dynamics_batch(prob, ts, Xc + off[:n], Uc + off[n:], order=2)
+        _, _, Lh_o = model.running_cost_batch(prob, ts, Xc + off[:n], Uc + off[n:], order=2)
+        L21_f = max(L21_f, float(np.max(cn._sym_spectral_norms(Hf_o - Hf[:B0]))) / step)
+        L21_L = max(L21_L, float(np.max(cn._sym_spectral_norms(Lh_o - Lh[:B0]))) / step)
+    K_c = sc.eval_endpoint_terms(prob, x0v, xTv, rec.lam).K_hess
+    for off in cn._axis_offsets(end_radii, (0.5, -0.5)):
+        K_o = sc.eval_endpoint_terms(prob, x0v + off[:n], xTv + off[n:], rec.lam).K_hess
+        step = float(np.linalg.norm(off))
+        L21_K = max(L21_K, float(cn._sym_spectral_norms((K_o - K_c)[None])[0]) / step)
+    P_max = float(np.max(np.linalg.norm(Pc, axis=1))) + tube.dp
+    return {
+        "rho": rho, "L2": max(sup_L, M2f, sup_K), "M2f": M2f,
+        "L21_f": L21_f * safety_factor, "L21_L": L21_L * safety_factor,
+        "L21_K": L21_K * safety_factor,
+        "L21_H": L21_L * safety_factor + P_max * L21_f * safety_factor,
+        "P_max": P_max,
+        "A_inf": float(np.max(_svd_norms(Fx_c))), "B_inf": float(np.max(_svd_norms(Fu_c))),
+        "H_ux_inf": H_ux_inf, "H_up_inf": float(np.max(_svd_norms(np.swapaxes(Fu, 1, 2)))),
+    }
+
+
+def _coupled_quadrotor(quad):
+    """The quadrotor plus terms that make every endpoint offset and tube row count."""
+
+    def dynamics(t, x, u):
+        f = quad.dynamics(t, x, u)
+        f[3] = f[3] + 0.1 * ad.sin(x[0]) * x[2]
+        return f
+
+    def endpoint_cost(x0, xT):
+        return quad.endpoint_cost(x0, xT) + ad.sin(x0[0]) * ad.cos(xT[0]) * xT[2]
+
+    return dataclasses.replace(
+        quad, name="quadrotor-coupled", dynamics=dynamics, endpoint_cost=endpoint_cost
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["trapezoidal", "hermite-simpson", "coupled-hermite-simpson"]
+)
+def test_curvature_bounds_match_per_offset_reference(quad_problem, quad_run, case):
+    prob = quad_problem
+    if case == "trapezoidal":
+        rec = sc.run_certification(prob, sc.Mesh.uniform(prob.T, 35), case).rec
+    else:
+        rec = quad_run.rec
+    if case.startswith("coupled"):
+        # the tube only samples the problem's functions around rec
+        prob = _coupled_quadrotor(prob)
+    got = cn.estimate_curvature_bounds(prob, rec, cn.TubeSpec())
+    ref = _per_offset_curvature_bounds(prob, rec, cn.TubeSpec())
+    for name, value in ref.items():
+        if name in ("A_inf", "B_inf", "H_ux_inf", "H_up_inf"):
+            # spectral norms from the Gram eigenvalue, not the SVD
+            assert getattr(got, name) == pytest.approx(value, rel=1e-13), name
+        else:
+            assert getattr(got, name) == value, name

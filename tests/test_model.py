@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ssoc_certify as sc
-from ssoc_certify import model
+from ssoc_certify import ad, model
 from ssoc_certify.errors import DimensionError, RegistryError
 
 
@@ -120,3 +120,33 @@ def test_endpoint_terms_with_boundary_map():
     assert np.allclose(ept.b_xT, [[1.0, 0.0], [0.0, 0.3]])
     # lagr_hess picks up lam . b second derivatives: b_2 has d2/dx0[0] dxT[1] = 1
     assert ept.lagr_hess[0, 3] == pytest.approx(-1.0)
+
+
+def _endpoint_batch_problems():
+    bc = model.OcpProblem(
+        name="bc", n=2, m=1, T=1.0,
+        dynamics=lambda t, x, u: [x[1], u[0]],
+        running_cost=lambda t, x, u: 0.5 * u[0] * u[0],
+        endpoint_cost=lambda x0, xT: x0[1] * xT[0] + ad.sin(xT[1]) * x0[0],
+        boundary=lambda x0, xT: [xT[0] - 2.0 * x0[1], x0[0] * xT[1]],
+        n_b=2,
+    )
+    constant_endpoint = model.OcpProblem(
+        name="concave", n=1, m=1, T=1.0,
+        dynamics=lambda t, x, u: [u[0]],
+        running_cost=lambda t, x, u: -u[0] * u[0] + x[0] * x[0],
+        endpoint_cost=lambda x0, xT: 0.0 * xT[0],
+    )
+    return [sc.builtin_problem("quadrotor"), sc.builtin_problem("double-integrator-lq"),
+            bc, constant_endpoint]
+
+
+@pytest.mark.parametrize("prob", _endpoint_batch_problems(), ids=lambda p: p.name)
+def test_endpoint_hessian_batch_rows_equal_single_point_bitwise(prob):
+    rng = np.random.default_rng(5)
+    X0 = rng.normal(size=(7, prob.n))
+    XT = rng.normal(size=(7, prob.n))
+    K_hess = model.endpoint_hessian_batch(prob, X0, XT)
+    assert K_hess.shape == (7, 2 * prob.n, 2 * prob.n)
+    for b in range(7):
+        assert np.array_equal(K_hess[b], sc.eval_endpoint_terms(prob, X0[b], XT[b]).K_hess)
