@@ -230,8 +230,7 @@ def run_certification(
     rec = reconstruction.reconstruct(prob, dkkt)
     report = residuals_mod.compute_residuals(prob, rec, settings.quad_points)
     layout = dkkt.layout
-    W = transcription.eval_lagrangian_hessian_sparse(prob, layout, dkkt.z, dkkt.nu)
-    J = transcription.eval_constraint_jacobian_sparse(prob, layout, dkkt.z)
+    J, W = dkkt.kkt_matrices(prob)
     bundle = constants_mod.estimate_all(
         prob,
         rec,

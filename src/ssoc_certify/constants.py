@@ -1,9 +1,13 @@
 """Estimation of the certification constants from discrete data.
 
-All sups are sampled over a tubular neighborhood of the reconstruction
-(structured time grid x per-axis corner offsets).  Lipschitz constants of
-second derivatives come from difference quotients at half-radius offsets and
-carry a safety factor because sampled quotients lower-bound the true sup.
+The state and control directions of the tube around the reconstruction are
+sampled: a structured time grid times per-axis offsets.  The costate
+direction is bounded over the whole dp-box instead: the Hamiltonian is
+affine in p, so Weyl's inequality turns lambda_min(H_uu) and ||H_ux|| at the
+centre costate into bounds that hold for every costate in the box.
+Lipschitz constants of second derivatives come from difference quotients at
+half-radius offsets and carry a safety factor because sampled quotients
+lower-bound the true sup.
 """
 
 from __future__ import annotations
@@ -98,6 +102,19 @@ def _sym_spectral_norms(stack):
     return np.maximum(-eigs[..., 0], eigs[..., -1])
 
 
+def _nonzero_components(stack):
+    """Indices i with a nonzero entry in stack[:, i] of a (B, k, r, s) stack."""
+    return np.flatnonzero(np.any(stack != 0, axis=(0, 2, 3)))
+
+
+def _norm_sum(blocks, norms):
+    """Per-row sum over i of norms(blocks[:, i]) for a (B, k, r, s) stack.
+
+    All-zero blocks add nothing and are skipped.
+    """
+    return np.sum(norms(blocks[:, _nonzero_components(blocks)]), axis=1)
+
+
 def _axis_offsets(radii, scales):
     """Offsets radii[a] * s along each axis a, for each s in scales (axis-major)."""
     d = len(radii)
@@ -132,8 +149,13 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
 
     _, Fx, Fu, Hf = model.dynamics_batch(prob, t_all, X_all, U_all, order=2)
     _, _, Lh = model.running_cost_batch(prob, t_all, X_all, U_all, order=2)
-    f_norms = _sym_spectral_norms(Hf)  # (B, n)
-    M2f = float(np.max(f_norms))
+    B0 = ts.size
+    Hf_c = Hf[:B0].copy()  # along the reconstruction, for the L21 quotients
+    # components whose Hessian is zero over the whole batch add nothing to
+    # any norm or sum below, so they are dropped first
+    curved = _nonzero_components(Hf)
+    Hf = Hf[:, curved]
+    M2f = float(np.max(_sym_spectral_norms(Hf), initial=0.0))
     sup_L = float(np.max(_sym_spectral_norms(Lh)))
 
     # endpoint cost Hessian over the endpoint tube, in one batch: the center,
@@ -150,16 +172,15 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
     sup_K = float(np.max(_sym_spectral_norms(K_hess[:n_full])))
     L2 = max(sup_L, M2f, sup_K)
 
-    # strengthened Legendre constant and H-derivative sups need costate
-    # offsets as well; contract the dynamics Hessians with each offset p
-    p_offsets = np.vstack([np.zeros(n), _axis_offsets(np.full(n, tube.dp), scales)])
-    rho = math.inf
-    H_ux_inf = 0.0
-    P_all_center = np.tile(Pc, (len(offsets) + 1, 1))
-    for dp in p_offsets:
-        Hfull = Lh + np.einsum("bi,bijk->bjk", P_all_center + dp, Hf)
-        rho = min(rho, float(np.min(np.linalg.eigvalsh(Hfull[:, n:, n:])[..., 0])))
-        H_ux_inf = max(H_ux_inf, float(np.max(_spectral_norms(Hfull[:, n:, :n]))))
+    # H(p) = Lh + sum_i p_i Hf_i is affine in p, so Weyl's inequality bounds
+    # the strengthened Legendre constant and ||H_ux|| over the whole box
+    # |p_i - Pc_i| <= dp from the control rows of H at the centre costate
+    P_all = np.tile(Pc, (len(offsets) + 1, 1))
+    H_u = Lh[:, n:, :] + np.einsum("bi,bijk->bjk", P_all[:, curved], Hf[:, :, n:, :])
+    spread_uu = tube.dp * _norm_sum(Hf[:, :, n:, n:], _sym_spectral_norms)
+    spread_ux = tube.dp * _norm_sum(Hf[:, :, n:, :n], _spectral_norms)
+    rho = float(np.min(np.linalg.eigvalsh(H_u[:, :, n:])[:, 0] - spread_uu))
+    H_ux_inf = float(np.max(_spectral_norms(H_u[:, :, :n]) + spread_ux))
     H_up_inf = float(np.max(_spectral_norms(np.swapaxes(Fu, 1, 2))))
     if rho <= 0.0:
         raise LegendreViolationError(
@@ -169,7 +190,6 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
 
     # linearized dynamics along the reconstruction only: the first ts.size
     # rows of the tube batch
-    B0 = ts.size
     A_inf = float(np.max(_spectral_norms(Fx[:B0])))
     B_inf = float(np.max(_spectral_norms(Fu[:B0])))
     P_max = float(np.max(np.linalg.norm(Pc, axis=1))) + tube.dp
@@ -178,7 +198,6 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
     # the center and half-radius axis offsets; one model call per offset,
     # because a single batch over all of them would set the peak memory
     half = _axis_offsets(xu_radii, (0.5, -0.5))
-    Hf_c = Hf[:B0]
     Lh_c = Lh[:B0]
     L21_f = 0.0
     L21_L = 0.0
@@ -190,7 +209,9 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
         _, _, Lh_o = model.running_cost_batch(
             prob, ts, Xc + off[:n], Uc + off[n:], order=2
         )
-        L21_f = max(L21_f, float(np.max(_sym_spectral_norms(Hf_o - Hf_c))) / step)
+        dHf = Hf_o - Hf_c
+        dHf = dHf[:, _nonzero_components(dHf)]
+        L21_f = max(L21_f, float(np.max(_sym_spectral_norms(dHf), initial=0.0)) / step)
         L21_L = max(L21_L, float(np.max(_sym_spectral_norms(Lh_o - Lh_c))) / step)
     k_quotients = _sym_spectral_norms(K_hess[n_full:] - K_hess[0]) / np.linalg.norm(
         end_half, axis=1
@@ -216,7 +237,13 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
         safety_factor=safety_factor,
         tube=tube,
     )
-    bundle.formulas["L21"] = "safety * max ||d2g(c + r/2 e) - d2g(c)|| / (r/2)"
+    bundle.formulas.update(
+        {
+            "L21": "safety * max ||d2g(c + r/2 e) - d2g(c)|| / (r/2)",
+            "rho": "min_samples lambda_min(H_uu(p_c)) - dp * sum_i ||(Hf_i)_uu||",
+            "H_ux": "max_samples ||H_ux(p_c)|| + dp * sum_i ||(Hf_i)_ux||",
+        }
+    )
     return bundle
 
 
@@ -313,7 +340,7 @@ def estimate_all(
     bundle = estimate_curvature_bounds(prob, rec, tube, safety_factor=safety_factor)
     bundle.c_Pi = scheme.lebesgue
     bundle.C_int = max(mesh.T, 1.0)
-    Mh = transcription.collocation_jacobian_sparse(prob, dkkt.layout, dkkt.z)
+    Mh = transcription.compress_collocation_jacobian(dkkt.layout, dkkt.kkt_matrices(prob)[0])
     geo = estimate_C_geo(Mh, lift=c_geo_lift)
     bundle.sigma_min_Mh = geo["sigma_min_Mh"]
     bundle.C_geo = geo["C_geo"]

@@ -118,21 +118,18 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
     merit_history = []
 
     def kkt_state(z, nu):
-        g = transcription.eval_objective_gradient(prob, layout, z)
-        c = transcription.eval_defects(prob, layout, z)
-        J = transcription.eval_constraint_jacobian_sparse(prob, layout, z)
+        g, c, J, W = transcription.eval_kkt(prob, layout, z, nu)
         res = max(
             float(np.max(np.abs(g + J.T @ nu))),
             float(np.max(np.abs(c))) if c.size else 0.0,
         )
-        return g, c, J, res
+        return g, c, J, W, res
 
-    g, c, J, res = kkt_state(z, nu)
+    g, c, J, W, res = kkt_state(z, nu)
     iterations = 0
 
     while res > options.kkt_tolerance and iterations < options.max_iterations:
         iterations += 1
-        W = transcription.eval_lagrangian_hessian_sparse(prob, layout, z, nu)
         dz, nu_new, delta_used = newton_step(
             W, J, g, c, 0.0, options.delta0, options.delta_max
         )
@@ -155,7 +152,7 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
         merit_history.append(merit_t)
         z = z + alpha * dz
         nu = nu_new
-        g, c, J, res = kkt_state(z, nu)
+        g, c, J, W, res = kkt_state(z, nu)
 
     converged = res <= options.kkt_tolerance
     if converged:
@@ -165,16 +162,15 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
         for _ in range(options.polish_steps):
             if res <= floor:
                 break
-            W = transcription.eval_lagrangian_hessian_sparse(prob, layout, z, nu)
             try:
                 dz, nu_new, _ = newton_step(W, J, g, c, 0.0, options.delta0, options.delta_max)
             except SolverBreakdownError:
                 break
-            g_t, c_t, J_t, res_t = kkt_state(z + dz, nu_new)
-            if res_t < res:
+            trial = kkt_state(z + dz, nu_new)
+            if trial[-1] < res:
                 z = z + dz
                 nu = nu_new
-                g, c, J, res = g_t, c_t, J_t, res_t
+                g, c, J, W, res = trial
             else:
                 break
 
@@ -203,4 +199,5 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
         costate_jump=jump,
         converged=converged,
     )
+    dkkt.J, dkkt.W = J, W
     return dkkt, report

@@ -15,6 +15,7 @@ state, the rows x_0 - x0 = 0 are appended after the interval constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import scipy.sparse
@@ -124,10 +125,21 @@ class Mesh:
         return np.diff(self.nodes)
 
     def bisect(self, interval_indices) -> "Mesh":
-        """New mesh with the given intervals split at their midpoints."""
-        extra = [
-            0.5 * (self.nodes[k] + self.nodes[k + 1]) for k in interval_indices
-        ]
+        """New mesh with the given intervals split at their midpoints.
+
+        An interval listed more than once is split once.
+        """
+        idx = np.asarray(interval_indices)
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise MeshError("interval indices must be integers")
+        idx = np.unique(idx.astype(int))
+        bad = idx[(idx < 0) | (idx >= self.n_intervals)]
+        if bad.size:
+            raise MeshError(
+                f"interval indices {bad.tolist()} out of range for "
+                f"{self.n_intervals} intervals"
+            )
+        extra = 0.5 * (self.nodes[idx] + self.nodes[idx + 1])
         return Mesh(np.sort(np.concatenate([self.nodes, extra])))
 
 
@@ -253,34 +265,42 @@ def eval_objective(prob, layout, z) -> float:
     return float(np.dot(w, L) + ept.K)
 
 
-def eval_objective_gradient(prob, layout, z) -> np.ndarray:
-    X, U = layout.unpack(z)
-    w = quadrature_weights(layout)
-    _, Lg = model.running_cost_batch(prob, layout.sample_times, X, U, order=1)
+def _objective_gradient(layout, w, Lg, ept):
+    """Objective gradient from the running-cost gradients and the endpoint terms."""
     g = (w[:, None] * Lg).reshape(-1)
-    ept = model.eval_endpoint_terms(prob, X[0], X[-1])
     g[layout.state_slice(0)] += ept.K_x0
     g[layout.state_slice(layout.n_samples - 1)] += ept.K_xT
     return g
 
 
-def eval_defects(prob, layout, z) -> np.ndarray:
-    """All equality constraints at z (defects, boundary, fixed initial state)."""
+def eval_objective_gradient(prob, layout, z) -> np.ndarray:
     X, U = layout.unpack(z)
-    F = model.dynamics_batch(prob, layout.sample_times, X, U)
+    _, Lg = model.running_cost_batch(prob, layout.sample_times, X, U, order=1)
+    ept = model.eval_endpoint_terms(prob, X[0], X[-1])
+    return _objective_gradient(layout, quadrature_weights(layout), Lg, ept)
+
+
+def _defects(prob, layout, X, F, ept):
+    """Equality constraints from the sample dynamics; ``ept`` may be None when n_b = 0."""
     scheme = layout.scheme
     picked = layout.interval_samples
     state = np.einsum("rp,kpi->kri", np.asarray(scheme.state), X[picked])
     flow = np.einsum("rp,kpi->kri", np.asarray(scheme.flow), F[picked])
     c = np.zeros(layout.n_c)
     c[: layout.n_defect_rows] = (state + layout.mesh.h[:, None, None] * flow).reshape(-1)
-    if layout.n_b > 0 or layout.fixed_x0:
-        ept = model.eval_endpoint_terms(prob, X[0], X[-1])
-        if layout.n_b > 0:
-            c[layout.boundary_rows] = ept.b
-        if layout.fixed_x0:
-            c[layout.x0_rows] = X[0] - prob.x0
+    if layout.n_b > 0:
+        c[layout.boundary_rows] = ept.b
+    if layout.fixed_x0:
+        c[layout.x0_rows] = X[0] - prob.x0
     return c
+
+
+def eval_defects(prob, layout, z) -> np.ndarray:
+    """All equality constraints at z (defects, boundary, fixed initial state)."""
+    X, U = layout.unpack(z)
+    F = model.dynamics_batch(prob, layout.sample_times, X, U)
+    ept = model.eval_endpoint_terms(prob, X[0], X[-1]) if layout.n_b > 0 else None
+    return _defects(prob, layout, X, F, ept)
 
 
 def _sparse(shape, *parts):
@@ -301,15 +321,14 @@ def _endpoint_states(layout):
     return np.concatenate([np.arange(layout.n), last + np.arange(layout.n)])
 
 
-def eval_constraint_jacobian_sparse(prob, layout, z) -> scipy.sparse.csr_matrix:
-    """Jacobian of :func:`eval_defects` (n_c x n_z), assembled sparse.
+def _constraint_jacobian(layout, Fx, Fu, ept):
+    """Jacobian of the constraints from the sample dynamics Jacobians.
 
     Each nonzero ``flow`` coefficient of the scheme places a dense
     n x (n + m) block ``h_k flow[r][p] [f_x f_u]`` per interval, and each
-    nonzero ``state`` coefficient a multiple of the identity.
+    nonzero ``state`` coefficient a multiple of the identity.  ``ept`` may
+    be None when n_b = 0.
     """
-    X, U = layout.unpack(z)
-    _, Fx, Fu = model.dynamics_batch(prob, layout.sample_times, X, U, order=1)
     n, nm = layout.n, layout.n + layout.m
     scheme = layout.scheme
     state, flow = np.asarray(scheme.state), np.asarray(scheme.flow)
@@ -333,7 +352,6 @@ def eval_constraint_jacobian_sparse(prob, layout, z) -> scipy.sparse.csr_matrix:
         ),
     ]
     if layout.n_b > 0:
-        ept = model.eval_endpoint_terms(prob, X[0], X[-1])
         rows = layout.boundary_rows.start + np.arange(layout.n_b)
         parts.append(
             (rows[:, None], _endpoint_states(layout), np.hstack([ept.b_x0, ept.b_xT]))
@@ -343,13 +361,21 @@ def eval_constraint_jacobian_sparse(prob, layout, z) -> scipy.sparse.csr_matrix:
     return _sparse((layout.n_c, layout.n_z), *parts)
 
 
+def eval_constraint_jacobian_sparse(prob, layout, z) -> scipy.sparse.csr_matrix:
+    """Jacobian of :func:`eval_defects` (n_c x n_z), assembled sparse."""
+    X, U = layout.unpack(z)
+    _, Fx, Fu = model.dynamics_batch(prob, layout.sample_times, X, U, order=1)
+    ept = model.eval_endpoint_terms(prob, X[0], X[-1]) if layout.n_b > 0 else None
+    return _constraint_jacobian(layout, Fx, Fu, ept)
+
+
 def eval_constraint_jacobian(prob, layout, z) -> np.ndarray:
     """Dense Jacobian of :func:`eval_defects` (n_c x n_z)."""
     return eval_constraint_jacobian_sparse(prob, layout, z).toarray()
 
 
-def collocation_jacobian_sparse(prob, layout, z) -> scipy.sparse.csr_matrix:
-    """Jacobian of the collocation equations in compressed form, sparse.
+def compress_collocation_jacobian(layout, J) -> scipy.sparse.csr_matrix:
+    """Jacobian of the collocation equations in compressed form, from J.
 
     For Hermite-Simpson the midpoint states are eliminated through the
     Hermite relation, leaving one defect row block per interval over node
@@ -357,7 +383,6 @@ def collocation_jacobian_sparse(prob, layout, z) -> scipy.sparse.csr_matrix:
     Boundary and fixed-initial-state rows are kept.  This is the matrix
     whose smallest singular value feeds the geometric constant.
     """
-    J = eval_constraint_jacobian_sparse(prob, layout, z)
     if layout.scheme.stride == 1:
         return J
     # the second row block of each interval pins its midpoint state with an
@@ -375,6 +400,11 @@ def collocation_jacobian_sparse(prob, layout, z) -> scipy.sparse.csr_matrix:
     keep = np.ones(layout.n_z, dtype=bool)
     keep[mid_cols] = False
     return compressed[:, np.flatnonzero(keep)]
+
+
+def collocation_jacobian_sparse(prob, layout, z) -> scipy.sparse.csr_matrix:
+    """:func:`compress_collocation_jacobian` of the constraint Jacobian at z."""
+    return compress_collocation_jacobian(layout, eval_constraint_jacobian_sparse(prob, layout, z))
 
 
 def collocation_jacobian(prob, layout, z) -> np.ndarray:
@@ -410,23 +440,15 @@ def sample_multipliers(layout: NlpLayout, nu_all) -> np.ndarray:
     return _scatter_to_samples(layout, per_interval)
 
 
-def eval_lagrangian_hessian_sparse(prob, layout, z, nu_all, lam=None) -> scipy.sparse.csr_matrix:
-    """Hessian of objective + nu.c over z, assembled sparse (n_z x n_z).
+def _lagrangian_hessian(layout, w, S, Lh, Hf, ept):
+    """Lagrangian Hessian from the sample Hessians and the endpoint terms.
 
     One (n + m) block per sample on the diagonal, plus the endpoint terms
     over the first and the last state sample, corner blocks included.
     """
-    X, U = layout.unpack(z)
-    if lam is None:
-        _, lam, _ = split_multipliers(layout, nu_all)
-    w = quadrature_weights(layout)
-    S = sample_multipliers(layout, nu_all)
-    _, _, _, Hf = model.dynamics_batch(prob, layout.sample_times, X, U, order=2)
-    _, _, Lh = model.running_cost_batch(prob, layout.sample_times, X, U, order=2)
     blocks = w[:, None, None] * Lh + np.einsum("bi,bijk->bjk", S, Hf)
     nm = layout.n + layout.m
     base = nm * np.arange(layout.n_samples)[:, None, None]
-    ept = model.eval_endpoint_terms(prob, X[0], X[-1], lam)
     ends = _endpoint_states(layout)
     return _sparse(
         (layout.n_z, layout.n_z),
@@ -435,9 +457,43 @@ def eval_lagrangian_hessian_sparse(prob, layout, z, nu_all, lam=None) -> scipy.s
     )
 
 
+def eval_lagrangian_hessian_sparse(prob, layout, z, nu_all, lam=None) -> scipy.sparse.csr_matrix:
+    """Hessian of objective + nu.c over z, assembled sparse (n_z x n_z)."""
+    X, U = layout.unpack(z)
+    if lam is None:
+        _, lam, _ = split_multipliers(layout, nu_all)
+    _, _, _, Hf = model.dynamics_batch(prob, layout.sample_times, X, U, order=2)
+    _, _, Lh = model.running_cost_batch(prob, layout.sample_times, X, U, order=2)
+    ept = model.eval_endpoint_terms(prob, X[0], X[-1], lam)
+    return _lagrangian_hessian(
+        layout, quadrature_weights(layout), sample_multipliers(layout, nu_all), Lh, Hf, ept
+    )
+
+
 def eval_lagrangian_hessian(prob, layout, z, nu_all, lam=None) -> np.ndarray:
     """Hessian of objective + nu.c over z; symmetric dense (n_z x n_z)."""
     return eval_lagrangian_hessian_sparse(prob, layout, z, nu_all, lam).toarray()
+
+
+def eval_kkt(prob, layout, z, nu_all):
+    """(g, c, J, W) at (z, nu): objective gradient, constraints, sparse
+    constraint Jacobian and sparse Lagrangian Hessian.
+
+    One order-2 model batch over the samples and one endpoint evaluation
+    serve all four; each equals its single-purpose evaluator bitwise.
+    """
+    X, U = layout.unpack(z)
+    _, lam, _ = split_multipliers(layout, nu_all)
+    w = quadrature_weights(layout)
+    F, Fx, Fu, Hf = model.dynamics_batch(prob, layout.sample_times, X, U, order=2)
+    _, Lg, Lh = model.running_cost_batch(prob, layout.sample_times, X, U, order=2)
+    ept = model.eval_endpoint_terms(prob, X[0], X[-1], lam)
+    return (
+        _objective_gradient(layout, w, Lg, ept),
+        _defects(prob, layout, X, F, ept),
+        _constraint_jacobian(layout, Fx, Fu, ept),
+        _lagrangian_hessian(layout, w, sample_multipliers(layout, nu_all), Lh, Hf, ept),
+    )
 
 
 def variation_gram_sparse(layout: NlpLayout) -> scipy.sparse.csr_matrix:
@@ -475,6 +531,17 @@ class DiscreteKkt:
     p_nodes: np.ndarray  # (N+1, n)
     costate_jump: float  # max left/right disagreement of node costates
     converged: bool
+    # sparse constraint Jacobian and Lagrangian Hessian at (z, nu), kept from
+    # the solver's last evaluation; not init fields, so dataclasses.replace,
+    # which may move z, drops them
+    J: Optional[scipy.sparse.csr_matrix] = field(default=None, init=False, repr=False)
+    W: Optional[scipy.sparse.csr_matrix] = field(default=None, init=False, repr=False)
+
+    def kkt_matrices(self, prob):
+        """(J, W) at (z, nu), evaluated here only when the solver kept none."""
+        if self.J is None:
+            _, _, self.J, self.W = eval_kkt(prob, self.layout, self.z, self.nu)
+        return self.J, self.W
 
     @property
     def mesh(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -145,19 +146,27 @@ def _svd_norms(stack):
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
-def _per_offset_curvature_bounds(prob, rec, tube, safety_factor=1.5):
-    """The tube with one model call per endpoint offset and an SVD per norm."""
+def _tube_batch(prob, rec, tube):
+    """The tube's time grid, centre values and its (t, x, u, p) batch."""
     n, m = prob.n, prob.m
     ts = np.linspace(0.0, rec.T, tube.time_samples or 4 * rec.mesh.n_intervals)
     Xc, Uc, Pc = rec.X.eval(ts), rec.U.eval(ts), rec.P.eval(ts)
     scales = np.linspace(-1.0, 1.0, tube.samples_per_axis)
     scales = scales[scales != 0.0]
     xu_radii = np.concatenate([np.full(n, tube.dx), np.full(m, tube.du)])
-    end_radii = np.full(2 * n, tube.dx)
     offsets = cn._axis_offsets(xu_radii, scales)
     X_all = np.concatenate([Xc[None], Xc + offsets[:, None, :n]]).reshape(-1, n)
     U_all = np.concatenate([Uc[None], Uc + offsets[:, None, n:]]).reshape(-1, m)
     t_all = np.tile(ts, len(offsets) + 1)
+    P_all = np.tile(Pc, (len(offsets) + 1, 1))
+    return ts, Xc, Uc, Pc, scales, xu_radii, t_all, X_all, U_all, P_all
+
+
+def _per_offset_curvature_bounds(prob, rec, tube, safety_factor=1.5):
+    """The tube with one model call per endpoint offset and an SVD per norm."""
+    n = prob.n
+    ts, Xc, Uc, Pc, scales, xu_radii, t_all, X_all, U_all, P_all = _tube_batch(prob, rec, tube)
+    end_radii = np.full(2 * n, tube.dx)
     _, Fx, Fu, Hf = model.dynamics_batch(prob, t_all, X_all, U_all, order=2)
     _, _, Lh = model.running_cost_batch(prob, t_all, X_all, U_all, order=2)
     M2f = float(np.max(cn._sym_spectral_norms(Hf)))
@@ -170,7 +179,6 @@ def _per_offset_curvature_bounds(prob, rec, tube, safety_factor=1.5):
         for d0 in np.vstack([np.zeros(2 * n), cn._axis_offsets(end_radii, (1.0, -1.0))])
     )
     rho, H_ux_inf = math.inf, 0.0
-    P_all = np.tile(Pc, (len(offsets) + 1, 1))
     for dp in np.vstack([np.zeros(n), cn._axis_offsets(np.full(n, tube.dp), scales)]):
         Hfull = Lh + np.einsum("bi,bijk->bjk", P_all + dp, Hf)
         rho = min(rho, float(np.min(np.linalg.eigvalsh(Hfull[:, n:, n:])[..., 0])))
@@ -201,12 +209,52 @@ def _per_offset_curvature_bounds(prob, rec, tube, safety_factor=1.5):
     }
 
 
-def _coupled_quadrotor(quad):
-    """The quadrotor plus terms that make every endpoint offset and tube row count."""
+def _costate_box_bounds(prob, rec, tube):
+    """Extremes of lambda_min(H_uu) and ||H_ux|| over the costate box, and
+    their Weyl bounds.
+
+    H(p) = Lh + sum_i p_i Hf_i is affine in p, so ||H_ux(p)|| is convex and
+    lambda_min(H_uu(p)) concave in p: over the box |p_i - Pc_i| <= dp their
+    max and min sit at the 2^n corners, which makes the corner values exact.
+    """
+    n = prob.n
+    *_, t_all, X_all, U_all, P_all = _tube_batch(prob, rec, tube)
+    _, _, _, Hf = model.dynamics_batch(prob, t_all, X_all, U_all, order=2)
+    _, _, Lh = model.running_cost_batch(prob, t_all, X_all, U_all, order=2)
+
+    def hamiltonian_hessian(P):
+        return Lh + np.einsum("bi,bijk->bjk", P, Hf)
+
+    corners = tube.dp * np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    H_ux_corner_max = H_uu_corner_min = None
+    for corner in corners:
+        H = hamiltonian_hessian(P_all + corner)
+        ux = float(np.max(_svd_norms(H[:, n:, :n])))
+        uu = float(np.min(np.linalg.eigvalsh(H[:, n:, n:])[:, 0]))
+        H_ux_corner_max = ux if H_ux_corner_max is None else max(H_ux_corner_max, ux)
+        H_uu_corner_min = uu if H_uu_corner_min is None else min(H_uu_corner_min, uu)
+    H = hamiltonian_hessian(P_all)
+    spread_ux = tube.dp * np.sum(_svd_norms(Hf[:, :, n:, :n]), axis=1)
+    spread_uu = tube.dp * np.sum(_svd_norms(Hf[:, :, n:, n:]), axis=1)
+    return {
+        "H_ux_corner_max": H_ux_corner_max,
+        "H_uu_corner_min": H_uu_corner_min,
+        "H_ux_weyl": float(np.max(_svd_norms(H[:, n:, :n]) + spread_ux)),
+        "rho_weyl": float(np.min(np.linalg.eigvalsh(H[:, n:, n:])[:, 0] - spread_uu)),
+        "uu_affine": not np.any(Hf[:, :, n:, n:]),
+    }
+
+
+def _coupled_quadrotor(quad, control=False):
+    """The quadrotor plus terms that make every endpoint offset and tube row
+    count; with ``control`` its dynamics are also nonlinear in u, so that
+    (Hf_i)_uu is nonzero."""
 
     def dynamics(t, x, u):
         f = quad.dynamics(t, x, u)
         f[3] = f[3] + 0.1 * ad.sin(x[0]) * x[2]
+        if control:
+            f[3] = f[3] + 0.1 * ad.sin(u[0]) * x[1]
         return f
 
     def endpoint_cost(x0, xT):
@@ -218,7 +266,13 @@ def _coupled_quadrotor(quad):
 
 
 @pytest.mark.parametrize(
-    "case", ["trapezoidal", "hermite-simpson", "coupled-hermite-simpson"]
+    "case",
+    [
+        "trapezoidal",
+        "hermite-simpson",
+        "coupled-hermite-simpson",
+        "control-coupled-hermite-simpson",
+    ],
 )
 def test_curvature_bounds_match_per_offset_reference(quad_problem, quad_run, case):
     prob = quad_problem
@@ -226,13 +280,26 @@ def test_curvature_bounds_match_per_offset_reference(quad_problem, quad_run, cas
         rec = sc.run_certification(prob, sc.Mesh.uniform(prob.T, 35), case).rec
     else:
         rec = quad_run.rec
-    if case.startswith("coupled"):
+    if "coupled" in case:
         # the tube only samples the problem's functions around rec
-        prob = _coupled_quadrotor(prob)
+        prob = _coupled_quadrotor(prob, control=case.startswith("control"))
     got = cn.estimate_curvature_bounds(prob, rec, cn.TubeSpec())
     ref = _per_offset_curvature_bounds(prob, rec, cn.TubeSpec())
+    box = _costate_box_bounds(prob, rec, cn.TubeSpec())
+    # the costate direction is bounded over the whole dp-box by Weyl's
+    # inequality, not sampled at the 2n + 1 axis offsets of the reference;
+    # the bound is attained when the curved components' blocks are aligned
+    # (the quadrotor's H_ux blocks are rank one along the same direction),
+    # so the corner comparisons allow rounding
+    assert got.H_ux_inf == pytest.approx(box["H_ux_weyl"], rel=1e-13)
+    assert got.H_ux_inf >= box["H_ux_corner_max"] * (1.0 - 1e-13)
+    assert got.rho == pytest.approx(box["rho_weyl"], rel=1e-13)
+    assert got.rho <= box["H_uu_corner_min"] + 1e-13 * abs(box["H_uu_corner_min"])
+    assert box["uu_affine"] == (case != "control-coupled-hermite-simpson")
     for name, value in ref.items():
-        if name in ("A_inf", "B_inf", "H_ux_inf", "H_up_inf"):
+        if name == "H_ux_inf" or (name == "rho" and not box["uu_affine"]):
+            continue
+        if name in ("A_inf", "B_inf", "H_up_inf"):
             # spectral norms from the Gram eigenvalue, not the SVD
             assert getattr(got, name) == pytest.approx(value, rel=1e-13), name
         else:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ssoc_certify as sc
-from ssoc_certify import solver
+from ssoc_certify import model, reconstruction, solver, transcription
 from ssoc_certify.errors import SolverBreakdownError
 
 
@@ -103,3 +103,56 @@ def test_report_records_guess_policy(lq_problem):
         lq_problem, mesh, "trapezoidal", initial_guess=np.zeros(layout.n_z)
     )
     assert rep2.guess == "user"
+
+
+def test_one_model_batch_per_newton_step(quad_problem, monkeypatch):
+    """Every KKT evaluation of the solver is one order-2 dynamics batch, and
+    certification reuses the solver's last J and W."""
+    calls = {"derivative": 0, "kkt": [], "costates": 0}
+    dynamics_batch = model.dynamics_batch
+    eval_kkt = transcription.eval_kkt
+    extract_costates = reconstruction.extract_costates
+
+    def counting_dynamics(prob, t, X, U, order=0):
+        calls["derivative"] += order >= 1
+        return dynamics_batch(prob, t, X, U, order=order)
+
+    def counting_kkt(*args):
+        before = calls["derivative"]
+        out = eval_kkt(*args)
+        calls["kkt"].append(calls["derivative"] - before)
+        return out
+
+    def counting_costates(*args):
+        before = calls["derivative"]
+        out = extract_costates(*args)
+        calls["costates"] += calls["derivative"] - before
+        return out
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("separate J, W or gradient evaluation")
+
+    monkeypatch.setattr(model, "dynamics_batch", counting_dynamics)
+    monkeypatch.setattr(transcription, "eval_kkt", counting_kkt)
+    monkeypatch.setattr(reconstruction, "extract_costates", counting_costates)
+    for name in (
+        "eval_objective_gradient",
+        "eval_constraint_jacobian_sparse",
+        "eval_lagrangian_hessian_sparse",
+    ):
+        monkeypatch.setattr(transcription, name, forbidden)
+
+    mesh = sc.Mesh.uniform(quad_problem.T, 20)
+    dkkt, rep = sc.solve(quad_problem, mesh, "hermite-simpson")
+    assert rep.converged
+    kkt_calls = len(calls["kkt"])
+    assert calls["kkt"] == [1] * kkt_calls
+    assert calls["derivative"] == kkt_calls + calls["costates"]
+    polish = solver.SolverOptions().polish_steps
+    assert rep.iterations + 1 <= kkt_calls <= rep.iterations + 1 + polish
+    assert dkkt.J is not None and dkkt.W is not None
+
+    calls["kkt"].clear()
+    run = sc.run_certification(quad_problem, mesh, "hermite-simpson")
+    assert len(calls["kkt"]) == kkt_calls  # the solve's own, none after it
+    assert run.solve_report.iterations == rep.iterations

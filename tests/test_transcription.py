@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ssoc_certify as sc
 from ssoc_certify import model, transcription as tr
 from ssoc_certify.errors import MeshError
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 def test_mesh_validation():
@@ -19,6 +24,82 @@ def test_mesh_validation():
     fine = mesh.bisect([1, 3])
     assert fine.n_intervals == 6
     assert set(np.round(mesh.nodes, 12)).issubset(set(np.round(fine.nodes, 12)))
+
+
+def test_bisect_splits_duplicates_once_and_names_bad_indices():
+    mesh = sc.Mesh.uniform(1.0, 4)
+    assert np.array_equal(mesh.bisect([1, 1]).nodes, mesh.bisect([1]).nodes)
+    assert np.array_equal(mesh.bisect([]).nodes, mesh.nodes)
+    for bad, named in (([-1], r"\[-1\]"), ([4], r"\[4\]"), ([0, 7, -2, 7], r"\[-2, 7\]")):
+        with pytest.raises(MeshError, match=named):
+            mesh.bisect(bad)
+    with pytest.raises(MeshError, match="integers"):
+        mesh.bisect([0.5])
+
+
+@st.composite
+def _meshes(draw):
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=12))
+    return sc.Mesh(np.concatenate([[0.0], np.cumsum(steps)]))
+
+
+@SETTINGS
+@given(_meshes(), st.data())
+def test_bisect_round_trip(mesh, data):
+    picked = data.draw(
+        st.lists(st.integers(0, mesh.n_intervals - 1), max_size=2 * mesh.n_intervals)
+    )
+    fine = mesh.bisect(picked)
+    split = np.unique(np.asarray(picked, dtype=int))
+    assert fine.n_intervals == mesh.n_intervals + split.size
+    assert fine.T == mesh.T
+    assert np.all(np.isin(mesh.nodes, fine.nodes))
+    midpoints = 0.5 * (mesh.nodes[split] + mesh.nodes[split + 1])
+    assert np.array_equal(np.setdiff1d(fine.nodes, mesh.nodes), np.sort(midpoints))
+
+
+@SETTINGS
+@given(
+    st.sampled_from(["quadrotor", "double-integrator-lq"]),
+    st.sampled_from(sorted(tr.SCHEMES)),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_pack_unpack_round_trip_property(name, scheme, n_intervals, data):
+    prob = sc.builtin_problem(name)
+    layout = sc.assemble(prob, sc.Mesh.uniform(prob.T, n_intervals), scheme)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    X = data.draw(arrays(float, (layout.n_samples, prob.n), elements=finite))
+    U = data.draw(arrays(float, (layout.n_samples, prob.m), elements=finite))
+    z = layout.pack(X, U)
+    assert z.shape == (layout.n_z,)
+    X2, U2 = layout.unpack(z)
+    assert np.array_equal(X2, X) and np.array_equal(U2, U)
+    assert np.array_equal(layout.pack(X2, U2), z)
+    j = data.draw(st.integers(0, layout.n_samples - 1))
+    assert np.array_equal(z[layout.state_slice(j)], X[j])
+    assert np.array_equal(z[layout.control_slice(j)], U[j])
+
+
+@pytest.mark.parametrize("name", ["quadrotor", "double-integrator-lq"])
+@pytest.mark.parametrize("scheme", sorted(tr.SCHEMES))
+def test_eval_kkt_equals_single_purpose_evaluators_bitwise(name, scheme):
+    prob = sc.builtin_problem(name)
+    layout = sc.assemble(prob, sc.Mesh.uniform(prob.T, 7), scheme)
+    rng = np.random.default_rng(11)
+    z = rng.normal(size=layout.n_z)
+    nu = rng.normal(size=layout.n_c)
+    g, c, J, W = tr.eval_kkt(prob, layout, z, nu)
+    assert np.array_equal(g, tr.eval_objective_gradient(prob, layout, z))
+    assert np.array_equal(c, tr.eval_defects(prob, layout, z))
+    for got, want in (
+        (J, tr.eval_constraint_jacobian_sparse(prob, layout, z)),
+        (W, tr.eval_lagrangian_hessian_sparse(prob, layout, z, nu)),
+    ):
+        assert got.format == want.format == "csr"
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
 
 
 def test_layout_counts_lq_trapezoidal():
