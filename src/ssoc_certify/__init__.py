@@ -9,17 +9,13 @@ from .certify import (
     finalize_certificate,
     reduced_curvature,
     run_certification,
-    variation_gram,
 )
 from .constants import ConstantsBundle, TubeSpec, estimate_all
 from .model import (
-    HamiltonianEval,
     OcpProblem,
     builtin_names,
     builtin_problem,
-    eval_dynamics,
     eval_endpoint_terms,
-    eval_hamiltonian,
 )
 from .reconstruction import PiecewisePoly, Reconstruction, reconstruct
 from .refine import RefinePolicy, RefineResult, certify_loop
@@ -38,9 +34,7 @@ from .transcription import (
     NlpLayout,
     Scheme,
     assemble,
-    eval_constraint_jacobian,
     eval_defects,
-    eval_lagrangian_hessian,
 )
 
 __version__ = "0.1.0"

@@ -18,11 +18,6 @@ from .numerics import nullspace_basis_sparse, sym_eig_min
 TOOL_VERSION = "0.1.0"
 
 
-def variation_gram(layout: transcription.NlpLayout) -> np.ndarray:
-    """Dense form of :func:`transcription.variation_gram_sparse`."""
-    return transcription.variation_gram_sparse(layout).toarray()
-
-
 @dataclass
 class CurvatureResult:
     alpha_hat: float  # smallest eigenvalue of the (W, M) pencil on null(J)
@@ -65,7 +60,6 @@ class AcceptanceResult:
     projection_ok: bool
     simplified_evaluated: bool
     simplified_accepted: Optional[bool]
-    decisive_test: str = "exact"
 
 
 def acceptance_test(alpha_hat, bundle: constants_mod.ConstantsBundle, e_n2) -> AcceptanceResult:
@@ -235,8 +229,6 @@ def run_certification(
         prob,
         rec,
         dkkt,
-        scheme,
-        mesh,
         tube=settings.tube,
         safety_factor=settings.safety_factor,
         c_geo_lift=settings.c_geo_lift,

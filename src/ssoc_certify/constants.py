@@ -320,8 +320,6 @@ def estimate_all(
     prob,
     rec,
     dkkt,
-    scheme,
-    mesh,
     tube: Optional[TubeSpec] = None,
     safety_factor: float = 1.5,
     c_geo_lift: float = 1.0,
@@ -335,7 +333,7 @@ def estimate_all(
     reproduces the published arithmetic chain; everything else is still
     estimated and recorded.
     """
-    scheme = transcription.parse_scheme(scheme)
+    scheme, mesh = dkkt.layout.scheme, dkkt.layout.mesh
     tube = tube or TubeSpec()
     bundle = estimate_curvature_bounds(prob, rec, tube, safety_factor=safety_factor)
     bundle.c_Pi = scheme.lebesgue

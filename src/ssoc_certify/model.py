@@ -57,19 +57,6 @@ class OcpProblem:
 
 
 @dataclass
-class HamiltonianEval:
-    """Hamiltonian value and the partial derivatives used downstream."""
-
-    H: float
-    H_x: np.ndarray
-    H_u: np.ndarray
-    H_xx: np.ndarray
-    H_uu: np.ndarray
-    H_ux: np.ndarray
-    H_up: np.ndarray
-
-
-@dataclass
 class EndpointTerms:
     """Endpoint cost/constraint data at (x0, xT)."""
 
@@ -83,37 +70,37 @@ class EndpointTerms:
     lagr_hess: np.ndarray  # K_hess + sum_i lam_i * hess(b_i)
 
 
-def _check_lengths(prob, x, u):
-    if len(x) != prob.n:
-        raise DimensionError(f"state has length {len(x)}, expected {prob.n}")
-    if len(u) != prob.m:
-        raise DimensionError(f"control has length {len(u)}, expected {prob.m}")
-
-
-def _require_finite(arr, what, t=None):
+def _require_finite(arr, what):
     arr = np.asarray(arr)
     if not np.all(np.isfinite(arr)):
         bad = np.argwhere(~np.isfinite(arr))
         comp = int(bad[0][-1]) if bad.size else None
-        raise EvaluationDomainError(
-            f"non-finite value in {what}", t=t, component=comp
+        raise EvaluationDomainError(f"non-finite value in {what}", component=comp)
+
+
+def _batch_variables(prob, t, X, U, order):
+    """(t, x columns, u columns, B) of states X (B, n) and controls U (B, m).
+
+    A single point may be given as X (n,) and U (m,); any other shape
+    raises :class:`DimensionError`.  With order > 0 the columns are AD
+    variables seeded over d = n + m directions.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    B = X.shape[0]
+    if X.shape != (B, prob.n) or U.shape != (B, prob.m):
+        raise DimensionError(
+            f"state batch has shape {X.shape} and control batch {U.shape}; "
+            f"expected (B, {prob.n}) and (B, {prob.m})"
         )
-    return arr
-
-
-# -- plain (float) evaluation ------------------------------------------------
-
-
-def eval_dynamics(prob: OcpProblem, t, x, u) -> np.ndarray:
-    """Evaluate f(t, x, u) for plain float arguments."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    _check_lengths(prob, x, u)
-    out = prob.dynamics(t, list(x), list(u))
-    if len(out) != prob.n:
-        raise DimensionError("dynamics returned wrong dimension")
-    vals = np.array([float(ad.value_of(c)[0]) if isinstance(c, ad.AdScalar2) else float(c) for c in out])
-    return _require_finite(vals, "dynamics", t=t)
+    if order == 0:
+        xs = [X[:, i] for i in range(prob.n)]
+        us = [U[:, j] for j in range(prob.m)]
+    else:
+        d = prob.n + prob.m
+        xs = ad.seed_vector(X, 0, d)
+        us = ad.seed_vector(U, prob.n, d)
+    return np.asarray(t, dtype=float), xs, us, B
 
 
 def dynamics_batch(prob: OcpProblem, t, X, U, order=0):
@@ -122,18 +109,10 @@ def dynamics_batch(prob: OcpProblem, t, X, U, order=0):
     order=0 returns F (B, n); order=1 adds (Fx (B,n,n), Fu (B,n,m));
     order=2 adds the per-component Hessians Hf (B, n, d, d) with d = n+m.
     """
-    t = np.asarray(t, dtype=float)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    B = X.shape[0]
-    d = prob.n + prob.m if order > 0 else 0
-    if order > 0:
-        xs = ad.seed_vector(X, 0, d)
-        us = ad.seed_vector(U, prob.n, d)
-    else:
-        xs = [X[:, i] for i in range(prob.n)]
-        us = [U[:, j] for j in range(prob.m)]
+    t, xs, us, B = _batch_variables(prob, t, X, U, order)
     out = prob.dynamics(t, xs, us)
+    if len(out) != prob.n:
+        raise DimensionError("dynamics returned wrong dimension")
     F = np.empty((B, prob.n))
     for i, c in enumerate(out):
         F[:, i] = ad.value_of(c) if not np.isscalar(c) else c
@@ -151,6 +130,7 @@ def dynamics_batch(prob: OcpProblem, t, X, U, order=0):
             Fu[:, i, :] = 0.0
     if order == 1:
         return F, Fx, Fu
+    d = prob.n + prob.m
     Hf = np.zeros((B, prob.n, d, d))
     for i, c in enumerate(out):
         if isinstance(c, ad.AdScalar2) and not c.is_affine:
@@ -160,25 +140,16 @@ def dynamics_batch(prob: OcpProblem, t, X, U, order=0):
 
 def running_cost_batch(prob: OcpProblem, t, X, U, order=0):
     """Batched running cost; mirrors :func:`dynamics_batch` return structure."""
-    t = np.asarray(t, dtype=float)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    d = prob.n + prob.m if order > 0 else 0
-    if order > 0:
-        xs = ad.seed_vector(X, 0, d)
-        us = ad.seed_vector(U, prob.n, d)
-    else:
-        xs = [X[:, i] for i in range(prob.n)]
-        us = [U[:, j] for j in range(prob.m)]
+    t, xs, us, B = _batch_variables(prob, t, X, U, order)
     out = prob.running_cost(t, xs, us)
     L = ad.value_of(out)
     if np.isscalar(L) or L.ndim == 0:
-        L = np.full(X.shape[0], float(L))
+        L = np.full(B, float(L))
     _require_finite(L, "running cost")
     if order == 0:
         return L
     if not isinstance(out, ad.AdScalar2):
-        out = ad.AdScalar2.constant(L, d)
+        out = ad.AdScalar2.constant(L, prob.n + prob.m)
     if order == 1:
         return L, out.grad
     return L, out.grad, out.hess
@@ -201,6 +172,8 @@ def hamiltonian_batch(prob: OcpProblem, t, X, U, P) -> HamiltonianBatch:
     """H = L + p.f and its partials at a batch of points."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
     F, Fx, Fu, Hf = dynamics_batch(prob, t, X, U, order=2)
+    if P.shape != F.shape:
+        raise DimensionError(f"costate batch has shape {P.shape}, expected {F.shape}")
     L, Lg, Lh = running_cost_batch(prob, t, X, U, order=2)
     n, m = prob.n, prob.m
     H = L + np.einsum("bi,bi->b", P, F)
@@ -219,29 +192,6 @@ def hamiltonian_batch(prob: OcpProblem, t, X, U, P) -> HamiltonianBatch:
         H_uu=Hfull[:, n:, n:],
         H_ux=Hfull[:, n:, :n],
         H_up=np.swapaxes(Fu, 1, 2),
-    )
-
-
-def eval_hamiltonian(prob: OcpProblem, t, x, u, p) -> HamiltonianEval:
-    """Hamiltonian and partials at a single point.
-
-    With p = 0 the value H reproduces the running cost bitwise.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    p = np.asarray(p, dtype=float)
-    _check_lengths(prob, x, u)
-    if p.shape != (prob.n,):
-        raise DimensionError("costate must have shape (n,)")
-    hb = hamiltonian_batch(prob, np.array([t]), x[None, :], u[None, :], p[None, :])
-    return HamiltonianEval(
-        H=float(hb.H[0]),
-        H_x=hb.H_x[0],
-        H_u=hb.H_u[0],
-        H_xx=hb.H_xx[0],
-        H_uu=hb.H_uu[0],
-        H_ux=hb.H_ux[0],
-        H_up=hb.H_up[0],
     )
 
 

@@ -100,6 +100,8 @@ class Mesh:
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise MeshError("mesh needs at least two nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise MeshError("mesh nodes must be finite")
         if nodes[0] != 0.0:
             raise MeshError("mesh must start at t = 0")
         if np.any(np.diff(nodes) <= 0):
@@ -265,21 +267,6 @@ def eval_objective(prob, layout, z) -> float:
     return float(np.dot(w, L) + ept.K)
 
 
-def _objective_gradient(layout, w, Lg, ept):
-    """Objective gradient from the running-cost gradients and the endpoint terms."""
-    g = (w[:, None] * Lg).reshape(-1)
-    g[layout.state_slice(0)] += ept.K_x0
-    g[layout.state_slice(layout.n_samples - 1)] += ept.K_xT
-    return g
-
-
-def eval_objective_gradient(prob, layout, z) -> np.ndarray:
-    X, U = layout.unpack(z)
-    _, Lg = model.running_cost_batch(prob, layout.sample_times, X, U, order=1)
-    ept = model.eval_endpoint_terms(prob, X[0], X[-1])
-    return _objective_gradient(layout, quadrature_weights(layout), Lg, ept)
-
-
 def _defects(prob, layout, X, F, ept):
     """Equality constraints from the sample dynamics; ``ept`` may be None when n_b = 0."""
     scheme = layout.scheme
@@ -361,19 +348,6 @@ def _constraint_jacobian(layout, Fx, Fu, ept):
     return _sparse((layout.n_c, layout.n_z), *parts)
 
 
-def eval_constraint_jacobian_sparse(prob, layout, z) -> scipy.sparse.csr_matrix:
-    """Jacobian of :func:`eval_defects` (n_c x n_z), assembled sparse."""
-    X, U = layout.unpack(z)
-    _, Fx, Fu = model.dynamics_batch(prob, layout.sample_times, X, U, order=1)
-    ept = model.eval_endpoint_terms(prob, X[0], X[-1]) if layout.n_b > 0 else None
-    return _constraint_jacobian(layout, Fx, Fu, ept)
-
-
-def eval_constraint_jacobian(prob, layout, z) -> np.ndarray:
-    """Dense Jacobian of :func:`eval_defects` (n_c x n_z)."""
-    return eval_constraint_jacobian_sparse(prob, layout, z).toarray()
-
-
 def compress_collocation_jacobian(layout, J) -> scipy.sparse.csr_matrix:
     """Jacobian of the collocation equations in compressed form, from J.
 
@@ -400,16 +374,6 @@ def compress_collocation_jacobian(layout, J) -> scipy.sparse.csr_matrix:
     keep = np.ones(layout.n_z, dtype=bool)
     keep[mid_cols] = False
     return compressed[:, np.flatnonzero(keep)]
-
-
-def collocation_jacobian_sparse(prob, layout, z) -> scipy.sparse.csr_matrix:
-    """:func:`compress_collocation_jacobian` of the constraint Jacobian at z."""
-    return compress_collocation_jacobian(layout, eval_constraint_jacobian_sparse(prob, layout, z))
-
-
-def collocation_jacobian(prob, layout, z) -> np.ndarray:
-    """Dense form of :func:`collocation_jacobian_sparse`."""
-    return collocation_jacobian_sparse(prob, layout, z).toarray()
 
 
 def split_multipliers(layout: NlpLayout, nu_all):
@@ -457,30 +421,13 @@ def _lagrangian_hessian(layout, w, S, Lh, Hf, ept):
     )
 
 
-def eval_lagrangian_hessian_sparse(prob, layout, z, nu_all, lam=None) -> scipy.sparse.csr_matrix:
-    """Hessian of objective + nu.c over z, assembled sparse (n_z x n_z)."""
-    X, U = layout.unpack(z)
-    if lam is None:
-        _, lam, _ = split_multipliers(layout, nu_all)
-    _, _, _, Hf = model.dynamics_batch(prob, layout.sample_times, X, U, order=2)
-    _, _, Lh = model.running_cost_batch(prob, layout.sample_times, X, U, order=2)
-    ept = model.eval_endpoint_terms(prob, X[0], X[-1], lam)
-    return _lagrangian_hessian(
-        layout, quadrature_weights(layout), sample_multipliers(layout, nu_all), Lh, Hf, ept
-    )
-
-
-def eval_lagrangian_hessian(prob, layout, z, nu_all, lam=None) -> np.ndarray:
-    """Hessian of objective + nu.c over z; symmetric dense (n_z x n_z)."""
-    return eval_lagrangian_hessian_sparse(prob, layout, z, nu_all, lam).toarray()
-
-
 def eval_kkt(prob, layout, z, nu_all):
     """(g, c, J, W) at (z, nu): objective gradient, constraints, sparse
     constraint Jacobian and sparse Lagrangian Hessian.
 
     One order-2 model batch over the samples and one endpoint evaluation
-    serve all four; each equals its single-purpose evaluator bitwise.
+    serve all four.  This is the only evaluator of g, J and W; c alone,
+    as the line search needs it, comes from :func:`eval_defects`.
     """
     X, U = layout.unpack(z)
     _, lam, _ = split_multipliers(layout, nu_all)
@@ -488,8 +435,11 @@ def eval_kkt(prob, layout, z, nu_all):
     F, Fx, Fu, Hf = model.dynamics_batch(prob, layout.sample_times, X, U, order=2)
     _, Lg, Lh = model.running_cost_batch(prob, layout.sample_times, X, U, order=2)
     ept = model.eval_endpoint_terms(prob, X[0], X[-1], lam)
+    g = (w[:, None] * Lg).reshape(-1)
+    g[layout.state_slice(0)] += ept.K_x0
+    g[layout.state_slice(layout.n_samples - 1)] += ept.K_xT
     return (
-        _objective_gradient(layout, w, Lg, ept),
+        g,
         _defects(prob, layout, X, F, ept),
         _constraint_jacobian(layout, Fx, Fu, ept),
         _lagrangian_hessian(layout, w, sample_multipliers(layout, nu_all), Lh, Hf, ept),

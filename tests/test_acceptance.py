@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 import ssoc_certify as sc
-from ssoc_certify import cli, constants as cn, model
+from ssoc_certify import cli, constants as cn, model, transcription as tr
 from ssoc_certify.errors import ConstraintQualificationError
 from ssoc_certify.numerics import nullspace_basis, sigma_min, sym_eig_min
 
@@ -258,9 +258,8 @@ def test_criterion_5_oracle_equivalence(lq_run, lq_problem):
     clauses = []
     # (a) pencil eigenvalue vs Rayleigh-quotient sampling on the LQ builtin
     layout = lq_run.dkkt.layout
-    W = sc.eval_lagrangian_hessian(lq_problem, layout, lq_run.dkkt.z, lq_run.dkkt.nu)
-    J = sc.eval_constraint_jacobian(lq_problem, layout, lq_run.dkkt.z)
-    M = sc.variation_gram(layout)
+    J, W = (a.toarray() for a in lq_run.dkkt.kkt_matrices(lq_problem))
+    M = tr.variation_gram_sparse(layout).toarray()
     Z = nullspace_basis(J)
     A, B = Z.T @ W @ Z, Z.T @ M @ Z
     rng = np.random.default_rng(2024)
@@ -437,12 +436,10 @@ def test_criterion_9_negative_controls(quad_run, quad_problem):
     )
     rec = sc.reconstruct(quad_problem, dkkt_p)
     rep = sc.compute_residuals(quad_problem, rec)
-    bundle = cn.estimate_all(
-        quad_problem, rec, dkkt_p, layout.scheme, layout.mesh
-    )
-    W = sc.eval_lagrangian_hessian(quad_problem, layout, dkkt_p.z, dkkt_p.nu)
-    J = sc.eval_constraint_jacobian(quad_problem, layout, dkkt_p.z)
-    curv = sc.reduced_curvature(W, J, sc.variation_gram(layout))
+    bundle = cn.estimate_all(quad_problem, rec, dkkt_p)
+    J, W = (a.toarray() for a in dkkt_p.kkt_matrices(quad_problem))
+    M = tr.variation_gram_sparse(layout)
+    curv = sc.reduced_curvature(W, J, M)
     test = sc.acceptance_test(curv.alpha_hat, bundle, rep.E_N2_node)
     cert_p = sc.finalize_certificate(
         curv.alpha_hat, curv, bundle, rep, test, rep.E_N2_node, rep.E_inf,
@@ -457,7 +454,7 @@ def test_criterion_9_negative_controls(quad_run, quad_problem):
     # rank-deficient constraint Jacobian aborts instead of certifying
     Jbad = np.vstack([J, J[0]])
     try:
-        sc.reduced_curvature(W, Jbad, sc.variation_gram(layout))
+        sc.reduced_curvature(W, Jbad, M)
         cq_ok = False
     except ConstraintQualificationError:
         cq_ok = True

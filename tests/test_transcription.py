@@ -26,6 +26,18 @@ def test_mesh_validation():
     assert set(np.round(mesh.nodes, 12)).issubset(set(np.round(fine.nodes, 12)))
 
 
+def test_mesh_rejects_non_finite_nodes():
+    # a NaN node would pass the ordering check and assemble, and surface
+    # only as a non-finite dynamics value during the solve
+    for make in (
+        lambda: sc.Mesh([0.0, math.nan, 2.0]),
+        lambda: sc.Mesh([0.0, 1.0, math.inf]),
+        lambda: sc.Mesh.uniform(math.nan, 3),
+    ):
+        with pytest.raises(MeshError, match="finite"):
+            make()
+
+
 def test_bisect_splits_duplicates_once_and_names_bad_indices():
     mesh = sc.Mesh.uniform(1.0, 4)
     assert np.array_equal(mesh.bisect([1, 1]).nodes, mesh.bisect([1]).nodes)
@@ -84,22 +96,22 @@ def test_pack_unpack_round_trip_property(name, scheme, n_intervals, data):
 @pytest.mark.parametrize("name", ["quadrotor", "double-integrator-lq"])
 @pytest.mark.parametrize("scheme", sorted(tr.SCHEMES))
 def test_eval_kkt_equals_single_purpose_evaluators_bitwise(name, scheme):
+    # the line search evaluates c alone through eval_defects; the Newton
+    # step takes it from eval_kkt, and the two must agree exactly
     prob = sc.builtin_problem(name)
     layout = sc.assemble(prob, sc.Mesh.uniform(prob.T, 7), scheme)
     rng = np.random.default_rng(11)
     z = rng.normal(size=layout.n_z)
     nu = rng.normal(size=layout.n_c)
-    g, c, J, W = tr.eval_kkt(prob, layout, z, nu)
-    assert np.array_equal(g, tr.eval_objective_gradient(prob, layout, z))
+    _, c, _, _ = tr.eval_kkt(prob, layout, z, nu)
     assert np.array_equal(c, tr.eval_defects(prob, layout, z))
-    for got, want in (
-        (J, tr.eval_constraint_jacobian_sparse(prob, layout, z)),
-        (W, tr.eval_lagrangian_hessian_sparse(prob, layout, z, nu)),
-    ):
-        assert got.format == want.format == "csr"
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
+
+
+def _dense_kkt(prob, layout, z, nu=None):
+    """(g, c, J, W) from eval_kkt, with J and W as dense arrays."""
+    nu = np.zeros(layout.n_c) if nu is None else nu
+    g, c, J, W = tr.eval_kkt(prob, layout, z, nu)
+    return g, c, J.toarray(), W.toarray()
 
 
 def test_layout_counts_lq_trapezoidal():
@@ -194,8 +206,8 @@ def test_constraint_jacobian_constant_for_linear_dynamics():
     prob = sc.builtin_problem("double-integrator-lq")
     layout = sc.assemble(prob, sc.Mesh.uniform(prob.T, 4), "hermite-simpson")
     rng = np.random.default_rng(2)
-    J1 = sc.eval_constraint_jacobian(prob, layout, rng.normal(size=layout.n_z))
-    J2 = sc.eval_constraint_jacobian(prob, layout, rng.normal(size=layout.n_z))
+    J1 = _dense_kkt(prob, layout, rng.normal(size=layout.n_z))[2]
+    J2 = _dense_kkt(prob, layout, rng.normal(size=layout.n_z))[2]
     assert np.array_equal(J1, J2)
     assert J1.shape == (layout.n_c, layout.n_z)
 
@@ -223,12 +235,33 @@ def _fd_cases(scheme):
 
 
 @pytest.mark.parametrize("scheme", ["trapezoidal", "hermite-simpson"])
+def test_objective_gradient_matches_finite_differences(scheme):
+    # every column, so the boundary problem's x0[1] * xT[0] endpoint cost
+    # is checked on both endpoint samples
+    for prob, layout, _ in _fd_cases(scheme):
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            z = rng.normal(size=layout.n_z)
+            g = _dense_kkt(prob, layout, z, rng.normal(size=layout.n_c))[0]
+            h = 1e-6
+            fd = np.empty(layout.n_z)
+            for col in range(layout.n_z):
+                e = np.zeros(layout.n_z)
+                e[col] = h
+                fd[col] = (
+                    tr.eval_objective(prob, layout, z + e)
+                    - tr.eval_objective(prob, layout, z - e)
+                ) / (2 * h)
+            assert np.max(np.abs(g - fd)) <= 1e-6 * max(1.0, np.abs(fd).max())
+
+
+@pytest.mark.parametrize("scheme", ["trapezoidal", "hermite-simpson"])
 def test_constraint_jacobian_matches_finite_differences(scheme):
     for prob, layout, endpoint_cols in _fd_cases(scheme):
         rng = np.random.default_rng(9)
         for _ in range(20):
             z = rng.normal(size=layout.n_z)
-            J = sc.eval_constraint_jacobian(prob, layout, z)
+            J = _dense_kkt(prob, layout, z)[2]
             h = 1e-6
             cols = np.union1d(rng.choice(layout.n_z, size=8, replace=False), endpoint_cols)
             for col in cols:
@@ -247,7 +280,7 @@ def test_lagrangian_hessian_symmetric_and_matches_fd():
         rng = np.random.default_rng(12)
         z = rng.normal(size=layout.n_z) * 0.3
         nu = rng.normal(size=layout.n_c)
-        W = sc.eval_lagrangian_hessian(prob, layout, z, nu)
+        W = _dense_kkt(prob, layout, z, nu)[3]
         assert np.max(np.abs(W - W.T)) <= 1e-12
 
         def lagr(zz):
@@ -328,8 +361,8 @@ def test_lq_hessian_constant_block_structure():
     rng = np.random.default_rng(1)
     z = rng.normal(size=layout.n_z)
     nu = rng.normal(size=layout.n_c)
-    W = sc.eval_lagrangian_hessian(prob, layout, z, nu)
-    W2 = sc.eval_lagrangian_hessian(prob, layout, np.zeros(layout.n_z), nu * 0)
+    W = _dense_kkt(prob, layout, z, nu)[3]
+    W2 = _dense_kkt(prob, layout, np.zeros(layout.n_z))[3]
     assert np.allclose(W, W2, atol=1e-14)
     w = tr.quadrature_weights(layout)
     blk = W[layout.state_slice(1), layout.state_slice(1)]
@@ -354,7 +387,7 @@ def test_collocation_jacobian_compressed_shape(quad_run):
     run = quad_run
     layout = run.dkkt.layout
     prob = sc.builtin_problem("quadrotor")
-    Jc = tr.collocation_jacobian(prob, layout, run.dkkt.z)
+    Jc = tr.compress_collocation_jacobian(layout, run.dkkt.kkt_matrices(prob)[0])
     N = layout.mesh.n_intervals
     n, m = layout.n, layout.m
     assert Jc.shape == (N * n + n, (N + 1) * n + layout.n_samples * m)
