@@ -12,7 +12,7 @@ import scipy.sparse
 
 from . import constants as constants_mod
 from . import reconstruction, residuals as residuals_mod, solver, transcription
-from .errors import ContractError, ConvergenceError
+from .errors import ContractError, ConvergenceError, SettingsError
 from .numerics import nullspace_basis_sparse, sym_eig_min
 
 TOOL_VERSION = "0.1.0"
@@ -181,13 +181,18 @@ class CertifySettings:
 
     tube: constants_mod.TubeSpec = field(default_factory=constants_mod.TubeSpec)
     quad_points: int = 5
-    safety_factor: float = 1.5
-    c_geo_lift: float = 1.0
-    c_xp_scale: float = 1.0
     paper_constants: bool = False
     inject_e_n2: Optional[float] = None
     inject_e_inf: Optional[float] = None
     inject_alpha: Optional[float] = None
+
+    def __post_init__(self):
+        for name in ("inject_e_n2", "inject_e_inf"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0.0):
+                raise SettingsError(f"{name} must be finite and >= 0, got {value!r}")
+        if self.inject_alpha is not None and not math.isfinite(self.inject_alpha):
+            raise SettingsError(f"inject_alpha must be finite, got {self.inject_alpha!r}")
 
 
 @dataclass
@@ -230,9 +235,6 @@ def run_certification(
         rec,
         dkkt,
         tube=settings.tube,
-        safety_factor=settings.safety_factor,
-        c_geo_lift=settings.c_geo_lift,
-        c_xp_scale=settings.c_xp_scale,
         paper_constants=settings.paper_constants,
     )
     curvature = reduced_curvature(W, J, transcription.variation_gram_sparse(layout))

@@ -64,24 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quad-points", type=int, default=5)
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument(
-            "--safety-factor",
-            type=float,
-            default=1.5,
-            help="multiplier on sampled Lipschitz difference quotients",
-        )
-        p.add_argument(
-            "--c-geo-lift",
-            type=float,
-            default=1.0,
-            help="lifting-operator norm factor in the C_geo bound",
-        )
-        p.add_argument(
-            "--c-xp-scale",
-            type=float,
-            default=1.0,
-            help="proportionality constant in the C_xp proximity bound",
-        )
-        p.add_argument(
             "--paper-constants",
             action="store_true",
             help="substitute the published benchmark constants for the estimated ones",
@@ -120,9 +102,6 @@ def _config_from_args(args):
     settings = certify.CertifySettings(
         tube=TubeSpec(dx=args.tube_dx, du=args.tube_du, dp=args.tube_dp),
         quad_points=args.quad_points,
-        safety_factor=args.safety_factor,
-        c_geo_lift=args.c_geo_lift,
-        c_xp_scale=args.c_xp_scale,
         paper_constants=args.paper_constants,
         inject_e_n2=args.inject_en2,
         inject_e_inf=args.inject_einf,

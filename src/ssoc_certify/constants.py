@@ -6,8 +6,8 @@ direction is bounded over the whole dp-box instead: the Hamiltonian is
 affine in p, so Weyl's inequality turns lambda_min(H_uu) and ||H_ux|| at the
 centre costate into bounds that hold for every costate in the box.
 Lipschitz constants of second derivatives come from difference quotients at
-half-radius offsets and carry a safety factor because sampled quotients
-lower-bound the true sup.
+half-radius offsets and carry the factor ``SAFETY_FACTOR`` because sampled
+quotients lower-bound the true sup.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from . import model, transcription
 from .errors import LegendreViolationError, SettingsError, StrongRegularityError
 from .numerics import sparse_sigma_min
 
+# multiplier on the sampled Lipschitz difference quotients
+SAFETY_FACTOR = 1.5
+
 
 @dataclass
 class TubeSpec:
@@ -35,10 +38,17 @@ class TubeSpec:
     time_samples: Optional[int] = None  # default 4 * n_intervals
 
     def __post_init__(self):
-        if min(self.dx, self.du, self.dp) <= 0:
-            raise SettingsError("tube radii must be positive")
+        radii = (self.dx, self.du, self.dp)
+        if not all(math.isfinite(r) and r > 0 for r in radii):
+            raise SettingsError(f"tube radii must be finite and positive, got {radii}")
         if self.samples_per_axis < 2:
             raise SettingsError("need at least 2 samples per axis")
+        if self.time_samples is not None and not (
+            isinstance(self.time_samples, (int, np.integer)) and self.time_samples >= 2
+        ):
+            raise SettingsError(
+                f"time_samples must be None or an integer >= 2, got {self.time_samples!r}"
+            )
 
 
 @dataclass
@@ -61,7 +71,6 @@ class ConstantsBundle:
     H_up_inf: float = math.nan
     sigma_min_Mh: float = math.nan
     C_geo: float = math.nan
-    C_geo_lift: float = 1.0
     C_T: float = math.nan
     C_quad: float = math.nan
     C_Tprime: float = math.nan
@@ -71,8 +80,7 @@ class ConstantsBundle:
     C_xp_inf: float = math.nan
     C_u_inf: float = math.nan
     C_close_inf: float = math.nan
-    safety_factor: float = 1.5
-    c_xp_scale: float = 1.0
+    safety_factor: float = SAFETY_FACTOR
     tube: Optional[TubeSpec] = None
     paper_constants: bool = False
     formulas: dict = field(default_factory=dict)
@@ -123,7 +131,7 @@ def _axis_offsets(radii, scales):
     return offs.reshape(-1, d)
 
 
-def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
+def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
     """Sample the tube and return the smoothness/curvature constants.
 
     Returns a partially filled :class:`ConstantsBundle` (the geometric and
@@ -182,7 +190,7 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
     rho = float(np.min(np.linalg.eigvalsh(H_u[:, :, n:])[:, 0] - spread_uu))
     H_ux_inf = float(np.max(_spectral_norms(H_u[:, :, :n]) + spread_ux))
     H_up_inf = float(np.max(_spectral_norms(np.swapaxes(Fu, 1, 2))))
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise LegendreViolationError(
             f"min eigenvalue of H_uu over the tube is {rho:.3e}; "
             "strengthened Legendre condition fails"
@@ -217,9 +225,9 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
         end_half, axis=1
     )
     L21_K = max(0.0, float(np.max(k_quotients)))
-    L21_f *= safety_factor
-    L21_L *= safety_factor
-    L21_K *= safety_factor
+    L21_f *= SAFETY_FACTOR
+    L21_L *= SAFETY_FACTOR
+    L21_K *= SAFETY_FACTOR
 
     bundle = ConstantsBundle(
         rho=rho,
@@ -234,7 +242,6 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
         B_inf=B_inf,
         H_ux_inf=H_ux_inf,
         H_up_inf=H_up_inf,
-        safety_factor=safety_factor,
         tube=tube,
     )
     bundle.formulas.update(
@@ -247,12 +254,12 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec, safety_factor=1.5):
     return bundle
 
 
-def estimate_C_geo(Mh, lift=1.0):
+def estimate_C_geo(Mh):
     """Geometric constant from the smallest singular value of M_h.
 
     ``Mh`` is the Jacobian of the collocation equations at the discrete
     solution (compressed form for Hermite-Simpson), dense or sparse; the
-    bound is lift / sigma_min(Mh), with sigma_min from
+    bound is 1 / sigma_min(Mh), with sigma_min from
     shift-invert Lanczos on the sparse Gram M_h M_h^T.
     """
     Mh = scipy.sparse.csr_matrix(Mh, dtype=float)
@@ -263,7 +270,7 @@ def estimate_C_geo(Mh, lift=1.0):
             f"sigma_min of the discrete KKT Jacobian is {smin:.3e}; "
             "strong regularity is violated"
         )
-    return {"sigma_min_Mh": smin, "C_geo": lift / smin}
+    return {"sigma_min_Mh": smin, "C_geo": 1.0 / smin}
 
 
 def compute_C_T(bundle: ConstantsBundle, scheme, T: float) -> float:
@@ -300,9 +307,9 @@ def compute_Lambda(bundle: ConstantsBundle) -> float:
     return bundle.C_int * (bundle.L21_H + bundle.M2f) + 2.0 * bundle.L21_K
 
 
-def compute_C_close(bundle: ConstantsBundle, T: float, c_xp_scale=1.0):
+def compute_C_close(bundle: ConstantsBundle, T: float):
     """Proximity constant C_xp + C_u from the strong-regularity bound."""
-    c_xp = c_xp_scale * bundle.C_geo * (1.0 + T) * math.exp((bundle.A_inf + bundle.B_inf) * T)
+    c_xp = bundle.C_geo * (1.0 + T) * math.exp((bundle.A_inf + bundle.B_inf) * T)
     c_u = (bundle.H_ux_inf + bundle.H_up_inf) * c_xp / bundle.rho + 1.0 / bundle.rho
     return {"C_xp_inf": c_xp, "C_u_inf": c_u, "C_close_inf": c_xp + c_u}
 
@@ -321,9 +328,6 @@ def estimate_all(
     rec,
     dkkt,
     tube: Optional[TubeSpec] = None,
-    safety_factor: float = 1.5,
-    c_geo_lift: float = 1.0,
-    c_xp_scale: float = 1.0,
     paper_constants: bool = False,
 ) -> ConstantsBundle:
     """Run the full constants pipeline and return a complete bundle.
@@ -335,28 +339,26 @@ def estimate_all(
     """
     scheme, mesh = dkkt.layout.scheme, dkkt.layout.mesh
     tube = tube or TubeSpec()
-    bundle = estimate_curvature_bounds(prob, rec, tube, safety_factor=safety_factor)
+    bundle = estimate_curvature_bounds(prob, rec, tube)
     bundle.c_Pi = scheme.lebesgue
     bundle.C_int = max(mesh.T, 1.0)
     Mh = transcription.compress_collocation_jacobian(dkkt.layout, dkkt.kkt_matrices(prob)[0])
-    geo = estimate_C_geo(Mh, lift=c_geo_lift)
+    geo = estimate_C_geo(Mh)
     bundle.sigma_min_Mh = geo["sigma_min_Mh"]
     bundle.C_geo = geo["C_geo"]
-    bundle.C_geo_lift = c_geo_lift
     bundle.C_T = compute_C_T(bundle, scheme, mesh.T)
     qc = compute_quadrature_and_conformity(bundle, scheme, mesh)
     bundle.C_quad = qc["C_quad"]
     bundle.C_Tprime = qc["C_Tprime"]
     bundle.Gamma = bundle.C_geo * bundle.L2
     bundle.Lambda = compute_Lambda(bundle)
-    close = compute_C_close(bundle, mesh.T, c_xp_scale=c_xp_scale)
+    close = compute_C_close(bundle, mesh.T)
     bundle.C_xp_inf = close["C_xp_inf"]
     bundle.C_u_inf = close["C_u_inf"]
     bundle.C_close_inf = close["C_close_inf"]
-    bundle.c_xp_scale = c_xp_scale
     bundle.formulas.update(
         {
-            "C_geo": "lift / sigma_min(M_h)",
+            "C_geo": "1 / sigma_min(M_h)",
             "C_T": "c_Pi * exp(A_inf * T) * (1 + B_inf / rho)",
             "C_quad": qc["formula_C_quad"],
             "C_Tprime": qc["formula_C_Tprime"],

@@ -2,8 +2,8 @@
 
 A problem is defined by callbacks written against :mod:`ssoc_certify.ad`
 helpers, so every quantity needed downstream (gradients and Hessians of the
-dynamics, running cost, Hamiltonian and endpoint terms) comes out of one
-forward-mode sweep per seed direction.
+dynamics, running cost and endpoint terms, and the Hamiltonian partials)
+comes out of one forward-mode sweep per seed direction.
 """
 
 from __future__ import annotations
@@ -46,14 +46,15 @@ class OcpProblem:
             raise DimensionError("horizon T must be positive")
         if self.n < 1 or self.m < 1 or self.n_b < 0:
             raise DimensionError("dimensions must satisfy n>=1, m>=1, n_b>=0")
-        if self.x0 is not None:
-            self.x0 = np.asarray(self.x0, dtype=float)
-            if self.x0.shape != (self.n,):
-                raise DimensionError("x0 must have shape (n,)")
-        if self.x_target is not None:
-            self.x_target = np.asarray(self.x_target, dtype=float)
-        if self.u_guess is not None:
-            self.u_guess = np.asarray(self.u_guess, dtype=float)
+        for name, size in (("x0", self.n), ("x_target", self.n), ("u_guess", self.m)):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.asarray(value, dtype=float)
+                if value.shape != (size,):
+                    raise DimensionError(
+                        f"{name} must have shape ({size},), got {value.shape}"
+                    )
+                setattr(self, name, value)
 
 
 @dataclass
@@ -155,44 +156,22 @@ def running_cost_batch(prob: OcpProblem, t, X, U, order=0):
     return L, out.grad, out.hess
 
 
-@dataclass
-class HamiltonianBatch:
-    """Batched Hamiltonian partials over B sample points."""
+def hamiltonian_batch(prob: OcpProblem, t, X, U, P):
+    """(F, H_x, H_u) of H = L + p.f at a batch of points.
 
-    H: np.ndarray  # (B,)
-    H_x: np.ndarray  # (B, n)
-    H_u: np.ndarray  # (B, m)
-    H_xx: np.ndarray  # (B, n, n)
-    H_uu: np.ndarray  # (B, m, m)
-    H_ux: np.ndarray  # (B, m, n)
-    H_up: np.ndarray  # (B, m, n)
-
-
-def hamiltonian_batch(prob: OcpProblem, t, X, U, P) -> HamiltonianBatch:
-    """H = L + p.f and its partials at a batch of points."""
+    F (B, n) is the dynamics, H_x (B, n) and H_u (B, m) the partials of the
+    Hamiltonian; one order-1 dynamics batch and one order-1 running-cost
+    batch serve all three.
+    """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    F, Fx, Fu, Hf = dynamics_batch(prob, t, X, U, order=2)
+    F, Fx, Fu = dynamics_batch(prob, t, X, U, order=1)
     if P.shape != F.shape:
         raise DimensionError(f"costate batch has shape {P.shape}, expected {F.shape}")
-    L, Lg, Lh = running_cost_batch(prob, t, X, U, order=2)
-    n, m = prob.n, prob.m
-    H = L + np.einsum("bi,bi->b", P, F)
-    # gradient of p.f over (x, u) comes from the dynamics Jacobians
-    pf_x = np.einsum("bi,bij->bj", P, Fx)
-    pf_u = np.einsum("bi,bij->bj", P, Fu)
-    H_x = Lg[:, :n] + pf_x
-    H_u = Lg[:, n:] + pf_u
-    pf_hess = np.einsum("bi,bijk->bjk", P, Hf)
-    Hfull = Lh + pf_hess
-    return HamiltonianBatch(
-        H=H,
-        H_x=H_x,
-        H_u=H_u,
-        H_xx=Hfull[:, :n, :n],
-        H_uu=Hfull[:, n:, n:],
-        H_ux=Hfull[:, n:, :n],
-        H_up=np.swapaxes(Fu, 1, 2),
-    )
+    _, Lg = running_cost_batch(prob, t, X, U, order=1)
+    n = prob.n
+    H_x = Lg[:, :n] + np.einsum("bi,bij->bj", P, Fx)
+    H_u = Lg[:, n:] + np.einsum("bi,bij->bj", P, Fu)
+    return F, H_x, H_u
 
 
 def eval_endpoint_terms(prob: OcpProblem, x0, xT, lam=None) -> EndpointTerms:

@@ -124,8 +124,8 @@ def extract_costates(prob, layout, z, nu_all):
         j = layout.interval_samples[:, p]
         quad = scheme.quad[p]
         q = np.einsum("r,kri->ki", flow[:, p] / quad, nu)
-        hb = model.hamiltonian_batch(prob, layout.sample_times[j], X[j], U[j], q)
-        weighted_H_x = (layout.mesh.h * quad)[:, None] * hb.H_x
+        _, H_x, _ = model.hamiltonian_batch(prob, layout.sample_times[j], X[j], U[j], q)
+        weighted_H_x = (layout.mesh.h * quad)[:, None] * H_x
         return np.einsum("r,kri->ki", state[:, p], nu) + weighted_H_x
 
     p_right = interval_share(0)
@@ -180,18 +180,18 @@ def reconstruct(prob, dkkt) -> Reconstruction:
     node_idx = layout.node_sample(np.arange(layout.n_nodes))
     x_nodes = dkkt.x[node_idx]
     u_nodes = dkkt.u[node_idx]
-    slopes = model.dynamics_batch(prob, nodes, x_nodes, u_nodes)
-    X = hermite_cubic(nodes, x_nodes, slopes)
-    U = piecewise_linear(layout.sample_times, dkkt.u)
 
-    # anchor the terminal costate on the transversality relation
+    # anchor the terminal costate on the transversality relation, then one
+    # model batch at the nodes gives the state and the costate slopes
     p_nodes = dkkt.p_nodes.copy()
     ept = model.eval_endpoint_terms(prob, x_nodes[0], x_nodes[-1], dkkt.lam)
     p_terminal = ept.K_xT + ept.b_xT.T @ dkkt.lam
     anchor_shift = float(np.linalg.norm(p_nodes[-1] - p_terminal))
     p_nodes[-1] = p_terminal
-    hb = model.hamiltonian_batch(prob, nodes, x_nodes, u_nodes, p_nodes)
-    P = hermite_cubic(nodes, p_nodes, -hb.H_x)
+    F, H_x, _ = model.hamiltonian_batch(prob, nodes, x_nodes, u_nodes, p_nodes)
+    X = hermite_cubic(nodes, x_nodes, F)
+    U = piecewise_linear(layout.sample_times, dkkt.u)
+    P = hermite_cubic(nodes, p_nodes, -H_x)
     terminal_residual = float(np.linalg.norm(P.eval(layout.mesh.T) - p_terminal))
     return Reconstruction(
         X=X,

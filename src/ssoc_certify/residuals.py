@@ -74,20 +74,19 @@ def compute_residuals(prob, rec, quad_points_per_interval: int = 5) -> ResidualR
     w_quad = (half * gl_w).ravel()
     cell_of = np.repeat(np.arange(a.size), quad_points_per_interval)
 
-    def pointwise(t):
-        Xv = rec.X.eval(t)
-        Uv = rec.U.eval(t)
-        Pv = rec.P.eval(t)
-        dXv = rec.X.eval_derivative(t)
-        dPv = rec.P.eval_derivative(t)
-        F = model.dynamics_batch(prob, t, Xv, Uv)
-        hb = model.hamiltonian_batch(prob, t, Xv, Uv, Pv)
-        r_dyn = dXv - F
-        r_stat = hb.H_u
-        r_adj = -dPv - hb.H_x
-        return r_dyn, r_stat, r_adj
-
-    r_dyn_q, r_stat_q, _ = pointwise(t_quad)
+    # sup norms on the quadrature points plus uniform samples per cell; one
+    # model pass on that grid also gives the quadrature rows
+    t_inf, inverse = np.unique(
+        np.concatenate([t_quad, np.linspace(a, b, n_inf, axis=-1).ravel()]),
+        return_inverse=True,
+    )
+    F, H_x, r_stat_i = model.hamiltonian_batch(
+        prob, t_inf, rec.X.eval(t_inf), rec.U.eval(t_inf), rec.P.eval(t_inf)
+    )
+    r_dyn_i = rec.X.eval_derivative(t_inf) - F
+    r_adj_i = -rec.P.eval_derivative(t_inf) - H_x
+    quad_rows = inverse[: t_quad.size]
+    r_dyn_q, r_stat_q = r_dyn_i[quad_rows], r_stat_i[quad_rows]
     dyn_sq = np.einsum("b,bi->b", w_quad, r_dyn_q**2)
     stat_sq = np.einsum("b,bi->b", w_quad, r_stat_q**2)
 
@@ -106,10 +105,6 @@ def compute_residuals(prob, rec, quad_points_per_interval: int = 5) -> ResidualR
     ]
     e_dyn_L2 = math.sqrt(float(np.sum(dyn_int)))
     e_stat_L2 = math.sqrt(float(np.sum(stat_int)))
-
-    # sup norms on quadrature points plus uniform samples per cell
-    t_inf = np.unique(np.concatenate([t_quad, np.linspace(a, b, n_inf, axis=-1).ravel()]))
-    r_dyn_i, r_stat_i, r_adj_i = pointwise(t_inf)
     e_dyn_inf = float(np.max(np.abs(r_dyn_i)))
     e_stat_inf = float(np.max(np.abs(r_stat_i)))
     e_adj_inf = float(np.max(np.abs(r_adj_i)))
@@ -132,12 +127,10 @@ def compute_residuals(prob, rec, quad_points_per_interval: int = 5) -> ResidualR
 
     # node-sampled residuals with the per-point stationarity costates
     t_nodes = rec.sample_times
-    Xs, Us, Ps = rec.x_samples, rec.u_samples, rec.p_station
-    dXs = rec.X.eval_derivative(t_nodes)
-    Fs = model.dynamics_batch(prob, t_nodes, Xs, Us)
-    hbs = model.hamiltonian_batch(prob, t_nodes, Xs, Us, Ps)
-    r_dyn_n = dXs - Fs
-    r_stat_n = hbs.H_u
+    Fs, _, r_stat_n = model.hamiltonian_batch(
+        prob, t_nodes, rec.x_samples, rec.u_samples, rec.p_station
+    )
+    r_dyn_n = rec.X.eval_derivative(t_nodes) - Fs
     w_nodes = transcription.quadrature_weights(rec.layout)
     e_dyn_node = math.sqrt(float(np.einsum("b,bi->", w_nodes, r_dyn_n**2)))
     e_stat_node = math.sqrt(float(np.einsum("b,bi->", w_nodes, r_stat_n**2)))

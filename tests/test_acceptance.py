@@ -16,9 +16,10 @@ import time
 import numpy as np
 
 import ssoc_certify as sc
+from oracles import nullspace_basis, sigma_min
 from ssoc_certify import cli, constants as cn, model, transcription as tr
 from ssoc_certify.errors import ConstraintQualificationError
-from ssoc_certify.numerics import nullspace_basis, sigma_min, sym_eig_min
+from ssoc_certify.numerics import sym_eig_min
 
 
 def _report(criterion, clauses):
@@ -318,15 +319,12 @@ def _fd_check_problem(prob, n_points=100, seed=5):
     X = rng.normal(size=(n_points, n))
     U = rng.normal(size=(n_points, m))
     P = rng.normal(size=(n_points, n))
-    hb = model.hamiltonian_batch(prob, t, X, U, P)
-    grad_ad = np.concatenate([hb.H_x, hb.H_u], axis=1)
-    hess_ad = np.concatenate(
-        [
-            np.concatenate([hb.H_xx, np.swapaxes(hb.H_ux, 1, 2)], axis=2),
-            np.concatenate([hb.H_ux, hb.H_uu], axis=2),
-        ],
-        axis=1,
-    )
+    _, H_x, H_u = model.hamiltonian_batch(prob, t, X, U, P)
+    grad_ad = np.concatenate([H_x, H_u], axis=1)
+    # Hessian of H = L + p.f over (x, u): Lh + sum_i p_i Hf_i
+    Hf = model.dynamics_batch(prob, t, X, U, order=2)[3]
+    Lh = model.running_cost_batch(prob, t, X, U, order=2)[2]
+    hess_ad = Lh + np.einsum("bi,bijk->bjk", P, Hf)
 
     def shifted(delta):
         return _hamiltonian_values(prob, t, X + delta[:, :n], U + delta[:, n:], P)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ssoc_certify as sc
+from oracles import nullspace_basis
 from ssoc_certify import certify, constants as cn, transcription as tr
 from ssoc_certify.errors import ConstraintQualificationError
 
@@ -75,8 +76,6 @@ def test_lq_alpha_equals_rayleigh_sampling_oracle(lq_run):
     prob = sc.builtin_problem("double-integrator-lq")
     J, W = (a.toarray() for a in run.dkkt.kkt_matrices(prob))
     M = tr.variation_gram_sparse(layout).toarray()
-    from ssoc_certify.numerics import nullspace_basis
-
     Z = nullspace_basis(J)
     A = Z.T @ W @ Z
     B = Z.T @ M @ Z

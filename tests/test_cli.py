@@ -12,13 +12,13 @@ CERTIFICATE_KEYS = {
     "simplified_test_used", "threshold", "trust_radius",
 }
 SETTINGS_KEYS = {
-    "c_geo_lift", "c_xp_scale", "inject_alpha", "inject_e_inf", "inject_e_n2",
-    "paper_constants", "quad_points", "safety_factor", "tolerance",
+    "inject_alpha", "inject_e_inf", "inject_e_n2", "paper_constants", "quad_points",
+    "tolerance",
 }
 CONSTANTS_KEYS = {
-    "A_inf", "B_inf", "C_T", "C_Tprime", "C_close_inf", "C_geo", "C_geo_lift", "C_int",
+    "A_inf", "B_inf", "C_T", "C_Tprime", "C_close_inf", "C_geo", "C_int",
     "C_quad", "C_u_inf", "C_xp_inf", "Gamma", "Gamma_tot", "H_up_inf", "H_ux_inf", "L2",
-    "L21_H", "L21_K", "L21_L", "L21_f", "Lambda", "M2f", "P_max", "c_Pi", "c_xp_scale",
+    "L21_H", "L21_K", "L21_L", "L21_f", "Lambda", "M2f", "P_max", "c_Pi",
     "formulas", "paper_constants", "rho", "safety_factor", "sigma_min_Mh", "tube",
 }
 
@@ -99,10 +99,16 @@ def test_invalid_flag_exits_one(capsys):
         ["certify", "--tol", "0"],
         ["sweep", "--n-list", "0,5"],
         ["sweep", "--problem", "foo", "--n-list", "5,6"],
+        ["certify", "--tube-dp", "nan"],
+        ["certify", "--tube-du", "inf"],
+        ["certify", "--inject-en2", "-1"],
+        ["certify", "--inject-einf", "nan"],
+        ["certify", "--inject-alpha", "inf"],
     ],
     ids=[
         "n-list-not-int", "n-list-unordered", "fraction-zero", "tube-dx-zero", "tol-zero",
-        "n-list-zero", "sweep-unknown-problem",
+        "n-list-zero", "sweep-unknown-problem", "tube-dp-nan", "tube-du-inf",
+        "inject-en2-negative", "inject-einf-nan", "inject-alpha-inf",
     ],
 )
 def test_bad_input_reports_error_without_traceback(args, tmp_path, capsys):

@@ -8,14 +8,24 @@ import pytest
 import ssoc_certify as sc
 from ssoc_certify import constants as cn
 from ssoc_certify import ad, model
-from ssoc_certify.errors import LegendreViolationError, StrongRegularityError
+from ssoc_certify.errors import LegendreViolationError, SettingsError, StrongRegularityError
 
 
 def test_tube_spec_validation():
-    with pytest.raises(ValueError):
-        cn.TubeSpec(dx=0.0)
-    with pytest.raises(ValueError):
-        cn.TubeSpec(samples_per_axis=1)
+    for kwargs in (
+        {"dx": 0.0},
+        {"samples_per_axis": 1},
+        {"dp": math.nan},
+        {"du": math.inf},
+        {"dx": -0.1},
+        {"time_samples": 0},
+        {"time_samples": 1},
+        {"time_samples": -3},
+        {"time_samples": 8.0},
+    ):
+        with pytest.raises(SettingsError):
+            cn.TubeSpec(**kwargs)
+    assert cn.TubeSpec(time_samples=2).time_samples == 2
 
 
 def test_lq_lipschitz_constants_vanish(lq_run):
@@ -73,8 +83,7 @@ def test_c_geo_identity_and_lift_override():
     spd = A @ A.T + np.eye(6)
     out = cn.estimate_C_geo(spd)
     assert out["C_geo"] * out["sigma_min_Mh"] == pytest.approx(1.0, rel=1e-12)
-    out2 = cn.estimate_C_geo(np.eye(4), lift=2.0)
-    assert out2["C_geo"] == pytest.approx(2.0)
+    out2 = cn.estimate_C_geo(np.eye(4))
     assert out2["sigma_min_Mh"] == pytest.approx(1.0)
 
 

