@@ -25,6 +25,9 @@ from .numerics import sparse_sigma_min
 
 # multiplier on the sampled Lipschitz difference quotients
 SAFETY_FACTOR = 1.5
+# rows per model batch of the tube: small meshes take the whole tube in one
+# batch, larger ones several, so that its peak memory stays bounded in N
+TUBE_BATCH_ROWS = 2048
 
 
 @dataclass
@@ -151,20 +154,56 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
     xu_radii = np.concatenate([np.full(n, tube.dx), np.full(m, tube.du)])
     end_radii = np.full(2 * n, tube.dx)
     offsets = _axis_offsets(xu_radii, scales)
+
+    def model_hessians(t, X, U):
+        _, Fx, Fu, Hf = model.dynamics_batch(prob, t, X, U, order=2)
+        _, _, Lh = model.running_cost_batch(prob, t, X, U, order=2)
+        return Fx, Fu, Hf, Lh
+
+    # the tube rows: the reconstruction, then each full-radius offset of it
     X_all = np.concatenate([Xc[None], Xc + offsets[:, None, :n]]).reshape(-1, n)
     U_all = np.concatenate([Uc[None], Uc + offsets[:, None, n:]]).reshape(-1, m)
     t_all = np.tile(ts, len(offsets) + 1)
+    P_all = np.tile(Pc, (len(offsets) + 1, 1))
 
-    _, Fx, Fu, Hf = model.dynamics_batch(prob, t_all, X_all, U_all, order=2)
-    _, _, Lh = model.running_cost_batch(prob, t_all, X_all, U_all, order=2)
-    B0 = ts.size
-    Hf_c = Hf[:B0].copy()  # along the reconstruction, for the L21 quotients
-    # components whose Hessian is zero over the whole batch add nothing to
-    # any norm or sum below, so they are dropped first
-    curved = _nonzero_components(Hf)
-    Hf = Hf[:, curved]
-    M2f = float(np.max(_sym_spectral_norms(Hf), initial=0.0))
-    sup_L = float(np.max(_sym_spectral_norms(Lh)))
+    # Every bound below is a max or min over rows, so model batches of at
+    # most TUBE_BATCH_ROWS rows give the one-batch values bitwise and keep
+    # the peak memory bounded as N grows; the first batch holds the n_t
+    # reconstruction rows.
+    # H(p) = Lh + sum_i p_i Hf_i is affine in p, so Weyl's inequality bounds
+    # the strengthened Legendre constant and ||H_ux|| over the whole box
+    # |p_i - Pc_i| <= dp from the control rows of H at the centre costate.
+    # Components whose Hessian is zero over a batch add nothing to any norm
+    # or sum, so they are dropped first.
+    rows = max(n_t, TUBE_BATCH_ROWS)
+    M2f = sup_L = H_ux_inf = H_up_inf = 0.0
+    rho = math.inf
+    for first in range(0, t_all.size, rows):
+        batch = slice(first, first + rows)
+        Fx, Fu, Hf, Lh = model_hessians(t_all[batch], X_all[batch], U_all[batch])
+        if first == 0:
+            # linearized dynamics along the reconstruction only, and the
+            # centre of the L21 quotients
+            A_inf = float(np.max(_spectral_norms(Fx[:n_t])))
+            B_inf = float(np.max(_spectral_norms(Fu[:n_t])))
+            Hf_c, Lh_c = Hf[:n_t].copy(), Lh[:n_t].copy()
+        curved = _nonzero_components(Hf)
+        Hf = Hf[:, curved]
+        H_u = Lh[:, n:, :] + np.einsum("bi,bijk->bjk", P_all[batch][:, curved], Hf[:, :, n:, :])
+        spread_uu = tube.dp * _norm_sum(Hf[:, :, n:, n:], _sym_spectral_norms)
+        spread_ux = tube.dp * _norm_sum(Hf[:, :, n:, :n], _spectral_norms)
+        # np.maximum / np.minimum keep a NaN, which the Legendre check rejects
+        M2f = np.maximum(M2f, np.max(_sym_spectral_norms(Hf), initial=0.0))
+        sup_L = np.maximum(sup_L, np.max(_sym_spectral_norms(Lh)))
+        rho = np.minimum(rho, np.min(np.linalg.eigvalsh(H_u[:, :, n:])[:, 0] - spread_uu))
+        H_ux_inf = np.maximum(H_ux_inf, np.max(_spectral_norms(H_u[:, :, :n]) + spread_ux))
+        H_up_inf = np.maximum(H_up_inf, np.max(_spectral_norms(np.swapaxes(Fu, 1, 2))))
+    M2f, sup_L, rho, H_ux_inf, H_up_inf = map(float, (M2f, sup_L, rho, H_ux_inf, H_up_inf))
+    if not rho > 0.0:
+        raise LegendreViolationError(
+            f"min eigenvalue of H_uu over the tube is {rho:.3e}; "
+            "strengthened Legendre condition fails"
+        )
 
     # endpoint cost Hessian over the endpoint tube, in one batch: the center,
     # the full-radius axis offsets, then the half-radius ones for L21_K
@@ -179,44 +218,17 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
     n_full = 1 + len(end_full)
     sup_K = float(np.max(_sym_spectral_norms(K_hess[:n_full])))
     L2 = max(sup_L, M2f, sup_K)
-
-    # H(p) = Lh + sum_i p_i Hf_i is affine in p, so Weyl's inequality bounds
-    # the strengthened Legendre constant and ||H_ux|| over the whole box
-    # |p_i - Pc_i| <= dp from the control rows of H at the centre costate
-    P_all = np.tile(Pc, (len(offsets) + 1, 1))
-    H_u = Lh[:, n:, :] + np.einsum("bi,bijk->bjk", P_all[:, curved], Hf[:, :, n:, :])
-    spread_uu = tube.dp * _norm_sum(Hf[:, :, n:, n:], _sym_spectral_norms)
-    spread_ux = tube.dp * _norm_sum(Hf[:, :, n:, :n], _spectral_norms)
-    rho = float(np.min(np.linalg.eigvalsh(H_u[:, :, n:])[:, 0] - spread_uu))
-    H_ux_inf = float(np.max(_spectral_norms(H_u[:, :, :n]) + spread_ux))
-    H_up_inf = float(np.max(_spectral_norms(np.swapaxes(Fu, 1, 2))))
-    if not rho > 0.0:
-        raise LegendreViolationError(
-            f"min eigenvalue of H_uu over the tube is {rho:.3e}; "
-            "strengthened Legendre condition fails"
-        )
-
-    # linearized dynamics along the reconstruction only: the first ts.size
-    # rows of the tube batch
-    A_inf = float(np.max(_spectral_norms(Fx[:B0])))
-    B_inf = float(np.max(_spectral_norms(Fu[:B0])))
     P_max = float(np.max(np.linalg.norm(Pc, axis=1))) + tube.dp
 
     # Lipschitz constants of second derivatives: difference quotients between
     # the center and half-radius axis offsets; one model call per offset,
     # because a single batch over all of them would set the peak memory
     half = _axis_offsets(xu_radii, (0.5, -0.5))
-    Lh_c = Lh[:B0]
     L21_f = 0.0
     L21_L = 0.0
     for off in half:
         step = float(np.linalg.norm(off))
-        _, _, _, Hf_o = model.dynamics_batch(
-            prob, ts, Xc + off[:n], Uc + off[n:], order=2
-        )
-        _, _, Lh_o = model.running_cost_batch(
-            prob, ts, Xc + off[:n], Uc + off[n:], order=2
-        )
+        _, _, Hf_o, Lh_o = model_hessians(ts, Xc + off[:n], Uc + off[n:])
         dHf = Hf_o - Hf_c
         dHf = dHf[:, _nonzero_components(dHf)]
         L21_f = max(L21_f, float(np.max(_sym_spectral_norms(dHf), initial=0.0)) / step)

@@ -22,9 +22,13 @@ from .errors import ConstraintQualificationError, ContractError
 # ARPACK start vectors and the null-space projection block are drawn from
 # this seed, so that repeat runs give bitwise equal results.
 SEED = 0
-# Columns projected per sparse solve; bounds the working memory of
-# nullspace_basis_sparse at a few times n_z * PROJECTION_BLOCK doubles.
+# nullspace_basis_sparse draws its Gaussian block PROJECTION_BLOCK columns at
+# a time (the draw order fixes Z bit for bit) and projects SOLVE_BLOCK of
+# them per sparse solve.  SuperLU solves each column alike, so SOLVE_BLOCK
+# does not change Z; it bounds the solve's working memory at a few times
+# (n_z + n_c) * SOLVE_BLOCK doubles besides Z and one drawn block.
 PROJECTION_BLOCK = 256
+SOLVE_BLOCK = 32
 
 
 def _start_vector(k):
@@ -134,10 +138,12 @@ def nullspace_basis_sparse(J, M, rcond=1e-10) -> np.ndarray:
     rng = np.random.default_rng(SEED)
     projected = np.empty((n_z, d), order="F")
     for start in range(0, d, PROJECTION_BLOCK):
-        width = min(PROJECTION_BLOCK, d - start)
-        rhs = np.zeros((n_z + n_c, width))
-        rhs[:n_z] = M @ rng.standard_normal((n_z, width))
-        projected[:, start : start + width] = lu.solve(rhs)[:n_z]
+        block = M @ rng.standard_normal((n_z, min(PROJECTION_BLOCK, d - start)))
+        for col in range(0, block.shape[1], SOLVE_BLOCK):
+            width = min(SOLVE_BLOCK, block.shape[1] - col)
+            rhs = np.zeros((n_z + n_c, width))
+            rhs[:n_z] = block[:, col : col + width]
+            projected[:, start + col : start + col + width] = lu.solve(rhs)[:n_z]
     return scipy.linalg.qr(projected, mode="economic", overwrite_a=True)[0]
 
 

@@ -313,3 +313,32 @@ def test_curvature_bounds_match_per_offset_reference(quad_problem, quad_run, cas
             assert getattr(got, name) == pytest.approx(value, rel=1e-13), name
         else:
             assert getattr(got, name) == value, name
+
+
+
+def test_tube_batch_rows_change_no_bound(quad_run, quad_problem, monkeypatch):
+    # every tube bound is a max or min over rows, so the row cap per model
+    # batch, which bounds the tube's peak memory, leaves each bound bitwise equal
+    names = ["rho", "L2", "M2f", "L21_f", "L21_L", "L21_K", "L21_H", "P_max",
+             "A_inf", "B_inf", "H_ux_inf", "H_up_inf"]
+    rows = []
+    inner = model.dynamics_batch
+
+    def recording(prob, t, X, U, order=0):
+        rows.append(len(t))
+        return inner(prob, t, X, U, order=order)
+
+    monkeypatch.setattr(model, "dynamics_batch", recording)
+    n_t = 4 * quad_run.rec.mesh.n_intervals
+    d = quad_problem.n + quad_problem.m
+    monkeypatch.setattr(cn, "TUBE_BATCH_ROWS", 10**9)
+    whole = cn.estimate_curvature_bounds(quad_problem, quad_run.rec, cn.TubeSpec())
+    assert rows[0] == (1 + 2 * d) * n_t
+    for cap in (1, 300):
+        monkeypatch.setattr(cn, "TUBE_BATCH_ROWS", cap)
+        rows.clear()
+        got = cn.estimate_curvature_bounds(quad_problem, quad_run.rec, cn.TubeSpec())
+        assert max(rows) == max(cap, n_t)
+        assert sum(rows) == (1 + 4 * d) * n_t  # centre, full- and half-radius offsets
+        for name in names:
+            assert getattr(got, name) == getattr(whole, name), (cap, name)

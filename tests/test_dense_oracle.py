@@ -62,3 +62,14 @@ def test_newton_step_matches_ldl_solve(kkt_point, quad_problem):
     )
     sol = np.concatenate([dz, nu])
     assert np.max(np.abs(sol - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_nullspace_basis_independent_of_solve_width(kkt_point, quad_problem, monkeypatch):
+    # SuperLU solves every column alike, so the number of columns per solve
+    # leaves Z bitwise equal; only the draw block fixes it
+    J, _ = kkt_point.kkt_matrices(quad_problem)
+    M = tr.variation_gram_sparse(kkt_point.layout)
+    Z = numerics.nullspace_basis_sparse(J, M)
+    for width in (1, 5, numerics.PROJECTION_BLOCK):
+        monkeypatch.setattr(numerics, "SOLVE_BLOCK", width)
+        assert np.array_equal(numerics.nullspace_basis_sparse(J, M), Z), width
