@@ -13,7 +13,7 @@ import scipy.sparse
 from . import constants as constants_mod
 from . import reconstruction, residuals as residuals_mod, solver, transcription
 from .errors import ContractError, ConvergenceError, SettingsError
-from .numerics import nullspace_basis_sparse, sym_eig_min
+from .numerics import SOLVE_BLOCK, nullspace_basis_sparse, sym_eig_min
 
 TOOL_VERSION = "0.1.0"
 
@@ -23,6 +23,15 @@ class CurvatureResult:
     alpha_hat: float  # smallest eigenvalue of the (W, M) pencil on null(J)
     alpha_hat_euclidean: float  # plain reduced-Hessian eigenvalue
     null_dim: int
+
+
+def _sparse_times(S, Z):
+    """S @ Z in blocks of columns: scipy copies an F-ordered Z (from the QR)
+    whole to C order, and per column the sums are the same as in one product."""
+    out = np.empty((S.shape[0], Z.shape[1]))
+    for j in range(0, Z.shape[1], SOLVE_BLOCK):
+        out[:, j : j + SOLVE_BLOCK] = S @ Z[:, j : j + SOLVE_BLOCK]
+    return out
 
 
 def reduced_curvature(W, J, M) -> CurvatureResult:
@@ -35,9 +44,9 @@ def reduced_curvature(W, J, M) -> CurvatureResult:
     Z = nullspace_basis_sparse(J, M)
     if Z.shape[1] == 0:
         return CurvatureResult(math.inf, math.inf, 0)
-    A = Z.T @ (W @ Z)
+    A = Z.T @ _sparse_times(W, Z)
     A = 0.5 * (A + A.T)
-    B = Z.T @ (M @ Z)
+    B = Z.T @ _sparse_times(M, Z)
     B = 0.5 * (B + B.T)
     try:
         L = np.linalg.cholesky(B)
@@ -187,6 +196,8 @@ class CertifySettings:
     inject_alpha: Optional[float] = None
 
     def __post_init__(self):
+        if not (isinstance(self.quad_points, int) and self.quad_points >= 3):
+            raise SettingsError(f"quad_points must be an integer >= 3, got {self.quad_points!r}")
         for name in ("inject_e_n2", "inject_e_inf"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value >= 0.0):

@@ -114,7 +114,7 @@ def extract_costates(prob, layout, z, nu_all):
     S = transcription.sample_multipliers(layout, nu_all)
     w = transcription.quadrature_weights(layout)
     p_station = S / w[:, None]
-    nu_defect, _, _ = transcription.split_multipliers(layout, nu_all)
+    nu_defect, _ = transcription.split_multipliers(layout, nu_all)
     scheme = layout.scheme
     N = layout.mesh.n_intervals
     nu = nu_defect.reshape(N, scheme.blocks, layout.n)
@@ -152,7 +152,6 @@ class Reconstruction:
     p_nodes: np.ndarray  # anchored node costates
     anchor_shift: float  # |raw terminal costate - transversality value|
     costate_jump: float
-    terminal_residual: float
 
     @property
     def mesh(self):
@@ -178,32 +177,29 @@ def reconstruct(prob, dkkt) -> Reconstruction:
     layout = dkkt.layout
     nodes = layout.mesh.nodes
     node_idx = layout.node_sample(np.arange(layout.n_nodes))
-    x_nodes = dkkt.x[node_idx]
-    u_nodes = dkkt.u[node_idx]
+    x_samples, u_samples = layout.unpack(dkkt.z)
+    x_nodes = x_samples[node_idx]
+    u_nodes = u_samples[node_idx]
+    lam = dkkt.lam
+    p_station, p_nodes, jump = extract_costates(prob, layout, dkkt.z, dkkt.nu)
 
     # anchor the terminal costate on the transversality relation, then one
     # model batch at the nodes gives the state and the costate slopes
-    p_nodes = dkkt.p_nodes.copy()
-    ept = model.eval_endpoint_terms(prob, x_nodes[0], x_nodes[-1], dkkt.lam)
-    p_terminal = ept.K_xT + ept.b_xT.T @ dkkt.lam
+    ept = model.eval_endpoint_terms(prob, x_nodes[0], x_nodes[-1], lam)
+    p_terminal = ept.K_xT + ept.b_xT.T @ lam
     anchor_shift = float(np.linalg.norm(p_nodes[-1] - p_terminal))
     p_nodes[-1] = p_terminal
     F, H_x, _ = model.hamiltonian_batch(prob, nodes, x_nodes, u_nodes, p_nodes)
-    X = hermite_cubic(nodes, x_nodes, F)
-    U = piecewise_linear(layout.sample_times, dkkt.u)
-    P = hermite_cubic(nodes, p_nodes, -H_x)
-    terminal_residual = float(np.linalg.norm(P.eval(layout.mesh.T) - p_terminal))
     return Reconstruction(
-        X=X,
-        U=U,
-        P=P,
-        lam=dkkt.lam.copy(),
+        X=hermite_cubic(nodes, x_nodes, F),
+        U=piecewise_linear(layout.sample_times, u_samples),
+        P=hermite_cubic(nodes, p_nodes, -H_x),
+        lam=lam,
         layout=layout,
-        x_samples=dkkt.x.copy(),
-        u_samples=dkkt.u.copy(),
-        p_station=dkkt.p_station.copy(),
+        x_samples=x_samples,
+        u_samples=u_samples,
+        p_station=p_station,
         p_nodes=p_nodes,
         anchor_shift=anchor_shift,
-        costate_jump=dkkt.costate_jump,
-        terminal_residual=terminal_residual,
+        costate_jump=jump,
     )

@@ -2,34 +2,40 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse
 
-from . import reconstruction, transcription
+from . import transcription
 from .errors import SettingsError, SolverBreakdownError
 from .numerics import sparse_lu
 
 # Curvature test of a Newton step: dz'(W + delta I) dz >= KAPPA |dz|^2.
 CURVATURE_KAPPA = 1e-8
+# A step that fails the test is regularized from DELTA0 upward by factors of
+# 10; past DELTA_MAX it is a breakdown.
+DELTA0 = 1e-8
+DELTA_MAX = 1e6
+MAX_ITERATIONS = 200
+# Line search: Armijo fraction, backtracking factor, and the margin of the l1
+# penalty weight over the largest multiplier.
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+PENALTY_MARGIN = 1.1
+# Plain Newton steps taken after convergence while the residual shrinks.
+POLISH_STEPS = 3
 
 
 @dataclass
 class SolverOptions:
     kkt_tolerance: float = 1e-12
-    max_iterations: int = 200
-    delta0: float = 1e-8
-    delta_max: float = 1e6
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    penalty_margin: float = 1.1
-    polish_steps: int = 3
 
     def __post_init__(self):
-        if self.kkt_tolerance <= 0 or self.max_iterations < 1:
-            raise SettingsError("tolerance must be positive and max_iterations >= 1")
+        if not (math.isfinite(self.kkt_tolerance) and self.kkt_tolerance > 0):
+            raise SettingsError(f"kkt_tolerance must be finite and > 0, got {self.kkt_tolerance!r}")
 
 
 @dataclass
@@ -48,16 +54,16 @@ class SolveReport:
         return d
 
 
-def newton_step(W, J, grad, c, delta=0.0, delta0=1e-8, delta_max=1e6):
+def newton_step(W, J, grad, c):
     """One regularized saddle solve.
 
     Solves [[W + dI, J^T], [J, 0]] [dz; nu] = -[grad; c] starting from
-    d = delta, with a sparse LU factorization (W and J may be dense or
+    d = 0, with a sparse LU factorization (W and J may be dense or
     sparse).  Instead of counting inertia, the step is accepted when it has
     positive curvature, dz'(W + dI) dz >= CURVATURE_KAPPA |dz|^2 (the
     inertia-free test of Chiang and Zavala).  When the test fails or the
-    factorization hits an exactly zero pivot, d is raised to delta0 and then
-    escalated by factors of 10; past delta_max the step is declared a
+    factorization hits an exactly zero pivot, d is raised to DELTA0 and then
+    escalated by factors of 10; past DELTA_MAX the step is declared a
     breakdown.
 
     Returns (dz, nu, delta_used).
@@ -67,7 +73,7 @@ def newton_step(W, J, grad, c, delta=0.0, delta0=1e-8, delta_max=1e6):
     n_z = W.shape[0]
     rhs = -np.concatenate([np.asarray(grad, dtype=float), np.asarray(c, dtype=float)])
     eye = scipy.sparse.identity(n_z, format="csr")
-    d = float(delta)
+    d = 0.0
     while True:
         lu = sparse_lu(scipy.sparse.bmat([[W + d * eye, J.T], [J, None]]))
         if lu is not None:
@@ -75,8 +81,8 @@ def newton_step(W, J, grad, c, delta=0.0, delta0=1e-8, delta_max=1e6):
             dz = sol[:n_z]
             if dz @ (W @ dz) + d * (dz @ dz) >= CURVATURE_KAPPA * (dz @ dz):
                 return dz, sol[n_z:], d
-        d = delta0 if d == 0.0 else d * 10.0
-        if d > delta_max:
+        d = DELTA0 if d == 0.0 else d * 10.0
+        if d > DELTA_MAX:
             raise SolverBreakdownError(
                 "KKT system singular or indefinite after maximal regularization"
             )
@@ -128,12 +134,10 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
     g, c, J, W, res = kkt_state(z, nu)
     iterations = 0
 
-    while res > options.kkt_tolerance and iterations < options.max_iterations:
+    while res > options.kkt_tolerance and iterations < MAX_ITERATIONS:
         iterations += 1
-        dz, nu_new, delta_used = newton_step(
-            W, J, g, c, 0.0, options.delta0, options.delta_max
-        )
-        sigma = max(sigma, options.penalty_margin * float(np.max(np.abs(nu_new), initial=0.0)))
+        dz, nu_new, delta_used = newton_step(W, J, g, c)
+        sigma = max(sigma, PENALTY_MARGIN * float(np.max(np.abs(nu_new), initial=0.0)))
         f0 = transcription.eval_objective(prob, layout, z)
         theta0 = float(np.sum(np.abs(c)))
         merit0 = f0 + sigma * theta0
@@ -144,9 +148,9 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
             f_t = transcription.eval_objective(prob, layout, z_trial)
             theta_t = float(np.sum(np.abs(transcription.eval_defects(prob, layout, z_trial))))
             merit_t = f_t + sigma * theta_t
-            if merit_t <= merit0 + options.armijo * alpha * slope + 1e-14 * max(1.0, abs(merit0)):
+            if merit_t <= merit0 + ARMIJO * alpha * slope + 1e-14 * max(1.0, abs(merit0)):
                 break
-            alpha *= options.backtrack
+            alpha *= BACKTRACK
         if alpha < 1e-12:
             break  # merit stalled; report non-convergence below
         merit_history.append(merit_t)
@@ -159,11 +163,11 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
         # push the residual toward the round-off floor, but stay proportional
         # to the requested tolerance so loose solves stay loose
         floor = options.kkt_tolerance * 1e-3
-        for _ in range(options.polish_steps):
+        for _ in range(POLISH_STEPS):
             if res <= floor:
                 break
             try:
-                dz, nu_new, _ = newton_step(W, J, g, c, 0.0, options.delta0, options.delta_max)
+                dz, nu_new, _ = newton_step(W, J, g, c)
             except SolverBreakdownError:
                 break
             trial = kkt_state(z + dz, nu_new)
@@ -183,21 +187,6 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
         guess=guess_kind,
         merit_history=merit_history,
     )
-    X, U = layout.unpack(z)
-    _, lam, eta = transcription.split_multipliers(layout, nu)
-    p_station, p_nodes, jump = reconstruction.extract_costates(prob, layout, z, nu)
-    dkkt = transcription.DiscreteKkt(
-        layout=layout,
-        z=z,
-        x=X,
-        u=U,
-        nu=nu,
-        lam=lam,
-        eta=eta,
-        p_station=p_station,
-        p_nodes=p_nodes,
-        costate_jump=jump,
-        converged=converged,
-    )
+    dkkt = transcription.DiscreteKkt(layout=layout, z=z, nu=nu, converged=converged)
     dkkt.J, dkkt.W = J, W
     return dkkt, report

@@ -377,13 +377,11 @@ def compress_collocation_jacobian(layout, J) -> scipy.sparse.csr_matrix:
 
 
 def split_multipliers(layout: NlpLayout, nu_all):
-    """Split the raw multiplier vector into (defect part, lambda, eta)."""
+    """Split the raw multiplier vector into (defect part, lambda)."""
     nu_all = np.asarray(nu_all, dtype=float)
     if nu_all.shape != (layout.n_c,):
         raise DimensionError("multiplier vector has wrong length")
-    lam = nu_all[layout.boundary_rows]
-    eta = nu_all[layout.x0_rows]
-    return nu_all[: layout.n_defect_rows], lam, eta
+    return nu_all[: layout.n_defect_rows], nu_all[layout.boundary_rows]
 
 
 def sample_multipliers(layout: NlpLayout, nu_all) -> np.ndarray:
@@ -395,7 +393,7 @@ def sample_multipliers(layout: NlpLayout, nu_all) -> np.ndarray:
     stationarity costate at sample j is s_j / w_j with w_j the running-cost
     quadrature weight.
     """
-    nu_defect, _, _ = split_multipliers(layout, nu_all)
+    nu_defect, _ = split_multipliers(layout, nu_all)
     scheme = layout.scheme
     nu = nu_defect.reshape(layout.mesh.n_intervals, scheme.blocks, layout.n)
     per_interval = layout.mesh.h[:, None, None] * np.einsum(
@@ -430,7 +428,7 @@ def eval_kkt(prob, layout, z, nu_all):
     as the line search needs it, comes from :func:`eval_defects`.
     """
     X, U = layout.unpack(z)
-    _, lam, _ = split_multipliers(layout, nu_all)
+    _, lam = split_multipliers(layout, nu_all)
     w = quadrature_weights(layout)
     F, Fx, Fu, Hf = model.dynamics_batch(prob, layout.sample_times, X, U, order=2)
     _, Lg, Lh = model.running_cost_batch(prob, layout.sample_times, X, U, order=2)
@@ -463,23 +461,13 @@ def variation_gram_sparse(layout: NlpLayout) -> scipy.sparse.csr_matrix:
 class DiscreteKkt:
     """Discrete primal-dual point produced by the solver.
 
-    ``p_station`` holds the per-sample stationarity costates (raw multiplier
-    combinations divided by quadrature weights); ``p_nodes`` the consistent
-    node costates used for the continuous reconstruction.  The terminal node
-    costate satisfies the endpoint transversality relation up to the solve
-    tolerance before anchoring.
+    The costates are not part of it: :func:`reconstruction.reconstruct`
+    extracts them from (z, nu).
     """
 
     layout: NlpLayout
     z: np.ndarray
-    x: np.ndarray  # (S, n) sample states
-    u: np.ndarray  # (S, m) sample controls
     nu: np.ndarray  # raw multiplier vector, length n_c
-    lam: np.ndarray  # (n_b,)
-    eta: np.ndarray  # fixed-initial-state multipliers, (n,) or (0,)
-    p_station: np.ndarray  # (S, n)
-    p_nodes: np.ndarray  # (N+1, n)
-    costate_jump: float  # max left/right disagreement of node costates
     converged: bool
     # sparse constraint Jacobian and Lagrangian Hessian at (z, nu), kept from
     # the solver's last evaluation; not init fields, so dataclasses.replace,
@@ -494,9 +482,16 @@ class DiscreteKkt:
         return self.J, self.W
 
     @property
-    def mesh(self):
-        return self.layout.mesh
+    def x(self):
+        """(S, n) sample states."""
+        return self.layout.unpack(self.z)[0]
 
     @property
-    def scheme(self):
-        return self.layout.scheme
+    def u(self):
+        """(S, m) sample controls."""
+        return self.layout.unpack(self.z)[1]
+
+    @property
+    def lam(self):
+        """(n_b,) boundary multipliers."""
+        return split_multipliers(self.layout, self.nu)[1]

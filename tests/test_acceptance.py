@@ -429,9 +429,7 @@ def test_criterion_9_negative_controls(quad_run, quad_problem):
     layout = dkkt.layout
     t = layout.sample_times
     u_pert = dkkt.u + 1e-2 * np.sin(np.pi * t / quad_problem.T)[:, None]
-    dkkt_p = dataclasses.replace(
-        dkkt, u=u_pert, z=layout.pack(dkkt.x, u_pert)
-    )
+    dkkt_p = dataclasses.replace(dkkt, z=layout.pack(dkkt.x, u_pert))
     rec = sc.reconstruct(quad_problem, dkkt_p)
     rep = sc.compute_residuals(quad_problem, rec)
     bundle = cn.estimate_all(quad_problem, rec, dkkt_p)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ssoc_certify import cli
+from ssoc_certify import cli, solver
 
 CERTIFICATE_KEYS = {
     "accepted", "alpha_cont", "alpha_hat", "alpha_hat_euclidean", "certified_e_n2",
@@ -104,14 +104,25 @@ def test_invalid_flag_exits_one(capsys):
         ["certify", "--inject-en2", "-1"],
         ["certify", "--inject-einf", "nan"],
         ["certify", "--inject-alpha", "inf"],
+        ["certify", "--tol", "inf"],
+        ["certify", "--tol", "nan"],
+        ["refine", "--tol", "inf"],
+        ["certify", "--quad-points", "2"],
+        ["sweep", "--quad-points", "2", "--n-list", "4,5"],
+        ["refine", "--quad-points", "2"],
     ],
     ids=[
         "n-list-not-int", "n-list-unordered", "fraction-zero", "tube-dx-zero", "tol-zero",
         "n-list-zero", "sweep-unknown-problem", "tube-dp-nan", "tube-du-inf",
-        "inject-en2-negative", "inject-einf-nan", "inject-alpha-inf",
+        "inject-en2-negative", "inject-einf-nan", "inject-alpha-inf", "tol-inf", "tol-nan",
+        "refine-tol-inf", "quad-points-two", "sweep-quad-points-two", "refine-quad-points-two",
     ],
 )
-def test_bad_input_reports_error_without_traceback(args, tmp_path, capsys):
+def test_bad_input_reports_error_without_traceback(args, tmp_path, capsys, monkeypatch):
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("bad input must be rejected before any solve")
+
+    monkeypatch.setattr(solver, "solve", no_solve)
     if "--problem" not in args:
         args = args + ["--problem", "double-integrator-lq"]
     code = run_cli(args + ["--out-dir", str(tmp_path)])

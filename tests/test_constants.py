@@ -102,13 +102,8 @@ def test_legendre_violation_detected():
     )
     mesh = sc.Mesh.uniform(1.0, 3)
     layout = sc.assemble(prob, mesh, "hermite-simpson")
-    S = layout.n_samples
     dkkt = sc.DiscreteKkt(
-        layout=layout, z=np.zeros(layout.n_z),
-        x=np.zeros((S, 1)), u=np.zeros((S, 1)),
-        nu=np.zeros(layout.n_c), lam=np.zeros(0), eta=np.zeros(1),
-        p_station=np.zeros((S, 1)), p_nodes=np.zeros((4, 1)),
-        costate_jump=0.0, converged=True,
+        layout=layout, z=np.zeros(layout.n_z), nu=np.zeros(layout.n_c), converged=True
     )
     rec = sc.reconstruct(prob, dkkt)
     with pytest.raises(LegendreViolationError):

@@ -12,7 +12,7 @@ import scipy.linalg
 
 import ssoc_certify as sc
 from oracles import kkt_matrix, nullspace_basis, sigma_min
-from ssoc_certify import constants as cn, numerics, solver, transcription as tr
+from ssoc_certify import certify, constants as cn, numerics, solver, transcription as tr
 
 CASES = [(scheme, n) for scheme in ("hermite-simpson", "trapezoidal") for n in (35, 70)]
 
@@ -73,3 +73,13 @@ def test_nullspace_basis_independent_of_solve_width(kkt_point, quad_problem, mon
     for width in (1, 5, numerics.PROJECTION_BLOCK):
         monkeypatch.setattr(numerics, "SOLVE_BLOCK", width)
         assert np.array_equal(numerics.nullspace_basis_sparse(J, M), Z), width
+
+
+def test_blocked_curvature_products_equal_one_product(kkt_point, quad_problem):
+    # the sparse product sums every column alike, so reduced_curvature's
+    # column blocks leave W Z and M Z bitwise equal
+    J, W = kkt_point.kkt_matrices(quad_problem)
+    M = tr.variation_gram_sparse(kkt_point.layout)
+    Z = numerics.nullspace_basis_sparse(J, M)
+    for S in (W, M):
+        assert np.array_equal(certify._sparse_times(S, Z), S @ Z)

@@ -36,6 +36,9 @@ def test_trace_records_spans_around_a_certification(lq_problem):
     assert {"solver", "transcription", "model", "certify", "constants"} <= layers
     metrics = trace.layer_metrics(1)
     assert metrics["solver.iterations"][0] == run.solve_report.iterations
+    # the probes read newton_step's third return value and the null dimension
+    assert metrics["solver.newton_steps"][0] >= metrics["solver.iterations"][0]
+    assert metrics["certify.null_dim"][0] == run.curvature.null_dim
     assert metrics["model.points"][0] > 0
     # leaving the trace puts the original functions back
     assert not hasattr(sc.solver.solve, "__wrapped__")

@@ -89,10 +89,7 @@ def test_cubic_hermite_reproduces_exact_quadratic():
     U = (2.0 * t + 1.0)[:, None]
     X = (t**2 + t)[:, None]
     dkkt = sc.DiscreteKkt(
-        layout=layout, z=layout.pack(X, U), x=X, u=U,
-        nu=np.zeros(layout.n_c), lam=np.zeros(0), eta=np.zeros(1),
-        p_station=np.zeros((t.size, 1)), p_nodes=np.zeros((5, 1)),
-        costate_jump=0.0, converged=True,
+        layout=layout, z=layout.pack(X, U), nu=np.zeros(layout.n_c), converged=True
     )
     rec = sc.reconstruct(prob, dkkt)
     ts = np.linspace(0, 1, 101)
@@ -103,11 +100,7 @@ def test_reconstruct_refuses_nonconverged(lq_problem):
     mesh = sc.Mesh.uniform(lq_problem.T, 5)
     layout = sc.assemble(lq_problem, mesh, "trapezoidal")
     dkkt = sc.DiscreteKkt(
-        layout=layout, z=np.zeros(layout.n_z),
-        x=np.zeros((layout.n_samples, 2)), u=np.zeros((layout.n_samples, 1)),
-        nu=np.zeros(layout.n_c), lam=np.zeros(0), eta=np.zeros(2),
-        p_station=np.zeros((layout.n_samples, 2)), p_nodes=np.zeros((6, 2)),
-        costate_jump=0.0, converged=False,
+        layout=layout, z=np.zeros(layout.n_z), nu=np.zeros(layout.n_c), converged=False
     )
     with pytest.raises(ConvergenceError):
         sc.reconstruct(lq_problem, dkkt)
@@ -152,7 +145,7 @@ def _trapezoidal_lq_costate_error(prob, oracle, n_intervals):
 
 def test_trapezoidal_node_costates_agree_from_both_sides(quad_problem):
     dkkt, _ = sc.solve(quad_problem, sc.Mesh.uniform(quad_problem.T, 35), "trapezoidal")
-    assert dkkt.costate_jump <= 1e-10
+    assert sc.reconstruct(quad_problem, dkkt).costate_jump <= 1e-10
 
 
 def test_trapezoidal_costate_nodes_converge_to_lq_oracle(lq_problem, lq_oracle):

@@ -24,10 +24,7 @@ def _constant_reconstruction(prob, scheme="hermite-simpson"):
     X = np.full((S, 1), 0.7)
     U = np.zeros((S, 1))
     dkkt = sc.DiscreteKkt(
-        layout=layout, z=layout.pack(X, U), x=X, u=U,
-        nu=np.zeros(layout.n_c), lam=np.zeros(0), eta=np.zeros(1),
-        p_station=np.zeros((S, 1)), p_nodes=np.zeros((5, 1)),
-        costate_jump=0.0, converged=True,
+        layout=layout, z=layout.pack(X, U), nu=np.zeros(layout.n_c), converged=True
     )
     return sc.reconstruct(prob, dkkt)
 
@@ -58,8 +55,9 @@ def test_decomposition_matches_global_l2(quad_run):
 
 def test_one_model_pass_per_point_set(quad_problem, quad_run, monkeypatch):
     """compute_residuals evaluates the model once on the dense grid (which
-    holds the quadrature points) and once at the samples; reconstruct once at
-    the nodes.  Every dynamics batch comes from inside hamiltonian_batch."""
+    holds the quadrature points) and once at the samples; reconstruct once per
+    costate share and once at the nodes.  Every dynamics batch comes from
+    inside hamiltonian_batch."""
     calls = []
     inside = [0]
     dynamics_batch, hamiltonian_batch = model.dynamics_batch, model.hamiltonian_batch
@@ -90,10 +88,14 @@ def test_one_model_pass_per_point_set(quad_problem, quad_run, monkeypatch):
     assert np.isin(0.5 * (a + b) + 0.5 * (b - a) * gl_x, t_dense).all()
     assert np.array_equal(t_nodes, rec.sample_times)
 
+    # reconstruct: the two costate shares of every interval, then the nodes
     calls.clear()
     rc.reconstruct(quad_problem, quad_run.dkkt)
-    assert [name for name, _ in calls] == ["hamiltonian"]
-    assert np.array_equal(calls[0][1], rec.mesh.nodes)
+    assert [name for name, _ in calls] == ["hamiltonian"] * 3
+    layout = quad_run.dkkt.layout
+    for (_, t), p in zip(calls, (0, layout.scheme.stride)):
+        assert np.array_equal(t, layout.sample_times[layout.interval_samples[:, p]])
+    assert np.array_equal(calls[2][1], rec.mesh.nodes)
 
 
 def test_relation_check_on_pipeline_runs(quad_run, lq_run):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ssoc_certify as sc
-from ssoc_certify import model, reconstruction, solver, transcription
+from ssoc_certify import model, solver, transcription
 from ssoc_certify.errors import SolverBreakdownError
 
 
@@ -45,7 +45,7 @@ def test_newton_step_breakdown_after_max_regularization():
     W = np.zeros((2, 2))
     J = np.zeros((1, 2))  # rank deficient: no regularization can fix it
     with pytest.raises(SolverBreakdownError):
-        solver.newton_step(W, J, np.ones(2), np.ones(1), delta_max=1e3)
+        solver.newton_step(W, J, np.ones(2), np.ones(1))
 
 
 def test_lq_solve_converges_and_is_deterministic(lq_problem):
@@ -106,16 +106,21 @@ def test_report_records_guess_policy(lq_problem):
 
 
 def test_one_model_batch_per_newton_step(quad_problem, monkeypatch):
-    """Every KKT evaluation of the solver is one order-2 dynamics batch, and
-    certification reuses the solver's last J and W."""
-    calls = {"derivative": 0, "kkt": [], "costates": 0}
+    """Every KKT evaluation of the solver is one order-2 dynamics batch, the
+    solve makes no costate batch, and certification reuses the solver's last
+    J and W."""
+    calls = {"derivative": 0, "kkt": [], "hamiltonian": 0}
     dynamics_batch = model.dynamics_batch
+    hamiltonian_batch = model.hamiltonian_batch
     eval_kkt = transcription.eval_kkt
-    extract_costates = reconstruction.extract_costates
 
     def counting_dynamics(prob, t, X, U, order=0):
         calls["derivative"] += order >= 1
         return dynamics_batch(prob, t, X, U, order=order)
+
+    def counting_hamiltonian(*args):
+        calls["hamiltonian"] += 1
+        return hamiltonian_batch(*args)
 
     def counting_kkt(*args):
         before = calls["derivative"]
@@ -123,24 +128,18 @@ def test_one_model_batch_per_newton_step(quad_problem, monkeypatch):
         calls["kkt"].append(calls["derivative"] - before)
         return out
 
-    def counting_costates(*args):
-        before = calls["derivative"]
-        out = extract_costates(*args)
-        calls["costates"] += calls["derivative"] - before
-        return out
-
     monkeypatch.setattr(model, "dynamics_batch", counting_dynamics)
+    monkeypatch.setattr(model, "hamiltonian_batch", counting_hamiltonian)
     monkeypatch.setattr(transcription, "eval_kkt", counting_kkt)
-    monkeypatch.setattr(reconstruction, "extract_costates", counting_costates)
 
     mesh = sc.Mesh.uniform(quad_problem.T, 20)
     dkkt, rep = sc.solve(quad_problem, mesh, "hermite-simpson")
     assert rep.converged
     kkt_calls = len(calls["kkt"])
     assert calls["kkt"] == [1] * kkt_calls
-    assert calls["derivative"] == kkt_calls + calls["costates"]
-    polish = solver.SolverOptions().polish_steps
-    assert rep.iterations + 1 <= kkt_calls <= rep.iterations + 1 + polish
+    assert calls["derivative"] == kkt_calls
+    assert calls["hamiltonian"] == 0
+    assert rep.iterations + 1 <= kkt_calls <= rep.iterations + 1 + solver.POLISH_STEPS
     assert dkkt.J is not None and dkkt.W is not None
 
     calls["kkt"].clear()
