@@ -7,15 +7,34 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from . import constants as constants_mod
 from . import reconstruction, residuals as residuals_mod, solver, transcription
-from .errors import ContractError, ConvergenceError, SettingsError
-from .numerics import SOLVE_BLOCK, nullspace_basis_sparse, sym_eig_min
+from .errors import (
+    ConstraintQualificationError,
+    ContractError,
+    ConvergenceError,
+    SettingsError,
+)
+from .numerics import SEED, ldl_positive_definite, start_vector, sparse_lu, sparse_sigma_extremes
 
 TOOL_VERSION = "0.1.0"
+
+# rank test on J: sigma_min(J) <= RANK_RCOND * max(1, sigma_max(J)) fails
+RANK_RCOND = 1e-10
+# W + rho J^T J with rho = PENALTY_SCALE * max|W| / max|J|^2 is tested for
+# positive definiteness; rho decides only whether the test passes, never
+# whether a pass is sound
+PENALTY_SCALE = 100.0
+# the fallback shift sits this far (relative to the Gershgorin row-sum
+# norm) below the Gershgorin floor, so it stays below the spectrum despite
+# the round-off in the floor and the shifted saddle stays nonsingular
+SHIFT_MARGIN = 1e-8
+# ARPACK Lanczos basis size and relative accuracy of the curvature eigenvalue
+LANCZOS_NCV = 40
+LANCZOS_TOL = 1e-10
 
 
 @dataclass
@@ -23,41 +42,112 @@ class CurvatureResult:
     alpha_hat: float  # smallest eigenvalue of the (W, M) pencil on null(J)
     alpha_hat_euclidean: float  # plain reduced-Hessian eigenvalue
     null_dim: int
+    # certified lower bound sigma on alpha_hat used as the Lanczos shift:
+    # 0 when W is positive definite on null(J), else a Gershgorin floor
+    shift: float = 0.0
 
 
-def _sparse_times(S, Z):
-    """S @ Z in blocks of columns: scipy copies an F-ordered Z (from the QR)
-    whole to C order, and per column the sums are the same as in one product."""
-    out = np.empty((S.shape[0], Z.shape[1]))
-    for j in range(0, Z.shape[1], SOLVE_BLOCK):
-        out[:, j : j + SOLVE_BLOCK] = S @ Z[:, j : j + SOLVE_BLOCK]
-    return out
+def _rank_deficient(J) -> bool:
+    sigma_min, sigma_max = sparse_sigma_extremes(J)
+    return sigma_min <= RANK_RCOND * max(1.0, sigma_max)
+
+
+def _gershgorin_shift(W, s) -> float:
+    """A shift strictly below every eigenvalue of diag(s) W diag(s)."""
+    S = scipy.sparse.diags(s)
+    B = S @ W @ S
+    diag = B.diagonal()
+    rows = np.asarray(abs(B).sum(axis=1)).ravel()
+    floor = np.min(diag + np.abs(diag) - rows)
+    return float(floor - SHIFT_MARGIN * np.max(rows))
+
+
+def _saddle_lu(W, J, shift, weight):
+    lu = sparse_lu(scipy.sparse.bmat([[W - scipy.sparse.diags(shift * weight), J.T], [J, None]]))
+    if lu is None:
+        raise ContractError("shifted saddle matrix is singular")
+    return lu
+
+
+def _lowest_pencil_eigenvalue(lu, n_z, shift, root) -> float:
+    """sigma + 1/mu, mu the largest eigenvalue of y -> diag(root) S diag(root) y.
+
+    S is the (1,1) block of the inverse of the shifted saddle matrix that
+    ``lu`` factors: on null(J) it inverts the pencil shifted by sigma, so
+    with sigma below the pencil's spectrum the largest mu belongs to the
+    smallest eigenvalue.  The operator is zero on the complement; the start
+    vector goes through it once, so Lanczos runs inside its range.
+    """
+    rhs = np.zeros(lu.shape[0])
+
+    def apply(y):
+        rhs[:n_z] = root * y
+        return root * lu.solve(rhs)[:n_z]
+
+    d = n_z - (lu.shape[0] - n_z)
+    v0 = apply(start_vector(n_z))
+    mu = scipy.sparse.linalg.eigsh(
+        scipy.sparse.linalg.LinearOperator((n_z, n_z), matvec=apply, dtype=float),
+        k=1,
+        which="LA",
+        v0=v0 / np.abs(v0).max(),  # entries <= 1: the operator scales by 1/(alpha - sigma)
+        ncv=min(LANCZOS_NCV, max(d, 2)),  # ARPACK takes at least 2 for one value
+        tol=LANCZOS_TOL,
+        return_eigenvectors=False,
+        rng=SEED,  # restart vectors, drawn when the Krylov space exhausts the range
+    )[0]
+    return float(shift + 1.0 / mu)
 
 
 def reduced_curvature(W, J, M) -> CurvatureResult:
     """Smallest generalized eigenvalue of Z'WZ v = a Z'MZ v on null(J).
 
-    W, J and M may be dense or sparse; Z comes from
-    :func:`numerics.nullspace_basis_sparse`.
+    W, J and M may be dense or sparse; M must be diagonal with positive
+    entries, as the variation Gram is.  No basis Z of null(J) is formed:
+    shift-invert Lanczos runs on the saddle matrix
+    [[W - sigma D, J^T], [J, 0]] (D = diag(M), or I for the Euclidean
+    value), whose inverse's (1,1) block is the inverse of the shifted
+    reduced pencil on null(J).  The shift sigma is certified to lie below
+    the pencil's spectrum: 0 when W + rho J^T J is positive definite
+    (Finsler: then so is Z'WZ), else the Gershgorin floor of
+    D^-1/2 W D^-1/2, which bounds the pencil on the whole space and so on
+    null(J).
+
+    Raises :class:`ConstraintQualificationError` when J is rank deficient
+    relative to ``RANK_RCOND``, and :class:`ContractError` when M is not
+    diagonal and positive.
     """
     W, J, M = (scipy.sparse.csr_matrix(a, dtype=float) for a in (W, J, M))
-    Z = nullspace_basis_sparse(J, M)
-    if Z.shape[1] == 0:
+    n_c, n_z = J.shape
+    if n_c > n_z or (n_c and _rank_deficient(J)):
+        raise ConstraintQualificationError(
+            "constraint Jacobian is rank deficient; strong regularity fails"
+        )
+    D = M.diagonal()
+    if (
+        M.shape != (n_z, n_z)
+        or M.count_nonzero() != np.count_nonzero(D)
+        or not np.all((D > 0.0) & (D < math.inf))
+    ):
+        raise ContractError("variation Gram matrix must be diagonal and positive")
+    d = n_z - n_c
+    if d == 0:
         return CurvatureResult(math.inf, math.inf, 0)
-    A = Z.T @ _sparse_times(W, Z)
-    A = 0.5 * (A + A.T)
-    B = Z.T @ _sparse_times(M, Z)
-    B = 0.5 * (B + B.T)
-    try:
-        L = np.linalg.cholesky(B)
-    except np.linalg.LinAlgError as exc:
-        raise ContractError("variation Gram matrix is not positive definite") from exc
-    # C = L^-1 A L^-T, symmetric similarity of the pencil
-    Y = scipy.linalg.solve_triangular(L, A, lower=True)
-    C = scipy.linalg.solve_triangular(L, Y.T, lower=True).T
-    alpha = sym_eig_min(0.5 * (C + C.T))
-    alpha_euclid = sym_eig_min(A)
-    return CurvatureResult(alpha, alpha_euclid, Z.shape[1])
+    W = 0.5 * (W + W.T)
+    if W.count_nonzero() == 0:  # both values are 0; no margin is relative to a zero W
+        return CurvatureResult(0.0, 0.0, d)
+
+    rho = PENALTY_SCALE * abs(W).max() / abs(J).max() ** 2 if n_c else 0.0
+    positive = ldl_positive_definite(W + rho * (J.T @ J))
+    shared = _saddle_lu(W, J, 0.0, D) if positive else None
+    values = []
+    for weight in (D, np.ones(n_z)):
+        root = np.sqrt(weight)
+        shift = 0.0 if positive else _gershgorin_shift(W, 1.0 / root)
+        lu = shared if positive else _saddle_lu(W, J, shift, weight)
+        values.append((shift, _lowest_pencil_eigenvalue(lu, n_z, shift, root)))
+    (shift, alpha), (_, alpha_euclid) = values
+    return CurvatureResult(alpha, alpha_euclid, d, shift)
 
 
 @dataclass

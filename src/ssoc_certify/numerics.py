@@ -1,13 +1,16 @@
 """Linear algebra kernels for certification.
 
 The certification path runs on sparse kernels: SuperLU factorizations
-(``scipy.sparse.linalg.splu``) and ARPACK Lanczos (``eigsh``).  The functions
-here pin down the contracts the rest of the package relies on (symmetry
-checks, rank checks).  The dense reference kernels the tests compare the
-sparse ones against live in ``tests/oracles.py``, except the dense LDL^T
-factorization at the end of this module: the perfbench tracer patches
-``numerics.LdlFactorization`` by name, so it stays here until the benchmark
-changes.
+(``scipy.sparse.linalg.splu``) and ARPACK Lanczos (``eigsh``); no dense
+matrix of the decision-space size is formed.  The functions here pin down
+the contracts the rest of the package relies on: the rank test on J
+(:func:`sparse_sigma_extremes`), sigma_min(M_h) (:func:`sparse_sigma_min`)
+and the positive-definiteness test (:func:`ldl_positive_definite`) that
+certifies the reduced curvature's shift.  The dense reference kernels the
+tests compare the sparse ones against live in ``tests/oracles.py``, except
+the dense LDL^T factorization at the end of this module: the perfbench
+tracer patches ``numerics.LdlFactorization`` by name, so it stays here until
+the benchmark changes.
 """
 
 from __future__ import annotations
@@ -17,48 +20,50 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import ConstraintQualificationError, ContractError
-
-# ARPACK start vectors and the null-space projection block are drawn from
-# this seed, so that repeat runs give bitwise equal results.
+# ARPACK start vectors are drawn from this seed, so that repeat runs give
+# bitwise equal results.
 SEED = 0
-# nullspace_basis_sparse draws its Gaussian block PROJECTION_BLOCK columns at
-# a time (the draw order fixes Z bit for bit) and projects SOLVE_BLOCK of
-# them per sparse solve.  SuperLU solves each column alike, so SOLVE_BLOCK
-# does not change Z; it bounds the solve's working memory at a few times
-# (n_z + n_c) * SOLVE_BLOCK doubles besides Z and one drawn block.
-PROJECTION_BLOCK = 256
-SOLVE_BLOCK = 32
 
 
-def _start_vector(k):
+def start_vector(k):
     return np.random.default_rng(SEED).standard_normal(k)
 
 
-def _check_symmetric(A, tol=1e-10):
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ContractError("matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
-    if float(np.max(np.abs(A - A.T))) > tol * scale:
-        raise ContractError("matrix is not symmetric within tolerance")
-    return A
+def sparse_lu(A, **options):
+    """SuperLU factors of a square matrix, or None when a pivot is exactly zero.
 
-
-def sym_eig_min(A, sym_tol=1e-10) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    A = _check_symmetric(A, sym_tol)
-    return float(np.linalg.eigvalsh(A)[0])
-
-
-def sparse_lu(A):
-    """SuperLU factors of a square matrix, or None when a pivot is exactly zero."""
+    ``options`` go to ``scipy.sparse.linalg.splu``.
+    """
     try:
-        return scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(A, dtype=float))
+        return scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(A, dtype=float), **options)
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
         return None
+
+
+def ldl_positive_definite(A) -> bool:
+    """True when the symmetric sparse A factors as P A P^T = L D L^T with D > 0.
+
+    SuperLU runs with a symmetric ordering, no off-diagonal pivoting and its
+    symmetric mode.  When the row and column permutations agree, no pivot
+    left the diagonal, so the factorization is the LDL^T of P A P^T, and
+    positive pivots make every leading principal minor positive (Sylvester's
+    criterion): A is positive definite.  Any other outcome (an off-diagonal
+    pivot, a pivot <= 0, an exactly singular A) gives False; A may still be
+    positive definite then.
+    """
+    lu = sparse_lu(
+        A,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    return (
+        lu is not None
+        and np.array_equal(lu.perm_r, lu.perm_c)
+        and bool(np.all(lu.U.diagonal() > 0.0))
+    )
 
 
 def _short_side_gram(A):
@@ -67,6 +72,29 @@ def _short_side_gram(A):
     if A.shape[0] > A.shape[1]:
         A = A.T.tocsr()
     return A, (A @ A.T).tocsc()
+
+
+def _gram_sigma_min(B, G) -> float:
+    k = G.shape[0]
+    if k <= 1:
+        return float(scipy.sparse.linalg.norm(B)) if k else 0.0
+    lu = sparse_lu(G)
+    if lu is None:
+        return 0.0
+    inverse = scipy.sparse.linalg.LinearOperator(G.shape, matvec=lu.solve, dtype=float)
+    _, y = scipy.sparse.linalg.eigsh(G, k=1, sigma=0.0, OPinv=inverse, v0=start_vector(k))
+    return float(np.linalg.norm(B.T @ y[:, 0]))
+
+
+def _gram_sigma_max(B, G) -> float:
+    k = G.shape[0]
+    if k <= 1:
+        return float(scipy.sparse.linalg.norm(B)) if k else 0.0
+    # three digits suffice for a scale; full accuracy costs 10x the iterations
+    top = scipy.sparse.linalg.eigsh(
+        G, k=1, which="LA", v0=start_vector(k), tol=1e-3, return_eigenvectors=False
+    )
+    return float(np.sqrt(max(top[0], 0.0)))
 
 
 def sparse_sigma_min(A) -> float:
@@ -79,16 +107,7 @@ def sparse_sigma_min(A) -> float:
     round-off, so a singular value far below sqrt(eps) is still resolved.
     An exactly singular Gram gives 0.
     """
-    B, G = _short_side_gram(A)
-    k = G.shape[0]
-    if k <= 1:
-        return float(scipy.sparse.linalg.norm(B)) if k else 0.0
-    lu = sparse_lu(G)
-    if lu is None:
-        return 0.0
-    inverse = scipy.sparse.linalg.LinearOperator(G.shape, matvec=lu.solve, dtype=float)
-    _, y = scipy.sparse.linalg.eigsh(G, k=1, sigma=0.0, OPinv=inverse, v0=_start_vector(k))
-    return float(np.linalg.norm(B.T @ y[:, 0]))
+    return _gram_sigma_min(*_short_side_gram(A))
 
 
 def sparse_sigma_max(A) -> float:
@@ -96,55 +115,16 @@ def sparse_sigma_max(A) -> float:
 
     Lanczos on the Gram matrix of the short side.
     """
-    B, G = _short_side_gram(A)
-    k = G.shape[0]
-    if k <= 1:
-        return float(scipy.sparse.linalg.norm(B)) if k else 0.0
-    # three digits suffice for a scale; full accuracy costs 10x the iterations
-    top = scipy.sparse.linalg.eigsh(
-        G, k=1, which="LA", v0=_start_vector(k), tol=1e-3, return_eigenvectors=False
-    )
-    return float(np.sqrt(max(top[0], 0.0)))
+    return _gram_sigma_max(*_short_side_gram(A))
 
 
-def nullspace_basis_sparse(J, M, rcond=1e-10) -> np.ndarray:
-    """Orthonormal basis Z of the null space of a full-row-rank sparse J.
+def sparse_sigma_extremes(A) -> tuple[float, float]:
+    """(sparse_sigma_min(A), sparse_sigma_max(A)) from one Gram matrix.
 
-    ``M`` must be positive definite on null(J) (the variation Gram).  One
-    sparse LU of [[M, J^T], [J, 0]] maps a fixed-seed Gaussian block of
-    width n_z - n_c to its M-orthogonal projection onto null(J); a thin QR
-    of the projected block gives Z.
-
-    Raises :class:`ConstraintQualificationError` when J is rank deficient
-    relative to ``rcond``: sigma_min(J) <= rcond * max(1, sigma_max(J)).
-    Raises :class:`ContractError` when the saddle matrix is singular for a
-    full-rank J, which means M is singular on null(J).
+    Bitwise equal to the two separate calls, which each form the Gram.
     """
-    J = scipy.sparse.csr_matrix(J, dtype=float)
-    n_c, n_z = J.shape
-    if n_c == 0:
-        return np.eye(n_z)
-    if n_c > n_z or sparse_sigma_min(J) <= rcond * max(1.0, sparse_sigma_max(J)):
-        raise ConstraintQualificationError(
-            "constraint Jacobian is rank deficient; strong regularity fails"
-        )
-    d = n_z - n_c
-    if d == 0:
-        return np.zeros((n_z, 0))
-    M = scipy.sparse.csr_matrix(M, dtype=float)
-    lu = sparse_lu(scipy.sparse.bmat([[M, J.T], [J, None]]))
-    if lu is None:
-        raise ContractError("variation Gram matrix is singular on the null space of J")
-    rng = np.random.default_rng(SEED)
-    projected = np.empty((n_z, d), order="F")
-    for start in range(0, d, PROJECTION_BLOCK):
-        block = M @ rng.standard_normal((n_z, min(PROJECTION_BLOCK, d - start)))
-        for col in range(0, block.shape[1], SOLVE_BLOCK):
-            width = min(SOLVE_BLOCK, block.shape[1] - col)
-            rhs = np.zeros((n_z + n_c, width))
-            rhs[:n_z] = block[:, col : col + width]
-            projected[:, start + col : start + col + width] = lu.solve(rhs)[:n_z]
-    return scipy.linalg.qr(projected, mode="economic", overwrite_a=True)[0]
+    B, G = _short_side_gram(A)
+    return _gram_sigma_min(B, G), _gram_sigma_max(B, G)
 
 
 # -- dense reference kernel ----------------------------------------------------

@@ -1,13 +1,25 @@
 """Dense LAPACK reference kernels the tests compare the sparse ones against.
 
-Full SVDs and explicit saddle matrices: O(dim^3) and O(dim^2) memory, fine
-at test sizes.  The dense LDL^T factorization they pair with stays in
-``ssoc_certify.numerics`` (the perfbench tracer patches it there by name).
+Full SVDs, dense eigensolves and explicit saddle matrices: O(dim^3) and
+O(dim^2) memory, fine at test sizes.  The dense LDL^T factorization they pair
+with stays in ``ssoc_certify.numerics`` (the perfbench tracer patches it there
+by name).
 """
 
 import numpy as np
 
-from ssoc_certify.errors import ConstraintQualificationError
+from ssoc_certify.errors import ConstraintQualificationError, ContractError
+
+
+def sym_eig_min(A, sym_tol=1e-10) -> float:
+    """Smallest eigenvalue of a symmetric matrix."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ContractError("matrix must be square")
+    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
+    if float(np.max(np.abs(A - A.T))) > sym_tol * scale:
+        raise ContractError("matrix is not symmetric within tolerance")
+    return float(np.linalg.eigvalsh(A)[0])
 
 
 def sigma_min(A) -> float:

@@ -16,10 +16,9 @@ import time
 import numpy as np
 
 import ssoc_certify as sc
-from oracles import nullspace_basis, sigma_min
+from oracles import nullspace_basis, sigma_min, sym_eig_min
 from ssoc_certify import cli, constants as cn, model, transcription as tr
 from ssoc_certify.errors import ConstraintQualificationError
-from ssoc_certify.numerics import sym_eig_min
 
 
 def _report(criterion, clauses):

@@ -1,23 +1,63 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ssoc_certify as sc
 from oracles import nullspace_basis
 from ssoc_certify import certify, constants as cn, transcription as tr
-from ssoc_certify.errors import ConstraintQualificationError
+from ssoc_certify.errors import ConstraintQualificationError, ContractError
 
 
 def test_pencil_proportional_matrices():
     rng = np.random.default_rng(3)
-    A = rng.normal(size=(8, 8))
-    M = A @ A.T + 2 * np.eye(8)
+    M = np.diag(rng.uniform(0.1, 3.0, 8))
     W = 2.0 * M
     J = rng.normal(size=(3, 8))
     out = sc.reduced_curvature(W, J, M)
     assert out.alpha_hat == pytest.approx(2.0, rel=1e-10)
+
+
+def test_unconstrained_curvature_is_full_space_pencil():
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(9, 9))
+    M = np.diag(rng.uniform(0.1, 3.0, 9))
+    # indefinite, definite, and zero (no margin is relative to a zero W)
+    for W in (0.5 * (B + B.T), B @ B.T + np.eye(9), np.zeros((9, 9))):
+        out = sc.reduced_curvature(W, np.zeros((0, 9)), M)
+        assert out.null_dim == 9
+        assert out.alpha_hat == pytest.approx(scipy.linalg.eigh(W, M, eigvals_only=True)[0], rel=1e-10)
+        assert out.alpha_hat_euclidean == pytest.approx(np.linalg.eigvalsh(W)[0], rel=1e-10)
+
+
+@pytest.mark.parametrize("diag", [[3.0, 2.0, 1.0], [3.0, -2.0, 1.0]], ids=["definite", "indefinite"])
+def test_curvature_scale_free_across_the_double_range(diag):
+    W = np.diag(diag) + 0.3 * (np.eye(3, k=1) + np.eye(3, k=-1))
+    J = np.array([[1.0, 0.0, 1.0]])
+    M = np.diag([0.5, 1.5, 2.0])
+    base = sc.reduced_curvature(W, J, M)
+    for scale in (1e-290, 1e290):
+        out = sc.reduced_curvature(scale * W, J, M)
+        assert out.alpha_hat == pytest.approx(scale * base.alpha_hat, rel=1e-10)
+        assert out.alpha_hat_euclidean == pytest.approx(scale * base.alpha_hat_euclidean, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.diag([1.0, 2.0, 1.0, 1.0]) + 0.1 * np.eye(4, k=1) + 0.1 * np.eye(4, k=-1),
+        np.diag([1.0, 0.0, 1.0, 1.0]),
+        np.diag([1.0, 1.0, -2.0, 1.0]),
+        np.diag([1.0, 1.0, np.nan, 1.0]),
+    ],
+    ids=["non-diagonal", "zero-weight", "negative-weight", "nan-weight"],
+)
+def test_curvature_metric_must_be_positive_diagonal(M):
+    with pytest.raises(ContractError):
+        sc.reduced_curvature(np.eye(4), np.array([[1.0, 1.0, 0.0, 0.0]]), M)
 
 
 def test_pencil_scale_invariance(lq_run):
@@ -49,6 +89,34 @@ def test_near_duplicate_jacobian_row_raises(quad_run, quad_problem):
     row[row != 0.0] += 1e-13
     with pytest.raises(ConstraintQualificationError):
         sc.reduced_curvature(W, np.vstack([J, row]), tr.variation_gram_sparse(layout))
+
+
+def test_curvature_stays_matrix_free(quad_problem, monkeypatch):
+    """At certify-large's mesh (quadrotor Hermite-Simpson, N=140) the reduced
+    curvature builds no dense null-space basis (2248 x 562, 10.1 MB): no QR,
+    no dense eigensolve, and a traced peak far below one basis."""
+    mesh = sc.Mesh.uniform(quad_problem.T, 140)
+    dkkt, rep = sc.solve(quad_problem, mesh, "hermite-simpson")
+    assert rep.converged
+    J, W = dkkt.kkt_matrices(quad_problem)
+    M = tr.variation_gram_sparse(dkkt.layout)
+    calls = []
+    for module, name in ((scipy.linalg, "qr"), (np.linalg, "eigvalsh")):
+
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    tracemalloc.start()
+    try:
+        curv = sc.reduced_curvature(W, J, M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert curv.null_dim == J.shape[1] - J.shape[0] == 562
+    assert calls == []
+    assert peak < 8 * 2**20, peak
 
 
 def test_repeat_certification_is_bitwise_equal(quad_run, quad_problem):

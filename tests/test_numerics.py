@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
-from oracles import kkt_matrix, nullspace_basis, sigma_min
-from ssoc_certify import numerics
+import ssoc_certify as sc
+from oracles import kkt_matrix, nullspace_basis, sigma_min, sym_eig_min
+from ssoc_certify import numerics, transcription
 from ssoc_certify.errors import ConstraintQualificationError, ContractError
 
 
@@ -22,14 +24,14 @@ def char_poly_roots(A):
 
 
 def test_sym_eig_min_diagonal():
-    assert numerics.sym_eig_min(np.diag([3.0, 1.0, 2.0])) == pytest.approx(1.0)
-    assert numerics.sym_eig_min(np.eye(5)) == pytest.approx(1.0)
+    assert sym_eig_min(np.diag([3.0, 1.0, 2.0])) == pytest.approx(1.0)
+    assert sym_eig_min(np.eye(5)) == pytest.approx(1.0)
 
 
 def test_sym_eig_min_rejects_asymmetric():
     A = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ContractError):
-        numerics.sym_eig_min(A)
+        sym_eig_min(A)
 
 
 def test_sym_eig_min_matches_char_poly_roots():
@@ -37,7 +39,7 @@ def test_sym_eig_min_matches_char_poly_roots():
     for _ in range(10):
         B = rng.normal(size=(8, 8))
         A = 0.5 * (B + B.T)
-        lo = numerics.sym_eig_min(A)
+        lo = sym_eig_min(A)
         roots = char_poly_roots(A)
         assert np.max(np.abs(roots.imag)) <= 1e-7
         assert lo == pytest.approx(np.min(roots.real), abs=1e-8)
@@ -50,8 +52,8 @@ def test_sym_eig_min_orthogonal_invariance():
     Q, _ = np.linalg.qr(rng.normal(size=(7, 7)))
     A_rot = Q.T @ A @ Q
     A_rot = 0.5 * (A_rot + A_rot.T)
-    assert numerics.sym_eig_min(A_rot) == pytest.approx(
-        numerics.sym_eig_min(A), abs=1e-9
+    assert sym_eig_min(A_rot) == pytest.approx(
+        sym_eig_min(A), abs=1e-9
     )
 
 
@@ -74,7 +76,7 @@ def test_sigma_min_equals_sqrt_eig_of_gram():
     for _ in range(10):
         A = rng.normal(size=(6, 9))
         smin = sigma_min(A)
-        gram_eig = numerics.sym_eig_min(A @ A.T)
+        gram_eig = sym_eig_min(A @ A.T)
         assert smin == pytest.approx(np.sqrt(max(gram_eig, 0.0)), abs=1e-8)
 
 
@@ -117,3 +119,34 @@ def test_ldl_factorization_inertia_and_solve():
     b = rng.normal(size=4)
     x = fact.solve(b)
     assert np.max(np.abs(K @ x - b)) <= 1e-12
+
+
+def test_sigma_extremes_form_one_gram_bitwise_equal(quad_run, quad_problem, monkeypatch):
+    J, W = quad_run.dkkt.kkt_matrices(quad_problem)
+    separate = (numerics.sparse_sigma_min(J), numerics.sparse_sigma_max(J))
+    grams = []
+    short_side_gram = numerics._short_side_gram
+
+    def counting(A):
+        grams.append(A.shape)
+        return short_side_gram(A)
+
+    monkeypatch.setattr(numerics, "_short_side_gram", counting)
+    assert numerics.sparse_sigma_extremes(J) == separate
+    assert grams == [J.shape]
+    # the rank test of the reduced curvature forms it once too
+    grams.clear()
+    sc.reduced_curvature(W, J, transcription.variation_gram_sparse(quad_run.dkkt.layout))
+    assert grams == [J.shape]
+
+
+def test_ldl_positive_definite_matches_eigenvalues():
+    rng = np.random.default_rng(29)
+    for shift in (-3.0, -0.5, 0.5, 3.0):
+        B = rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)
+        A = 0.5 * (B + B.T) + shift * np.eye(9)
+        expected = np.linalg.eigvalsh(A)[0] > 0.0
+        assert numerics.ldl_positive_definite(scipy.sparse.csr_matrix(A)) == expected, shift
+    # an exactly singular matrix and a zero diagonal (off-diagonal pivot) fail
+    assert not numerics.ldl_positive_definite(np.diag([1.0, 0.0, 2.0]))
+    assert not numerics.ldl_positive_definite(np.array([[0.0, 1.0], [1.0, 0.0]]))
