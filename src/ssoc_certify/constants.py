@@ -1,13 +1,15 @@
 """Estimation of the certification constants from discrete data.
 
 The state and control directions of the tube around the reconstruction are
-sampled: a structured time grid times per-axis offsets.  The costate
+sampled: ``TIME_SAMPLES_PER_INTERVAL`` uniform times per mesh interval,
+each with the full-radius offsets along every axis.  The costate
 direction is bounded over the whole dp-box instead: the Hamiltonian is
 affine in p, so Weyl's inequality turns lambda_min(H_uu) and ||H_ux|| at the
 centre costate into bounds that hold for every costate in the box.
 Lipschitz constants of second derivatives come from difference quotients at
 half-radius offsets and carry the factor ``SAFETY_FACTOR`` because sampled
-quotients lower-bound the true sup.
+quotients lower-bound the true sup.  ``FORMULAS`` holds the formula of each
+derived constant, serialized with the bundle.
 """
 
 from __future__ import annotations
@@ -25,33 +27,39 @@ from .numerics import sparse_sigma_min
 
 # multiplier on the sampled Lipschitz difference quotients
 SAFETY_FACTOR = 1.5
+# tube time samples per mesh interval
+TIME_SAMPLES_PER_INTERVAL = 4
 # rows per model batch of the tube: small meshes take the whole tube in one
 # batch, larger ones several, so that its peak memory stays bounded in N
 TUBE_BATCH_ROWS = 2048
 
+# the formula of each derived constant, serialized with the bundle
+FORMULAS = {
+    "L21": "safety * max ||d2g(c + r/2 e) - d2g(c)|| / (r/2)",
+    "rho": "min_samples lambda_min(H_uu(p_c)) - dp * sum_i ||(Hf_i)_uu||",
+    "H_ux": "max_samples ||H_ux(p_c)|| + dp * sum_i ||(Hf_i)_ux||",
+    "C_geo": "1 / sigma_min(M_h)",
+    "C_T": "c_Pi * exp(A_inf * T) * (1 + B_inf / rho)",
+    "C_quad": "h_max^2/12 * L21_H * (1 + A_inf*T + B_inf/rho)^2",
+    "C_Tprime": "c_Pi * L2 * h_max^p",
+    "Gamma": "C_geo * L2",
+    "Lambda": "C_int * (L21_H + M2f) + 2 * L21_K",
+    "C_close": "C_xp + (H_ux + H_up) C_xp / rho + 1 / rho",
+}
+
 
 @dataclass
 class TubeSpec:
-    """Sampling description of the tube around the reconstruction."""
+    """Radii of the tube around the reconstruction."""
 
     dx: float = 0.1
     du: float = 0.1
     dp: float = 0.1
-    samples_per_axis: int = 3
-    time_samples: Optional[int] = None  # default 4 * n_intervals
 
     def __post_init__(self):
         radii = (self.dx, self.du, self.dp)
         if not all(math.isfinite(r) and r > 0 for r in radii):
             raise SettingsError(f"tube radii must be finite and positive, got {radii}")
-        if self.samples_per_axis < 2:
-            raise SettingsError("need at least 2 samples per axis")
-        if self.time_samples is not None and not (
-            isinstance(self.time_samples, (int, np.integer)) and self.time_samples >= 2
-        ):
-            raise SettingsError(
-                f"time_samples must be None or an integer >= 2, got {self.time_samples!r}"
-            )
 
 
 @dataclass
@@ -86,7 +94,7 @@ class ConstantsBundle:
     safety_factor: float = SAFETY_FACTOR
     tube: Optional[TubeSpec] = None
     paper_constants: bool = False
-    formulas: dict = field(default_factory=dict)
+    formulas: dict = field(default_factory=lambda: dict(FORMULAS))
 
     def to_dict(self):
         return asdict(self)
@@ -141,19 +149,15 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
     derived constants are added by the other operations).
     """
     n, m = prob.n, prob.m
-    n_t = tube.time_samples or 4 * rec.mesh.n_intervals
+    n_t = TIME_SAMPLES_PER_INTERVAL * rec.mesh.n_intervals
     ts = np.linspace(0.0, rec.T, n_t)
     Xc = rec.X.eval(ts)
     Uc = rec.U.eval(ts)
     Pc = rec.P.eval(ts)
 
-    # offset grid over the (x, u) axes: full-radius corners per axis plus
-    # intermediate points when samples_per_axis > 3 (grids nest for odd counts)
-    scales = np.linspace(-1.0, 1.0, tube.samples_per_axis)
-    scales = scales[scales != 0.0]
     xu_radii = np.concatenate([np.full(n, tube.dx), np.full(m, tube.du)])
     end_radii = np.full(2 * n, tube.dx)
-    offsets = _axis_offsets(xu_radii, scales)
+    offsets = _axis_offsets(xu_radii, (-1.0, 1.0))
 
     def model_hessians(t, X, U):
         _, Fx, Fu, Hf = model.dynamics_batch(prob, t, X, U, order=2)
@@ -241,7 +245,7 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
     L21_L *= SAFETY_FACTOR
     L21_K *= SAFETY_FACTOR
 
-    bundle = ConstantsBundle(
+    return ConstantsBundle(
         rho=rho,
         L2=L2,
         M2f=M2f,
@@ -256,23 +260,15 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
         H_up_inf=H_up_inf,
         tube=tube,
     )
-    bundle.formulas.update(
-        {
-            "L21": "safety * max ||d2g(c + r/2 e) - d2g(c)|| / (r/2)",
-            "rho": "min_samples lambda_min(H_uu(p_c)) - dp * sum_i ||(Hf_i)_uu||",
-            "H_ux": "max_samples ||H_ux(p_c)|| + dp * sum_i ||(Hf_i)_ux||",
-        }
-    )
-    return bundle
 
 
 def estimate_C_geo(Mh):
-    """Geometric constant from the smallest singular value of M_h.
+    """(sigma_min(M_h), C_geo = 1 / sigma_min(M_h)).
 
     ``Mh`` is the Jacobian of the collocation equations at the discrete
-    solution (compressed form for Hermite-Simpson), dense or sparse; the
-    bound is 1 / sigma_min(Mh), with sigma_min from
-    shift-invert Lanczos on the sparse Gram M_h M_h^T.
+    solution (compressed form for Hermite-Simpson), dense or sparse;
+    sigma_min comes from shift-invert Lanczos on the sparse Gram
+    M_h M_h^T.
     """
     Mh = scipy.sparse.csr_matrix(Mh, dtype=float)
     smin = sparse_sigma_min(Mh)
@@ -282,7 +278,7 @@ def estimate_C_geo(Mh):
             f"sigma_min of the discrete KKT Jacobian is {smin:.3e}; "
             "strong regularity is violated"
         )
-    return {"sigma_min_Mh": smin, "C_geo": 1.0 / smin}
+    return smin, 1.0 / smin
 
 
 def compute_C_T(bundle: ConstantsBundle, scheme, T: float) -> float:
@@ -292,7 +288,7 @@ def compute_C_T(bundle: ConstantsBundle, scheme, T: float) -> float:
 
 
 def compute_quadrature_and_conformity(bundle: ConstantsBundle, scheme, mesh):
-    """Quadrature and nonconformity constants, both O(h^2) / O(h^p).
+    """(C_quad, C_Tprime): quadrature and nonconformity constants, O(h^2) and O(h^p).
 
     The quadrature constant uses the linear-in-horizon growth factor
     (1 + A_inf T + B_inf / rho); the Gronwall exponential that appears in
@@ -302,16 +298,9 @@ def compute_quadrature_and_conformity(bundle: ConstantsBundle, scheme, mesh):
     """
     scheme = transcription.parse_scheme(scheme)
     h_max = float(np.max(mesh.h))
-    T = mesh.T
-    growth = 1.0 + bundle.A_inf * T + bundle.B_inf / bundle.rho
+    growth = 1.0 + bundle.A_inf * mesh.T + bundle.B_inf / bundle.rho
     c_quad = (h_max**2 / 12.0) * bundle.L21_H * growth**2
-    c_tprime = scheme.lebesgue * bundle.L2 * h_max**scheme.degree
-    return {
-        "C_quad": c_quad,
-        "C_Tprime": c_tprime,
-        "formula_C_quad": "h_max^2/12 * L21_H * (1 + A_inf*T + B_inf/rho)^2",
-        "formula_C_Tprime": "c_Pi * L2 * h_max^p",
-    }
+    return c_quad, scheme.lebesgue * bundle.L2 * h_max**scheme.degree
 
 
 def compute_Lambda(bundle: ConstantsBundle) -> float:
@@ -320,10 +309,10 @@ def compute_Lambda(bundle: ConstantsBundle) -> float:
 
 
 def compute_C_close(bundle: ConstantsBundle, T: float):
-    """Proximity constant C_xp + C_u from the strong-regularity bound."""
+    """(C_xp, C_u, C_close = C_xp + C_u): the strong-regularity proximity constants."""
     c_xp = bundle.C_geo * (1.0 + T) * math.exp((bundle.A_inf + bundle.B_inf) * T)
     c_u = (bundle.H_ux_inf + bundle.H_up_inf) * c_xp / bundle.rho + 1.0 / bundle.rho
-    return {"C_xp_inf": c_xp, "C_u_inf": c_u, "C_close_inf": c_xp + c_u}
+    return c_xp, c_u, c_xp + c_u
 
 
 PAPER_CONSTANTS = {
@@ -349,42 +338,21 @@ def estimate_all(
     reproduces the published arithmetic chain; everything else is still
     estimated and recorded.
     """
-    scheme, mesh = dkkt.layout.scheme, dkkt.layout.mesh
-    tube = tube or TubeSpec()
-    bundle = estimate_curvature_bounds(prob, rec, tube)
+    layout = dkkt.layout
+    scheme, mesh = layout.scheme, layout.mesh
+    bundle = estimate_curvature_bounds(prob, rec, tube or TubeSpec())
     bundle.c_Pi = scheme.lebesgue
     bundle.C_int = max(mesh.T, 1.0)
-    Mh = transcription.compress_collocation_jacobian(dkkt.layout, dkkt.kkt_matrices(prob)[0])
-    geo = estimate_C_geo(Mh)
-    bundle.sigma_min_Mh = geo["sigma_min_Mh"]
-    bundle.C_geo = geo["C_geo"]
+    Mh = transcription.compress_collocation_jacobian(layout, dkkt.kkt_matrices(prob)[0])
+    bundle.sigma_min_Mh, bundle.C_geo = estimate_C_geo(Mh)
     bundle.C_T = compute_C_T(bundle, scheme, mesh.T)
-    qc = compute_quadrature_and_conformity(bundle, scheme, mesh)
-    bundle.C_quad = qc["C_quad"]
-    bundle.C_Tprime = qc["C_Tprime"]
+    bundle.C_quad, bundle.C_Tprime = compute_quadrature_and_conformity(bundle, scheme, mesh)
     bundle.Gamma = bundle.C_geo * bundle.L2
     bundle.Lambda = compute_Lambda(bundle)
-    close = compute_C_close(bundle, mesh.T)
-    bundle.C_xp_inf = close["C_xp_inf"]
-    bundle.C_u_inf = close["C_u_inf"]
-    bundle.C_close_inf = close["C_close_inf"]
-    bundle.formulas.update(
-        {
-            "C_geo": "1 / sigma_min(M_h)",
-            "C_T": "c_Pi * exp(A_inf * T) * (1 + B_inf / rho)",
-            "C_quad": qc["formula_C_quad"],
-            "C_Tprime": qc["formula_C_Tprime"],
-            "Gamma": "C_geo * L2",
-            "Lambda": "C_int * (L21_H + M2f) + 2 * L21_K",
-            "C_close": "C_xp + (H_ux + H_up) C_xp / rho + 1 / rho",
-        }
-    )
+    bundle.C_xp_inf, bundle.C_u_inf, bundle.C_close_inf = compute_C_close(bundle, mesh.T)
     if paper_constants:
         bundle.paper_constants = True
-        bundle.C_geo = PAPER_CONSTANTS["C_geo"]
-        bundle.Gamma = PAPER_CONSTANTS["Gamma"]
-        bundle.Lambda = PAPER_CONSTANTS["Lambda"]
-        bundle.C_close_inf = PAPER_CONSTANTS["C_close_inf"]
-        bundle.C_T = PAPER_CONSTANTS["C_T"]
+        for name, value in PAPER_CONSTANTS.items():
+            setattr(bundle, name, value)
     bundle.Gamma_tot = bundle.Gamma + bundle.C_quad + bundle.C_Tprime
     return bundle

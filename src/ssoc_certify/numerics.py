@@ -110,18 +110,11 @@ def sparse_sigma_min(A) -> float:
     return _gram_sigma_min(*_short_side_gram(A))
 
 
-def sparse_sigma_max(A) -> float:
-    """Largest singular value of a sparse (or dense) matrix to about three digits.
-
-    Lanczos on the Gram matrix of the short side.
-    """
-    return _gram_sigma_max(*_short_side_gram(A))
-
-
 def sparse_sigma_extremes(A) -> tuple[float, float]:
-    """(sparse_sigma_min(A), sparse_sigma_max(A)) from one Gram matrix.
+    """(smallest, largest) singular value of A from one Gram matrix.
 
-    Bitwise equal to the two separate calls, which each form the Gram.
+    The smallest is bitwise equal to :func:`sparse_sigma_min`; the largest
+    comes from Lanczos on the same Gram to about three digits.
     """
     B, G = _short_side_gram(A)
     return _gram_sigma_min(B, G), _gram_sigma_max(B, G)

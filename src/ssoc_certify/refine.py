@@ -18,8 +18,10 @@ class RefinePolicy:
     def __post_init__(self):
         if not 0.0 < self.fraction <= 1.0:
             raise SettingsError("fraction must lie in (0, 1]")
-        if self.max_rounds < 0 or self.max_total_intervals < 1:
-            raise SettingsError("policy bounds must be positive")
+        for name, low in (("max_rounds", 0), ("max_total_intervals", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= low):
+                raise SettingsError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass

@@ -51,10 +51,6 @@ class Scheme:
     quad: tuple
     lebesgue: float = 2.0
 
-    def __post_init__(self):
-        if self.degree < 1 or self.lebesgue < 1.0:
-            raise DimensionError("scheme requires degree >= 1 and lebesgue >= 1")
-
     @property
     def blocks(self):
         """Constraint row blocks per interval."""
@@ -83,11 +79,16 @@ SCHEMES = {
 
 
 def parse_scheme(kind) -> Scheme:
-    if isinstance(kind, Scheme):
+    """The registered scheme named ``kind``, or ``kind`` itself when registered.
+
+    Other tables are refused: the compressed collocation Jacobian assumes
+    the registered order of the row blocks.
+    """
+    if isinstance(kind, Scheme) and kind in SCHEMES.values():
         return kind
     try:
         return SCHEMES[kind]
-    except KeyError:
+    except (KeyError, TypeError):
         raise MeshError(
             f"unknown scheme {kind!r}; available: {', '.join(sorted(SCHEMES))}"
         ) from None

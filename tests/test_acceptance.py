@@ -209,7 +209,7 @@ def _quad_tube_enclosures(rec, bundle):
     (a, b) are bounded like those of M2f along th and by (1, 0) along u.
     """
     tube = bundle.tube
-    n_t = tube.time_samples or 4 * rec.mesh.n_intervals
+    n_t = cn.TIME_SAMPLES_PER_INTERVAL * rec.mesh.n_intervals
     ts = np.linspace(0.0, rec.T, n_t)
     th = rec.X.eval(ts)[:, TH]
     S = rec.U.eval(ts).sum(axis=1)
@@ -435,11 +435,7 @@ def test_criterion_9_negative_controls(quad_run, quad_problem):
     J, W = (a.toarray() for a in dkkt_p.kkt_matrices(quad_problem))
     M = tr.variation_gram_sparse(layout)
     curv = sc.reduced_curvature(W, J, M)
-    test = sc.acceptance_test(curv.alpha_hat, bundle, rep.E_N2_node)
-    cert_p = sc.finalize_certificate(
-        curv.alpha_hat, curv, bundle, rep, test, rep.E_N2_node, rep.E_inf,
-        "node-quadrature", True, {},
-    )
+    cert_p = sc.finalize_certificate(curv, bundle, rep, sc.CertifySettings(), {})
     flipped = not cert_p.accepted
     halved = cert_p.alpha_cont <= 0.5 * baseline.alpha_cont
     clauses.append(

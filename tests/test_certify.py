@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -232,12 +233,9 @@ def test_rejected_certificate_has_no_radius():
     bundle = cn.ConstantsBundle(
         C_T=0.0, Gamma_tot=1e3, Lambda=1.0, rho=1.0, C_close_inf=1.0
     )
-    test = sc.acceptance_test(1e-6, bundle, 1e-8)
     curv = certify.CurvatureResult(1e-6, 1e-6, 3)
-    rep = _dummy_report()
-    cert = sc.finalize_certificate(
-        1e-6, curv, bundle, rep, test, 1e-8, 1e-8, "node-quadrature", True, {}
-    )
+    rep = dataclasses.replace(_dummy_report(), E_N2_node=1e-8, E_inf=1e-8)
+    cert = sc.finalize_certificate(curv, bundle, rep, sc.CertifySettings(), {})
     assert not cert.accepted
     assert cert.trust_radius is None
     assert cert.reject_reason == "curvature below residual threshold"

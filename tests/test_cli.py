@@ -48,7 +48,7 @@ def test_certify_writes_outputs_and_exit_zero(tmp_path):
     assert set(cert["provenance"]["settings"]) == SETTINGS_KEYS
     assert set(cert["constants"]) == CONSTANTS_KEYS
     assert cert["constants"]["tube"] == {
-        "dx": 0.1, "du": 0.1, "dp": 0.1, "samples_per_axis": 3, "time_samples": None,
+        "dx": 0.1, "du": 0.1, "dp": 0.1,
     }
     assert cert["provenance"]["scheme"] == "hermite-simpson"
     with (tmp_path / "trajectory.csv").open() as fh:

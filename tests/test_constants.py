@@ -14,18 +14,12 @@ from ssoc_certify.errors import LegendreViolationError, SettingsError, StrongReg
 def test_tube_spec_validation():
     for kwargs in (
         {"dx": 0.0},
-        {"samples_per_axis": 1},
         {"dp": math.nan},
         {"du": math.inf},
         {"dx": -0.1},
-        {"time_samples": 0},
-        {"time_samples": 1},
-        {"time_samples": -3},
-        {"time_samples": 8.0},
     ):
         with pytest.raises(SettingsError):
             cn.TubeSpec(**kwargs)
-    assert cn.TubeSpec(time_samples=2).time_samples == 2
 
 
 def test_lq_lipschitz_constants_vanish(lq_run):
@@ -53,10 +47,14 @@ def test_compute_c_t_plug_in_values():
 
 def test_quadrature_constant_scaling_with_mesh():
     b = cn.ConstantsBundle(A_inf=1.0, B_inf=1.0, rho=0.5, L21_H=2.0, L2=3.0)
-    coarse = cn.compute_quadrature_and_conformity(b, "hermite-simpson", sc.Mesh.uniform(1.0, 10))
-    fine = cn.compute_quadrature_and_conformity(b, "hermite-simpson", sc.Mesh.uniform(1.0, 20))
-    assert fine["C_quad"] == pytest.approx(coarse["C_quad"] / 4.0, rel=1e-12)
-    assert fine["C_Tprime"] == pytest.approx(coarse["C_Tprime"] / 8.0, rel=1e-12)
+    quad_c, tprime_c = cn.compute_quadrature_and_conformity(
+        b, "hermite-simpson", sc.Mesh.uniform(1.0, 10)
+    )
+    quad_f, tprime_f = cn.compute_quadrature_and_conformity(
+        b, "hermite-simpson", sc.Mesh.uniform(1.0, 20)
+    )
+    assert quad_f == pytest.approx(quad_c / 4.0, rel=1e-12)
+    assert tprime_f == pytest.approx(tprime_c / 8.0, rel=1e-12)
 
 
 def test_quadrature_constant_vanishes_without_third_derivatives(lq_run):
@@ -71,20 +69,21 @@ def test_lambda_hand_value():
 
 def test_c_close_hand_value_and_monotonicity():
     b = cn.ConstantsBundle(A_inf=0.0, B_inf=0.0, rho=1.0, C_geo=1.0, H_ux_inf=0.0, H_up_inf=0.0)
-    out = cn.compute_C_close(b, 1.0)
-    assert out["C_close_inf"] == pytest.approx(3.0)
+    c_xp, c_u, c_close = cn.compute_C_close(b, 1.0)
+    assert c_close == pytest.approx(3.0)
+    assert c_close == c_xp + c_u
     b2 = cn.ConstantsBundle(A_inf=0.0, B_inf=0.0, rho=2.0, C_geo=1.0, H_ux_inf=0.0, H_up_inf=0.0)
-    assert cn.compute_C_close(b2, 1.0)["C_u_inf"] < out["C_u_inf"]
+    assert cn.compute_C_close(b2, 1.0)[1] < c_u
 
 
 def test_c_geo_identity_and_lift_override():
     rng = np.random.default_rng(31)
     A = rng.normal(size=(6, 6))
     spd = A @ A.T + np.eye(6)
-    out = cn.estimate_C_geo(spd)
-    assert out["C_geo"] * out["sigma_min_Mh"] == pytest.approx(1.0, rel=1e-12)
-    out2 = cn.estimate_C_geo(np.eye(4))
-    assert out2["sigma_min_Mh"] == pytest.approx(1.0)
+    smin, c_geo = cn.estimate_C_geo(spd)
+    assert c_geo * smin == pytest.approx(1.0, rel=1e-12)
+    smin_eye, _ = cn.estimate_C_geo(np.eye(4))
+    assert smin_eye == pytest.approx(1.0)
 
 
 def test_c_geo_rejects_singular():
@@ -129,13 +128,14 @@ def test_tube_growth_monotonicity(quad_problem, quad_run):
 
 
 def test_sampling_refinement_stability(quad_problem, quad_run):
-    coarse = quad_run.bundle  # 3 samples/axis, 140 time samples
+    coarse = quad_run.bundle  # full-radius axis offsets, 140 time samples
     n_t = 4 * 35 * 2 - 1  # nests the coarse uniform time grid
-    fine_tube = cn.TubeSpec(samples_per_axis=5, time_samples=n_t)
-    fine = cn.estimate_curvature_bounds(quad_problem, quad_run.rec, fine_tube)
+    fine = _per_offset_curvature_bounds(
+        quad_problem, quad_run.rec, cn.TubeSpec(), (-1.0, -0.5, 0.5, 1.0), n_t
+    )  # 5 samples per axis
     for fieldname in ("L2", "M2f", "L21_f", "L21_L", "P_max", "A_inf", "B_inf"):
         c = getattr(coarse, fieldname)
-        f = getattr(fine, fieldname)
+        f = fine[fieldname]
         assert f >= c - 1e-12  # sups grow under refinement
         assert f <= c * 1.2 + 1e-12
 
@@ -150,26 +150,34 @@ def _svd_norms(stack):
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
-def _tube_batch(prob, rec, tube):
-    """The tube's time grid, centre values and its (t, x, u, p) batch."""
+def _fixed_grid(rec):
+    """The tube's grid: full-radius axis offsets, 4 times per interval."""
+    return (-1.0, 1.0), cn.TIME_SAMPLES_PER_INTERVAL * rec.mesh.n_intervals
+
+
+def _tube_batch(prob, rec, tube, scales, n_t):
+    """The time grid, centre values and (t, x, u, p) batch of the tube that
+    offsets by each of ``scales`` times the radius along every axis at
+    ``n_t`` uniform times."""
     n, m = prob.n, prob.m
-    ts = np.linspace(0.0, rec.T, tube.time_samples or 4 * rec.mesh.n_intervals)
+    ts = np.linspace(0.0, rec.T, n_t)
     Xc, Uc, Pc = rec.X.eval(ts), rec.U.eval(ts), rec.P.eval(ts)
-    scales = np.linspace(-1.0, 1.0, tube.samples_per_axis)
-    scales = scales[scales != 0.0]
     xu_radii = np.concatenate([np.full(n, tube.dx), np.full(m, tube.du)])
     offsets = cn._axis_offsets(xu_radii, scales)
     X_all = np.concatenate([Xc[None], Xc + offsets[:, None, :n]]).reshape(-1, n)
     U_all = np.concatenate([Uc[None], Uc + offsets[:, None, n:]]).reshape(-1, m)
     t_all = np.tile(ts, len(offsets) + 1)
     P_all = np.tile(Pc, (len(offsets) + 1, 1))
-    return ts, Xc, Uc, Pc, scales, xu_radii, t_all, X_all, U_all, P_all
+    return ts, Xc, Uc, Pc, xu_radii, t_all, X_all, U_all, P_all
 
 
-def _per_offset_curvature_bounds(prob, rec, tube, safety_factor=1.5):
-    """The tube with one model call per endpoint offset and an SVD per norm."""
+def _per_offset_curvature_bounds(prob, rec, tube, scales, n_t, safety_factor=1.5):
+    """The tube on a given grid with one model call per endpoint offset and
+    an SVD per norm."""
     n = prob.n
-    ts, Xc, Uc, Pc, scales, xu_radii, t_all, X_all, U_all, P_all = _tube_batch(prob, rec, tube)
+    ts, Xc, Uc, Pc, xu_radii, t_all, X_all, U_all, P_all = _tube_batch(
+        prob, rec, tube, scales, n_t
+    )
     end_radii = np.full(2 * n, tube.dx)
     _, Fx, Fu, Hf = model.dynamics_batch(prob, t_all, X_all, U_all, order=2)
     _, _, Lh = model.running_cost_batch(prob, t_all, X_all, U_all, order=2)
@@ -222,7 +230,7 @@ def _costate_box_bounds(prob, rec, tube):
     max and min sit at the 2^n corners, which makes the corner values exact.
     """
     n = prob.n
-    *_, t_all, X_all, U_all, P_all = _tube_batch(prob, rec, tube)
+    *_, t_all, X_all, U_all, P_all = _tube_batch(prob, rec, tube, *_fixed_grid(rec))
     _, _, _, Hf = model.dynamics_batch(prob, t_all, X_all, U_all, order=2)
     _, _, Lh = model.running_cost_batch(prob, t_all, X_all, U_all, order=2)
 
@@ -288,7 +296,7 @@ def test_curvature_bounds_match_per_offset_reference(quad_problem, quad_run, cas
         # the tube only samples the problem's functions around rec
         prob = _coupled_quadrotor(prob, control=case.startswith("control"))
     got = cn.estimate_curvature_bounds(prob, rec, cn.TubeSpec())
-    ref = _per_offset_curvature_bounds(prob, rec, cn.TubeSpec())
+    ref = _per_offset_curvature_bounds(prob, rec, cn.TubeSpec(), *_fixed_grid(rec))
     box = _costate_box_bounds(prob, rec, cn.TubeSpec())
     # the costate direction is bounded over the whole dp-box by Weyl's
     # inequality, not sampled at the 2n + 1 axis offsets of the reference;
@@ -324,7 +332,7 @@ def test_tube_batch_rows_change_no_bound(quad_run, quad_problem, monkeypatch):
         return inner(prob, t, X, U, order=order)
 
     monkeypatch.setattr(model, "dynamics_batch", recording)
-    n_t = 4 * quad_run.rec.mesh.n_intervals
+    n_t = cn.TIME_SAMPLES_PER_INTERVAL * quad_run.rec.mesh.n_intervals
     d = quad_problem.n + quad_problem.m
     monkeypatch.setattr(cn, "TUBE_BATCH_ROWS", 10**9)
     whole = cn.estimate_curvature_bounds(quad_problem, quad_run.rec, cn.TubeSpec())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ssoc_certify as sc
+from ssoc_certify.errors import SettingsError
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +23,18 @@ def test_policy_validation():
         sc.RefinePolicy(fraction=0.0)
     with pytest.raises(ValueError):
         sc.RefinePolicy(max_total_intervals=0)
+    # a non-integer bound would reach range() inside certify_loop
+    for kwargs in (
+        {"max_rounds": 2.5},
+        {"max_rounds": -1},
+        {"max_rounds": "3"},
+        {"max_rounds": None},
+        {"max_total_intervals": 40.0},
+        {"max_total_intervals": 0},
+    ):
+        with pytest.raises(SettingsError):
+            sc.RefinePolicy(**kwargs)
+    assert sc.RefinePolicy(max_rounds=0, max_total_intervals=1).max_rounds == 0
 
 
 def test_already_certified_returns_in_one_round(lq_problem):
