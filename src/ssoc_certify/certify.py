@@ -17,6 +17,7 @@ from .errors import (
     ContractError,
     ConvergenceError,
     SettingsError,
+    is_number,
 )
 from .numerics import SEED, ldl_positive_definite, start_vector, sparse_lu, sparse_sigma_extremes
 
@@ -285,14 +286,15 @@ class CertifySettings:
     inject_alpha: Optional[float] = None
 
     def __post_init__(self):
-        if not (isinstance(self.quad_points, int) and self.quad_points >= 3):
+        if not (is_number(self.quad_points, int) and self.quad_points >= 3):
             raise SettingsError(f"quad_points must be an integer >= 3, got {self.quad_points!r}")
         for name in ("inject_e_n2", "inject_e_inf"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value >= 0.0):
+            if value is not None and not (is_number(value) and math.isfinite(value) and value >= 0.0):
                 raise SettingsError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.inject_alpha is not None and not math.isfinite(self.inject_alpha):
-            raise SettingsError(f"inject_alpha must be finite, got {self.inject_alpha!r}")
+        alpha = self.inject_alpha
+        if alpha is not None and not (is_number(alpha) and math.isfinite(alpha)):
+            raise SettingsError(f"inject_alpha must be finite, got {alpha!r}")
 
 
 @dataclass

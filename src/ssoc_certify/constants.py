@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse
 
 from . import model, transcription
-from .errors import LegendreViolationError, SettingsError, StrongRegularityError
+from .errors import LegendreViolationError, SettingsError, StrongRegularityError, is_number
 from .numerics import sparse_sigma_min
 
 # multiplier on the sampled Lipschitz difference quotients
@@ -58,7 +58,7 @@ class TubeSpec:
 
     def __post_init__(self):
         radii = (self.dx, self.du, self.dp)
-        if not all(math.isfinite(r) and r > 0 for r in radii):
+        if not all(is_number(r) and math.isfinite(r) and r > 0 for r in radii):
             raise SettingsError(f"tube radii must be finite and positive, got {radii}")
 
 
@@ -202,6 +202,9 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
         rho = np.minimum(rho, np.min(np.linalg.eigvalsh(H_u[:, :, n:])[:, 0] - spread_uu))
         H_ux_inf = np.maximum(H_ux_inf, np.max(_spectral_norms(H_u[:, :, :n]) + spread_ux))
         H_up_inf = np.maximum(H_up_inf, np.max(_spectral_norms(np.swapaxes(Fu, 1, 2))))
+        # freed before the next batch is evaluated, so the peak memory holds
+        # one batch's arrays, not two
+        del Fx, Fu, Hf, Lh, H_u
     M2f, sup_L, rho, H_ux_inf, H_up_inf = map(float, (M2f, sup_L, rho, H_ux_inf, H_up_inf))
     if not rho > 0.0:
         raise LegendreViolationError(

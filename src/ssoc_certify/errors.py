@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+import numbers
+
+
+def is_number(value, kind=numbers.Real) -> bool:
+    """True when a setting is a ``kind`` number; bools are not numbers here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
 
 class SsocError(Exception):
     """Base class for all package errors."""

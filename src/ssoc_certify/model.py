@@ -84,7 +84,8 @@ def _batch_variables(prob, t, X, U, order):
 
     A single point may be given as X (n,) and U (m,); any other shape
     raises :class:`DimensionError`.  With order > 0 the columns are AD
-    variables seeded over d = n + m directions.
+    variables seeded over d = n + m directions; order 1 seeds them
+    first-order, so no Hessian part is formed.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -99,9 +100,18 @@ def _batch_variables(prob, t, X, U, order):
         us = [U[:, j] for j in range(prob.m)]
     else:
         d = prob.n + prob.m
-        xs = ad.seed_vector(X, 0, d)
-        us = ad.seed_vector(U, prob.n, d)
+        xs = ad.seed_vector(X, 0, d, first_order=order == 1)
+        us = ad.seed_vector(U, prob.n, d, first_order=order == 1)
     return np.asarray(t, dtype=float), xs, us, B
+
+
+def _jacobians(prob, out, B):
+    """(Fx (B, n, n), Fu (B, n, m)) of the dynamics components ``out``."""
+    grads = np.zeros((B, prob.n, prob.n + prob.m))
+    for i, c in enumerate(out):
+        if isinstance(c, ad.AdScalar2):
+            c.scatter_grad(grads[:, i])
+    return grads[:, :, : prob.n].copy(), grads[:, :, prob.n :].copy()
 
 
 def dynamics_batch(prob: OcpProblem, t, X, U, order=0):
@@ -120,22 +130,14 @@ def dynamics_batch(prob: OcpProblem, t, X, U, order=0):
     _require_finite(F, "dynamics")
     if order == 0:
         return F
-    Fx = np.empty((B, prob.n, prob.n))
-    Fu = np.empty((B, prob.n, prob.m))
-    for i, c in enumerate(out):
-        if isinstance(c, ad.AdScalar2):
-            Fx[:, i, :] = c.grad[:, : prob.n]
-            Fu[:, i, :] = c.grad[:, prob.n :]
-        else:
-            Fx[:, i, :] = 0.0
-            Fu[:, i, :] = 0.0
+    Fx, Fu = _jacobians(prob, out, B)
     if order == 1:
         return F, Fx, Fu
     d = prob.n + prob.m
     Hf = np.zeros((B, prob.n, d, d))
     for i, c in enumerate(out):
-        if isinstance(c, ad.AdScalar2) and not c.is_affine:
-            Hf[:, i] = c.hess
+        if isinstance(c, ad.AdScalar2):
+            c.scatter_hess(Hf[:, i])
     return F, Fx, Fu, Hf
 
 
@@ -161,7 +163,7 @@ def hamiltonian_batch(prob: OcpProblem, t, X, U, P):
 
     F (B, n) is the dynamics, H_x (B, n) and H_u (B, m) the partials of the
     Hamiltonian; one order-1 dynamics batch and one order-1 running-cost
-    batch serve all three.
+    batch, which form no Hessian, serve all three.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     F, Fx, Fu = dynamics_batch(prob, t, X, U, order=1)

@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from . import certify, residuals as residuals_mod, solver, transcription
-from .errors import SettingsError, SsocError
+from .errors import SettingsError, SsocError, is_number
 
 
 @dataclass
@@ -16,11 +16,11 @@ class RefinePolicy:
     max_total_intervals: int = 400
 
     def __post_init__(self):
-        if not 0.0 < self.fraction <= 1.0:
-            raise SettingsError("fraction must lie in (0, 1]")
+        if not (is_number(self.fraction) and 0.0 < self.fraction <= 1.0):
+            raise SettingsError(f"fraction must lie in (0, 1], got {self.fraction!r}")
         for name, low in (("max_rounds", 0), ("max_total_intervals", 1)):
             value = getattr(self, name)
-            if not (isinstance(value, int) and value >= low):
+            if not (is_number(value, int) and value >= low):
                 raise SettingsError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse
 
 from . import transcription
-from .errors import SettingsError, SolverBreakdownError
+from .errors import SettingsError, SolverBreakdownError, is_number
 from .numerics import sparse_lu
 
 # Curvature test of a Newton step: dz'(W + delta I) dz >= KAPPA |dz|^2.
@@ -34,7 +34,8 @@ class SolverOptions:
     kkt_tolerance: float = 1e-12
 
     def __post_init__(self):
-        if not (math.isfinite(self.kkt_tolerance) and self.kkt_tolerance > 0):
+        tol = self.kkt_tolerance
+        if not (is_number(tol) and math.isfinite(tol) and tol > 0):
             raise SettingsError(f"kkt_tolerance must be finite and > 0, got {self.kkt_tolerance!r}")
 
 
@@ -124,21 +125,20 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
     merit_history = []
 
     def kkt_state(z, nu):
-        g, c, J, W = transcription.eval_kkt(prob, layout, z, nu)
+        f, g, c, J, W = transcription.eval_kkt(prob, layout, z, nu)
         res = max(
             float(np.max(np.abs(g + J.T @ nu))),
             float(np.max(np.abs(c))) if c.size else 0.0,
         )
-        return g, c, J, W, res
+        return f, g, c, J, W, res
 
-    g, c, J, W, res = kkt_state(z, nu)
+    f0, g, c, J, W, res = kkt_state(z, nu)
     iterations = 0
 
     while res > options.kkt_tolerance and iterations < MAX_ITERATIONS:
         iterations += 1
         dz, nu_new, delta_used = newton_step(W, J, g, c)
         sigma = max(sigma, PENALTY_MARGIN * float(np.max(np.abs(nu_new), initial=0.0)))
-        f0 = transcription.eval_objective(prob, layout, z)
         theta0 = float(np.sum(np.abs(c)))
         merit0 = f0 + sigma * theta0
         slope = float(g @ dz) - sigma * theta0
@@ -156,7 +156,7 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
         merit_history.append(merit_t)
         z = z + alpha * dz
         nu = nu_new
-        g, c, J, W, res = kkt_state(z, nu)
+        f0, g, c, J, W, res = kkt_state(z, nu)
 
     converged = res <= options.kkt_tolerance
     if converged:
@@ -174,7 +174,7 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
             if trial[-1] < res:
                 z = z + dz
                 nu = nu_new
-                g, c, J, W, res = trial
+                f0, g, c, J, W, res = trial
             else:
                 break
 

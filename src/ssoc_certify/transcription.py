@@ -260,12 +260,16 @@ def quadrature_weights(layout: NlpLayout) -> np.ndarray:
     return _scatter_to_samples(layout, h[:, None] * np.asarray(layout.scheme.quad))
 
 
+def _objective(w, L, ept) -> float:
+    """Quadrature of the running cost values L plus the endpoint cost."""
+    return float(np.dot(w, L) + ept.K)
+
+
 def eval_objective(prob, layout, z) -> float:
     X, U = layout.unpack(z)
     w = quadrature_weights(layout)
     L = model.running_cost_batch(prob, layout.sample_times, X, U)
-    ept = model.eval_endpoint_terms(prob, X[0], X[-1])
-    return float(np.dot(w, L) + ept.K)
+    return _objective(w, L, model.eval_endpoint_terms(prob, X[0], X[-1]))
 
 
 def _defects(prob, layout, X, F, ept):
@@ -421,23 +425,25 @@ def _lagrangian_hessian(layout, w, S, Lh, Hf, ept):
 
 
 def eval_kkt(prob, layout, z, nu_all):
-    """(g, c, J, W) at (z, nu): objective gradient, constraints, sparse
-    constraint Jacobian and sparse Lagrangian Hessian.
+    """(f, g, c, J, W) at (z, nu): objective, objective gradient,
+    constraints, sparse constraint Jacobian and sparse Lagrangian Hessian.
 
     One order-2 model batch over the samples and one endpoint evaluation
-    serve all four.  This is the only evaluator of g, J and W; c alone,
-    as the line search needs it, comes from :func:`eval_defects`.
+    serve all five; f equals :func:`eval_objective` bitwise.  This is the
+    only evaluator of g, J and W; f and c alone, as the line search needs
+    them, come from :func:`eval_objective` and :func:`eval_defects`.
     """
     X, U = layout.unpack(z)
     _, lam = split_multipliers(layout, nu_all)
     w = quadrature_weights(layout)
     F, Fx, Fu, Hf = model.dynamics_batch(prob, layout.sample_times, X, U, order=2)
-    _, Lg, Lh = model.running_cost_batch(prob, layout.sample_times, X, U, order=2)
+    L, Lg, Lh = model.running_cost_batch(prob, layout.sample_times, X, U, order=2)
     ept = model.eval_endpoint_terms(prob, X[0], X[-1], lam)
     g = (w[:, None] * Lg).reshape(-1)
     g[layout.state_slice(0)] += ept.K_x0
     g[layout.state_slice(layout.n_samples - 1)] += ept.K_xT
     return (
+        _objective(w, L, ept),
         g,
         _defects(prob, layout, X, F, ept),
         _constraint_jacobian(layout, Fx, Fu, ept),
@@ -479,7 +485,7 @@ class DiscreteKkt:
     def kkt_matrices(self, prob):
         """(J, W) at (z, nu), evaluated here only when the solver kept none."""
         if self.J is None:
-            _, _, self.J, self.W = eval_kkt(prob, self.layout, self.z, self.nu)
+            _, _, _, self.J, self.W = eval_kkt(prob, self.layout, self.z, self.nu)
         return self.J, self.W
 
     @property

@@ -5,14 +5,19 @@ float) and ``("array", k)`` (a plain (B,) array); inner nodes apply
 ``+ - * /``, ``**``, unary minus and ``sin/cos/exp/log/sqrt``. Plain
 leaves land on either side of each operator. ``log``, ``sqrt``,
 fractional powers and denominators act on ``0.5 + e * e`` so every tree is
-smooth on all of R^d.
+smooth on all of R^d. The trees compared with the dense reference rules
+also draw ``("var", D + i)`` leaves: variable ``i`` seeded at the first
+point only, a single-row operand that broadcasts against the batch.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_ad
 from ssoc_certify import ad
+from ssoc_certify.errors import ContractError
 
 D = 3  # seed directions
 B = 5  # batch size
@@ -23,6 +28,7 @@ BINARY = ("add", "sub", "mul", "div")
 UNARY = ("neg", "sin", "cos", "exp", "log", "sqrt", "square", "cube", "pow_half", "pow_neg")
 
 var_leaf = st.integers(0, D - 1).map(lambda i: ("var", i))
+row_leaf = st.integers(D, 2 * D - 1).map(lambda i: ("var", i))
 plain_leaf = st.one_of(
     st.floats(-2.0, 2.0, allow_nan=False).map(lambda c: ("const", c)),
     st.integers(0, N_ARRAYS - 1).map(lambda k: ("array", k)),
@@ -49,15 +55,16 @@ def _affine(children):
 
 trees = st.recursive(st.one_of(var_leaf, var_leaf, plain_leaf), _general, max_leaves=8)
 affine_trees = st.recursive(st.one_of(var_leaf, plain_leaf), _affine, max_leaves=8)
+oracle_trees = st.recursive(st.one_of(var_leaf, row_leaf, plain_leaf), _general, max_leaves=8)
 seeds = st.integers(0, 2**32 - 1)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def _arrays_of(x):
-    """Every array of an operand: the value parts of an AD scalar, or the array itself."""
+    """Every array of an operand: the stored parts of an AD scalar, or the array itself."""
     if isinstance(x, ad.AdScalar2):
-        return [x.val, x.grad] + ([] if x.is_affine else [x.hess])
+        return [x.val, x._grad] + ([] if x._hess is None else [x._hess])
     if isinstance(x, np.ndarray):
         return [x]
     return []
@@ -66,9 +73,10 @@ def _arrays_of(x):
 class Evaluator:
     """Evaluates a tree; snapshots every operand so later writes show."""
 
-    def __init__(self, variables, arrays):
+    def __init__(self, variables, arrays, fns=ad):
         self.variables = variables
         self.arrays = arrays
+        self.fns = fns
         self.snapshots = []
 
     def apply(self, fn, *operands):
@@ -100,20 +108,20 @@ class Evaluator:
         if kind == "neg":
             return self.apply(lambda a: -a, e)
         if kind == "sin":
-            return self.apply(ad.sin, e)
+            return self.apply(self.fns.sin, e)
         if kind == "cos":
-            return self.apply(ad.cos, e)
+            return self.apply(self.fns.cos, e)
         if kind == "exp":
-            return self.apply(ad.exp, e)
+            return self.apply(self.fns.exp, e)
         if kind == "square":
             return self.apply(lambda a: a**2, e)
         if kind == "cube":
             return self.apply(lambda a: a**3, e)
         g = self.guard(e)
         if kind == "log":
-            return self.apply(ad.log, g)
+            return self.apply(self.fns.log, g)
         if kind == "sqrt":
-            return self.apply(ad.sqrt, g)
+            return self.apply(self.fns.sqrt, g)
         if kind == "pow_half":
             return self.apply(lambda a: a**1.5, g)
         return self.apply(lambda a: a**-0.5, g)
@@ -127,8 +135,10 @@ def _inputs(seed):
     return rng.uniform(-1.5, 1.5, size=(B, D)), rng.uniform(-2.0, 2.0, size=(N_ARRAYS, B))
 
 
-def _ad_eval(tree, X, arrays):
-    ev = Evaluator(ad.seed_vector(X, 0, D), list(arrays))
+def _ad_eval(tree, X, arrays, fns=ad, **seed_options):
+    """Evaluate on AD seeds: D batch variables, then D single-row ones."""
+    seeds = fns.seed_vector(X, 0, D, **seed_options) + fns.seed_vector(X[:1], 0, D, **seed_options)
+    ev = Evaluator(seeds, list(arrays), fns)
     return ev(tree), ev
 
 
@@ -185,3 +195,27 @@ def test_affine_trees_report_zero_hessian(tree, seed):
     assert out.is_affine
     assert out.hess.shape == (B, D, D)
     assert not np.any(out.hess)
+
+
+@SETTINGS
+@pytest.mark.parametrize("first_order", [False, True], ids=["order2", "order1"])
+@given(tree=oracle_trees, seed=seeds)
+def test_direction_blocks_equal_dense_rules_bitwise(first_order, tree, seed):
+    X, arrays = _inputs(seed)
+    out, ev = _ad_eval(tree, X, arrays, first_order=first_order)
+    assume(isinstance(out, ad.AdScalar2))
+    ref, _ = _ad_eval(tree, X, arrays, fns=dense_ad)
+    pairs = [(out.val, ref.val), (out.grad, ref.grad)]
+    if first_order:
+        with pytest.raises(ContractError):
+            out.hess
+    else:
+        assert out.is_affine == (ref._hess is None)
+        pairs.append((out.hess, ref.hess))
+    # outside its active directions the dense rules multiply zeros by the
+    # values, which a non-finite value turns into NaN
+    assume(all(np.all(np.isfinite(r)) for _, r in pairs))
+    assert ev.unchanged()
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)

@@ -10,7 +10,7 @@ import scipy.linalg
 import ssoc_certify as sc
 from oracles import nullspace_basis
 from ssoc_certify import certify, constants as cn, transcription as tr
-from ssoc_certify.errors import ConstraintQualificationError, ContractError
+from ssoc_certify.errors import ConstraintQualificationError, ContractError, SettingsError
 
 
 def test_pencil_proportional_matrices():
@@ -188,6 +188,13 @@ def test_simplified_test_recorded_when_margin_small():
     assert out.simplified_accepted
     out2 = sc.acceptance_test(1.0, bundle, 0.5)
     assert not out2.simplified_evaluated
+
+
+@pytest.mark.parametrize("name", ["inject_e_n2", "inject_e_inf", "inject_alpha"])
+@pytest.mark.parametrize("value", ["1e-8", True], ids=["str", "bool"])
+def test_settings_reject_strings_and_bools(name, value):
+    with pytest.raises(SettingsError):
+        sc.CertifySettings(**{name: value})
 
 
 def test_paper_arithmetic_chain_values(quad_problem):

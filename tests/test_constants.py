@@ -17,6 +17,9 @@ def test_tube_spec_validation():
         {"dp": math.nan},
         {"du": math.inf},
         {"dx": -0.1},
+        {"dx": "0.1"},
+        {"du": True},
+        {"dp": "0.1"},
     ):
         with pytest.raises(SettingsError):
             cn.TubeSpec(**kwargs)

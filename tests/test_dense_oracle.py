@@ -64,7 +64,7 @@ def test_newton_step_matches_ldl_solve(kkt_point, quad_problem):
     # the first Newton step from the solver's default initial guess
     layout = kkt_point.layout
     z0 = solver.default_initial_guess(quad_problem, layout)
-    g, c, J, W = tr.eval_kkt(quad_problem, layout, z0, np.zeros(layout.n_c))
+    _, g, c, J, W = tr.eval_kkt(quad_problem, layout, z0, np.zeros(layout.n_c))
     dz, nu, delta = sc.newton_step(W, J, g, c)
 
     ref = numerics.LdlFactorization(kkt_matrix(W.toarray(), J.toarray(), delta)).solve(

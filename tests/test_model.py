@@ -3,7 +3,7 @@ import pytest
 
 import ssoc_certify as sc
 from ssoc_certify import ad, model
-from ssoc_certify.errors import DimensionError, RegistryError
+from ssoc_certify.errors import ContractError, DimensionError, RegistryError
 
 
 def test_registry_lists_builtins():
@@ -81,6 +81,34 @@ def test_hamiltonian_with_zero_costate_is_running_cost_bitwise():
         _, Lg = model.running_cost_batch(prob, t, x[None], u[None], order=1)
         assert np.array_equal(H_x, Lg[:, :6]) and np.array_equal(H_u, Lg[:, 6:])
         assert np.array_equal(F, model.dynamics_batch(prob, t, x[None], u[None]))
+
+
+@pytest.mark.parametrize("name", ["quadrotor", "double-integrator-lq"])
+def test_first_order_calls_equal_second_order_parts_bitwise(name):
+    # order 1 seeds first-order AD values, which form no Hessian; every
+    # first-derivative entry must still come out as in the order-2 call
+    prob = sc.builtin_problem(name)
+    rng = np.random.default_rng(4)
+    B = 9
+    t = np.linspace(0.0, prob.T, B)
+    X, U, P = rng.normal(size=(B, prob.n)), rng.normal(size=(B, prob.m)), rng.normal(size=(B, prob.n))
+    F, Fx, Fu, _ = model.dynamics_batch(prob, t, X, U, order=2)
+    for got, want in zip(model.dynamics_batch(prob, t, X, U, order=1), (F, Fx, Fu)):
+        assert np.array_equal(got, want)
+    _, Lg, _ = model.running_cost_batch(prob, t, X, U, order=2)
+    F1, H_x, H_u = model.hamiltonian_batch(prob, t, X, U, P)
+    assert np.array_equal(F1, F)
+    assert np.array_equal(H_x, Lg[:, : prob.n] + np.einsum("bi,bij->bj", P, Fx))
+    assert np.array_equal(H_u, Lg[:, prob.n :] + np.einsum("bi,bij->bj", P, Fu))
+
+    d = prob.n + prob.m
+    xs = ad.seed_vector(X, 0, d, first_order=True)
+    us = ad.seed_vector(U, prob.n, d, first_order=True)
+    for c in [*prob.dynamics(t, xs, us), prob.running_cost(t, xs, us)]:
+        if isinstance(c, ad.AdScalar2):
+            assert c.first_order
+            with pytest.raises(ContractError):
+                c.hess
 
 
 def test_quadrotor_h_uu_is_control_weight_matrix():

@@ -37,6 +37,16 @@ def test_policy_validation():
     assert sc.RefinePolicy(max_rounds=0, max_total_intervals=1).max_rounds == 0
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"fraction": "0.3"}, {"fraction": True}, {"max_rounds": True}, {"max_total_intervals": True}],
+    ids=["fraction-str", "fraction-bool", "max_rounds-bool", "max_total_intervals-bool"],
+)
+def test_policy_rejects_strings_and_bools(kwargs):
+    with pytest.raises(SettingsError):
+        sc.RefinePolicy(**kwargs)
+
+
 def test_already_certified_returns_in_one_round(lq_problem):
     res = sc.certify_loop(lq_problem, sc.Mesh.uniform(1.0, 10), "hermite-simpson")
     assert res.termination == "accepted"

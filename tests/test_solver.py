@@ -3,7 +3,7 @@ import pytest
 
 import ssoc_certify as sc
 from ssoc_certify import model, solver, transcription
-from ssoc_certify.errors import SolverBreakdownError
+from ssoc_certify.errors import SettingsError, SolverBreakdownError
 
 
 def test_newton_step_solves_equality_qp_in_one_step():
@@ -86,6 +86,12 @@ def test_merit_history_monotone_nonincreasing(quad_problem):
     assert all(b <= a + 1e-10 * max(1.0, abs(a)) for a, b in zip(hist, hist[1:]))
 
 
+@pytest.mark.parametrize("value", [0.0, float("nan"), "1e-8", True])
+def test_options_reject_bad_tolerance(value):
+    with pytest.raises(SettingsError):
+        solver.SolverOptions(kkt_tolerance=value)
+
+
 def test_loose_tolerance_leaves_larger_residuals(quad_problem):
     mesh = sc.Mesh.uniform(quad_problem.T, 10)
     opts = solver.SolverOptions(kkt_tolerance=1e-2)
@@ -107,12 +113,23 @@ def test_report_records_guess_policy(lq_problem):
 
 def test_one_model_batch_per_newton_step(quad_problem, monkeypatch):
     """Every KKT evaluation of the solver is one order-2 dynamics batch, the
-    solve makes no costate batch, and certification reuses the solver's last
-    J and W."""
-    calls = {"derivative": 0, "kkt": [], "hamiltonian": 0}
+    solve makes no costate batch, the objective is evaluated only at line
+    search trials (with the constraints), and certification reuses the
+    solver's last J and W."""
+    calls = {"derivative": 0, "kkt": [], "hamiltonian": 0, "objective": 0, "defects": 0}
     dynamics_batch = model.dynamics_batch
     hamiltonian_batch = model.hamiltonian_batch
     eval_kkt = transcription.eval_kkt
+    eval_objective = transcription.eval_objective
+    eval_defects = transcription.eval_defects
+
+    def counting_objective(*args):
+        calls["objective"] += 1
+        return eval_objective(*args)
+
+    def counting_defects(*args):
+        calls["defects"] += 1
+        return eval_defects(*args)
 
     def counting_dynamics(prob, t, X, U, order=0):
         calls["derivative"] += order >= 1
@@ -131,6 +148,8 @@ def test_one_model_batch_per_newton_step(quad_problem, monkeypatch):
     monkeypatch.setattr(model, "dynamics_batch", counting_dynamics)
     monkeypatch.setattr(model, "hamiltonian_batch", counting_hamiltonian)
     monkeypatch.setattr(transcription, "eval_kkt", counting_kkt)
+    monkeypatch.setattr(transcription, "eval_objective", counting_objective)
+    monkeypatch.setattr(transcription, "eval_defects", counting_defects)
 
     mesh = sc.Mesh.uniform(quad_problem.T, 20)
     dkkt, rep = sc.solve(quad_problem, mesh, "hermite-simpson")
@@ -139,6 +158,7 @@ def test_one_model_batch_per_newton_step(quad_problem, monkeypatch):
     assert calls["kkt"] == [1] * kkt_calls
     assert calls["derivative"] == kkt_calls
     assert calls["hamiltonian"] == 0
+    assert rep.iterations <= calls["objective"] == calls["defects"]
     assert rep.iterations + 1 <= kkt_calls <= rep.iterations + 1 + solver.POLISH_STEPS
     assert dkkt.J is not None and dkkt.W is not None
 

@@ -113,21 +113,23 @@ def test_pack_unpack_round_trip_property(name, scheme, n_intervals, data):
 @pytest.mark.parametrize("name", ["quadrotor", "double-integrator-lq"])
 @pytest.mark.parametrize("scheme", sorted(tr.SCHEMES))
 def test_eval_kkt_equals_single_purpose_evaluators_bitwise(name, scheme):
-    # the line search evaluates c alone through eval_defects; the Newton
-    # step takes it from eval_kkt, and the two must agree exactly
+    # the line search evaluates f and c alone through eval_objective and
+    # eval_defects; the Newton step takes them from eval_kkt, and the two
+    # must agree exactly
     prob = sc.builtin_problem(name)
     layout = sc.assemble(prob, sc.Mesh.uniform(prob.T, 7), scheme)
     rng = np.random.default_rng(11)
     z = rng.normal(size=layout.n_z)
     nu = rng.normal(size=layout.n_c)
-    _, c, _, _ = tr.eval_kkt(prob, layout, z, nu)
+    f, _, c, _, _ = tr.eval_kkt(prob, layout, z, nu)
+    assert f == tr.eval_objective(prob, layout, z)
     assert np.array_equal(c, tr.eval_defects(prob, layout, z))
 
 
 def _dense_kkt(prob, layout, z, nu=None):
     """(g, c, J, W) from eval_kkt, with J and W as dense arrays."""
     nu = np.zeros(layout.n_c) if nu is None else nu
-    g, c, J, W = tr.eval_kkt(prob, layout, z, nu)
+    _, g, c, J, W = tr.eval_kkt(prob, layout, z, nu)
     return g, c, J.toarray(), W.toarray()
 
 

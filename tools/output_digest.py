@@ -1,0 +1,43 @@
+"""Print the exit code and the sha256 of every CLI output file over a fixed case matrix.
+
+    python3 tools/output_digest.py [CHECKOUT]
+
+Runs ``ssoc_certify.cli`` from ``CHECKOUT/src`` (default: the checkout holding
+this script) in a temporary directory: ``certify`` over {quadrotor,
+double-integrator-lq} x {trapezoidal, hermite-simpson} x N in {10, 35, 140},
+plus one forced-reject ``refine`` loop.  Two checkouts that print the same
+lines write byte-identical certificates, trajectories, residuals and reports.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
+CASES = [
+    ["certify", "--problem", problem, "--scheme", scheme, "--n", str(n)]
+    for problem in ("quadrotor", "double-integrator-lq")
+    for scheme in ("trapezoidal", "hermite-simpson")
+    for n in (10, 35, 140)
+] + [["refine", "--problem", "quadrotor", "--n", "10", "--max-rounds", "3", "--inject-en2", "1e-10"]]
+
+
+def main():
+    env = dict(os.environ, PYTHONPATH=str(ROOT.resolve() / "src"), PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, case in enumerate(CASES):
+            out = Path(tmp) / str(k)
+            proc = subprocess.run(
+                [sys.executable, "-m", "ssoc_certify.cli", *case, "--out-dir", str(out)],
+                env=env, cwd=tmp, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            print(" ".join(case), f"exit={proc.returncode}")
+            for path in sorted(out.iterdir()) if out.exists() else []:
+                print(f"  {hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+
+
+if __name__ == "__main__":
+    main()
