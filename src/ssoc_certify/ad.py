@@ -152,11 +152,11 @@ class AdScalar2:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def constant(cls, value, n_dirs, batch=None, first_order=False):
+    def constant(cls, value, n_dirs, batch=None):
         val = _as_batch(value)
         if batch is not None and val.shape[0] == 1 and batch > 1:
             val = np.broadcast_to(val, (batch,)).copy()
-        return cls(val, np.zeros((val.shape[0], 0)), None, (), n_dirs, first_order)
+        return cls(val, np.zeros((val.shape[0], 0)), None, (), n_dirs)
 
     @property
     def batch(self):
@@ -231,8 +231,10 @@ class AdScalar2:
             else:
                 hess = ha - hb if subtract else ha + hb
             return self._spanning(val, grad, hess, self.dirs, first)
-        # each block is placed into the union and the other one added to it:
-        # the shared entries get the same sums as above
+        # the first block is placed into the union and the second one added
+        # to it: the shared entries get the same sums as above, without the
+        # embedded operand copies of :meth:`_pair`, which raised a
+        # certification's traced peak memory
         dirs, (ga_at, ha_at), (gb_at, hb_at) = _union(self.dirs, other.dirs)
         k = len(dirs)
         rows = val.shape[0]

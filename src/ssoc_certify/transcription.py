@@ -429,9 +429,13 @@ def eval_kkt(prob, layout, z, nu_all):
     constraints, sparse constraint Jacobian and sparse Lagrangian Hessian.
 
     One order-2 model batch over the samples and one endpoint evaluation
-    serve all five; f equals :func:`eval_objective` bitwise.  This is the
-    only evaluator of g, J and W; f and c alone, as the line search needs
-    them, come from :func:`eval_objective` and :func:`eval_defects`.
+    serve all five.  f equals :func:`eval_objective` bitwise when the
+    callbacks' AD values round as their plain values do, as for the
+    builtins; an AD division computes ``a * (1/b)`` where plain numpy
+    computes ``a / b``, so a callback that divides may differ in the last
+    bit.  This is the only evaluator of g, J and W; f and c alone, as the
+    line search needs them, come from :func:`eval_objective` and
+    :func:`eval_defects`.
     """
     X, U = layout.unpack(z)
     _, lam = split_multipliers(layout, nu_all)
