@@ -152,10 +152,8 @@ class AdScalar2:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def constant(cls, value, n_dirs, batch=None):
+    def constant(cls, value, n_dirs):
         val = _as_batch(value)
-        if batch is not None and val.shape[0] == 1 and batch > 1:
-            val = np.broadcast_to(val, (batch,)).copy()
         return cls(val, np.zeros((val.shape[0], 0)), None, (), n_dirs)
 
     @property
@@ -295,13 +293,16 @@ class AdScalar2:
 
     __rmul__ = __mul__
 
+    # a quotient's value is ``a / b``, as plain numpy computes it; its
+    # derivative parts are those of ``a * (1/b)``
     def __truediv__(self, other):
         if not isinstance(other, AdScalar2):
-            return self._scaled(1.0 / _as_batch(other))
-        return self * other._reciprocal()
+            c = _as_batch(other)
+            return self._scaled(1.0 / c)._with_val(self.val / c)
+        return (self * other._reciprocal())._with_val(self.val / other.val)
 
     def __rtruediv__(self, other):
-        return self._reciprocal() * other
+        return (self._reciprocal() * other)._with_val(_as_batch(other) / self.val)
 
     def __pow__(self, exponent):
         if not np.isscalar(exponent):
@@ -327,6 +328,10 @@ class AdScalar2:
         if self._hess is not None:
             hess += fp[:, None, None] * self._hess
         return self._like(f, grad, hess)
+
+    def _with_val(self, val):
+        """This value's derivative parts under the value ``val``."""
+        return self._like(val, self._grad, self._hess)
 
     def _spanning(self, val, grad, hess, dirs=None, first_order=None):
         """A result whose derivative parts span the batch of ``val``.

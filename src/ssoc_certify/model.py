@@ -59,34 +59,48 @@ class OcpProblem:
 
 @dataclass
 class EndpointTerms:
-    """Endpoint cost/constraint data at (x0, xT)."""
+    """Endpoint cost/constraint data at (x0, xT); fields above the evaluation order are None."""
 
     K: float
-    K_x0: np.ndarray
-    K_xT: np.ndarray
-    K_hess: np.ndarray  # (2n, 2n) over (x0, xT)
-    b: np.ndarray  # (n_b,)
-    b_x0: np.ndarray  # (n_b, n)
-    b_xT: np.ndarray  # (n_b, n)
-    lagr_hess: np.ndarray  # K_hess + sum_i lam_i * hess(b_i)
+    K_x0: Optional[np.ndarray] = None
+    K_xT: Optional[np.ndarray] = None
+    K_hess: Optional[np.ndarray] = None  # (2n, 2n) over (x0, xT)
+    b: Optional[np.ndarray] = None  # (n_b,)
+    b_x0: Optional[np.ndarray] = None  # (n_b, n)
+    b_xT: Optional[np.ndarray] = None  # (n_b, n)
+    lagr_hess: Optional[np.ndarray] = None  # K_hess + sum_i lam_i * hess(b_i)
 
 
-def _require_finite(arr, what):
-    arr = np.asarray(arr)
-    if not np.all(np.isfinite(arr)):
-        bad = np.argwhere(~np.isfinite(arr))
-        comp = int(bad[0][-1]) if bad.size else None
+def _seed(A, C, order):
+    """The columns of A (B, k) and C (B, l) as callback arguments: plain at
+    order 0, else AD variables over d = k + l directions (A's first), seeded
+    first-order at order 1 so that no Hessian part is formed."""
+    if order == 0:
+        return list(A.T), list(C.T)
+    d, first_order = A.shape[1] + C.shape[1], order == 1
+    return ad.seed_vector(A, 0, d, first_order), ad.seed_vector(C, A.shape[1], d, first_order)
+
+
+def _parts(outputs, B, d, order, what):
+    """[values (B, c), gradients (B, c, d), Hessians (B, c, d, d)] of the c
+    callback ``outputs``, up to ``order``; a plain output is a constant.
+    A non-finite value raises, naming ``what`` and the component."""
+    c = len(outputs)
+    parts = [np.empty((B, c))] + [np.zeros((B, c) + (d,) * k) for k in range(1, order + 1)]
+    for i, out in enumerate(outputs):
+        parts[0][:, i] = ad.value_of(out)
+        if isinstance(out, ad.AdScalar2):
+            for scatter, part in zip((out.scatter_grad, out.scatter_hess), parts[1:]):
+                scatter(part[:, i])
+    if not np.all(np.isfinite(parts[0])):
+        comp = int(np.argwhere(~np.isfinite(parts[0]))[0, 1])
         raise EvaluationDomainError(f"non-finite value in {what}", component=comp)
+    return parts
 
 
-def _batch_variables(prob, t, X, U, order):
-    """(t, x columns, u columns, B) of states X (B, n) and controls U (B, m).
-
-    A single point may be given as X (n,) and U (m,); any other shape
-    raises :class:`DimensionError`.  With order > 0 the columns are AD
-    variables seeded over d = n + m directions; order 1 seeds them
-    first-order, so no Hessian part is formed.
-    """
+def _batch_points(prob, t, X, U):
+    """(t, X (B, n), U (B, m)); a single point may be given as X (n,) and
+    U (m,), any other shape raises :class:`DimensionError`."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
     B = X.shape[0]
@@ -95,23 +109,7 @@ def _batch_variables(prob, t, X, U, order):
             f"state batch has shape {X.shape} and control batch {U.shape}; "
             f"expected (B, {prob.n}) and (B, {prob.m})"
         )
-    if order == 0:
-        xs = [X[:, i] for i in range(prob.n)]
-        us = [U[:, j] for j in range(prob.m)]
-    else:
-        d = prob.n + prob.m
-        xs = ad.seed_vector(X, 0, d, first_order=order == 1)
-        us = ad.seed_vector(U, prob.n, d, first_order=order == 1)
-    return np.asarray(t, dtype=float), xs, us, B
-
-
-def _jacobians(prob, out, B):
-    """(Fx (B, n, n), Fu (B, n, m)) of the dynamics components ``out``."""
-    grads = np.zeros((B, prob.n, prob.n + prob.m))
-    for i, c in enumerate(out):
-        if isinstance(c, ad.AdScalar2):
-            c.scatter_grad(grads[:, i])
-    return grads[:, :, : prob.n].copy(), grads[:, :, prob.n :].copy()
+    return np.asarray(t, dtype=float), X, U
 
 
 def dynamics_batch(prob: OcpProblem, t, X, U, order=0):
@@ -120,42 +118,24 @@ def dynamics_batch(prob: OcpProblem, t, X, U, order=0):
     order=0 returns F (B, n); order=1 adds (Fx (B,n,n), Fu (B,n,m));
     order=2 adds the per-component Hessians Hf (B, n, d, d) with d = n+m.
     """
-    t, xs, us, B = _batch_variables(prob, t, X, U, order)
-    out = prob.dynamics(t, xs, us)
+    t, X, U = _batch_points(prob, t, X, U)
+    out = prob.dynamics(t, *_seed(X, U, order))
     if len(out) != prob.n:
         raise DimensionError("dynamics returned wrong dimension")
-    F = np.empty((B, prob.n))
-    for i, c in enumerate(out):
-        F[:, i] = ad.value_of(c) if not np.isscalar(c) else c
-    _require_finite(F, "dynamics")
+    F, *derivs = _parts(out, X.shape[0], prob.n + prob.m, order, "dynamics")
     if order == 0:
         return F
-    Fx, Fu = _jacobians(prob, out, B)
-    if order == 1:
-        return F, Fx, Fu
-    d = prob.n + prob.m
-    Hf = np.zeros((B, prob.n, d, d))
-    for i, c in enumerate(out):
-        if isinstance(c, ad.AdScalar2):
-            c.scatter_hess(Hf[:, i])
-    return F, Fx, Fu, Hf
+    grads, *Hf = derivs
+    return (F, grads[:, :, : prob.n].copy(), grads[:, :, prob.n :].copy(), *Hf)
 
 
 def running_cost_batch(prob: OcpProblem, t, X, U, order=0):
     """Batched running cost; mirrors :func:`dynamics_batch` return structure."""
-    t, xs, us, B = _batch_variables(prob, t, X, U, order)
-    out = prob.running_cost(t, xs, us)
-    L = ad.value_of(out)
-    if np.isscalar(L) or L.ndim == 0:
-        L = np.full(B, float(L))
-    _require_finite(L, "running cost")
-    if order == 0:
-        return L
-    if not isinstance(out, ad.AdScalar2):
-        out = ad.AdScalar2.constant(L, prob.n + prob.m)
-    if order == 1:
-        return L, out.grad
-    return L, out.grad, out.hess
+    t, X, U = _batch_points(prob, t, X, U)
+    out = prob.running_cost(t, *_seed(X, U, order))
+    parts = _parts([out], X.shape[0], prob.n + prob.m, order, "running cost")
+    L, *derivs = (p[:, 0] for p in parts)
+    return (L, *derivs) if order else L
 
 
 def hamiltonian_batch(prob: OcpProblem, t, X, U, P):
@@ -176,8 +156,23 @@ def hamiltonian_batch(prob: OcpProblem, t, X, U, P):
     return F, H_x, H_u
 
 
-def eval_endpoint_terms(prob: OcpProblem, x0, xT, lam=None) -> EndpointTerms:
-    """Endpoint cost K, boundary map b, and their derivatives at (x0, xT)."""
+def _endpoint_parts(prob, X0, XT, order, boundary):
+    """Parts (see :func:`_parts`) of the endpoint cost and, with
+    ``boundary``, of the boundary map (else None) at the pairs X0, XT (B, n)."""
+    B, d = X0.shape[0], 2 * prob.n
+    x0s, xTs = _seed(X0, XT, order)
+    K = _parts([prob.endpoint_cost(x0s, xTs)], B, d, order, "endpoint cost")
+    if not boundary:
+        return K, None
+    out = prob.boundary(x0s, xTs) if prob.n_b > 0 else []
+    if len(out) != prob.n_b:
+        raise DimensionError("boundary map returned wrong dimension")
+    return K, _parts(out, B, d, order, "boundary map")
+
+
+def eval_endpoint_terms(prob: OcpProblem, x0, xT, lam=None, order=2) -> EndpointTerms:
+    """Endpoint cost K, boundary map b, and their derivatives up to ``order``
+    at (x0, xT); ``lam`` weighs the boundary Hessians in ``lagr_hess``."""
     n = prob.n
     x0 = np.asarray(x0, dtype=float)
     xT = np.asarray(xT, dtype=float)
@@ -186,49 +181,17 @@ def eval_endpoint_terms(prob: OcpProblem, x0, xT, lam=None) -> EndpointTerms:
     lam = np.zeros(prob.n_b) if lam is None else np.asarray(lam, dtype=float)
     if lam.shape != (prob.n_b,):
         raise DimensionError("boundary multiplier must have shape (n_b,)")
-    d = 2 * n
-    a = ad.seed_vector(x0[None, :], 0, d)
-    b_vars = ad.seed_vector(xT[None, :], n, d)
-    K = prob.endpoint_cost(a, b_vars)
-    if isinstance(K, ad.AdScalar2):
-        K_val = float(K.val[0])
-        K_grad = K.grad[0]
-        K_hess = K.hess[0]
-    else:
-        K_val, K_grad, K_hess = float(K), np.zeros(d), np.zeros((d, d))
-    lagr_hess = K_hess.copy()
-    if prob.n_b > 0:
-        out = prob.boundary(a, b_vars)
-        if len(out) != prob.n_b:
-            raise DimensionError("boundary map returned wrong dimension")
-        b_val = np.empty(prob.n_b)
-        b_x0 = np.zeros((prob.n_b, n))
-        b_xT = np.zeros((prob.n_b, n))
-        for i, c in enumerate(out):
-            if isinstance(c, ad.AdScalar2):
-                b_val[i] = c.val[0]
-                b_x0[i] = c.grad[0, :n]
-                b_xT[i] = c.grad[0, n:]
-                if not c.is_affine:
-                    lagr_hess += lam[i] * c.hess[0]
-            else:
-                b_val[i] = float(c)
-    else:
-        b_val = np.zeros(0)
-        b_x0 = np.zeros((0, n))
-        b_xT = np.zeros((0, n))
-    _require_finite(K_val, "endpoint cost")
-    _require_finite(b_val, "boundary map")
-    return EndpointTerms(
-        K=K_val,
-        K_x0=K_grad[:n],
-        K_xT=K_grad[n:],
-        K_hess=K_hess,
-        b=b_val,
-        b_x0=b_x0,
-        b_xT=b_xT,
-        lagr_hess=lagr_hess,
-    )
+    parts = _endpoint_parts(prob, x0[None], xT[None], order, boundary=True)
+    K, b = ([p[0] for p in ps] for ps in parts)  # the rows of the one pair
+    ept = EndpointTerms(K=float(K[0][0]), b=b[0])
+    if order >= 1:
+        ept.K_x0, ept.K_xT = K[1][0, :n], K[1][0, n:]
+        ept.b_x0, ept.b_xT = b[1][:, :n], b[1][:, n:]
+    if order == 2:
+        ept.K_hess, ept.lagr_hess = K[2][0], K[2][0].copy()
+        for lam_i, hess_i in zip(lam, b[2]):
+            ept.lagr_hess += lam_i * hess_i
+    return ept
 
 
 def endpoint_hessian_batch(prob: OcpProblem, X0, XT) -> np.ndarray:
@@ -238,17 +201,11 @@ def endpoint_hessian_batch(prob: OcpProblem, X0, XT) -> np.ndarray:
     ``eval_endpoint_terms(prob, X0[b], XT[b]).K_hess`` bitwise. The
     boundary map is not evaluated.
     """
-    n = prob.n
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     XT = np.atleast_2d(np.asarray(XT, dtype=float))
-    if X0.shape[1:] != (n,) or XT.shape != X0.shape:
+    if X0.shape[1:] != (prob.n,) or XT.shape != X0.shape:
         raise DimensionError("endpoint states must have shape (B, n)")
-    d = 2 * n
-    K = prob.endpoint_cost(ad.seed_vector(X0, 0, d), ad.seed_vector(XT, n, d))
-    _require_finite(ad.value_of(K), "endpoint cost")
-    if not isinstance(K, ad.AdScalar2):
-        return np.zeros((X0.shape[0], d, d))
-    return K.hess
+    return _endpoint_parts(prob, X0, XT, 2, boundary=False)[0][2][:, 0]
 
 
 # -- builtin problems ---------------------------------------------------------

@@ -37,10 +37,6 @@ class PiecewisePoly:
     coeffs: np.ndarray  # (P, order, dim)
 
     @property
-    def degree(self):
-        return self.coeffs.shape[1] - 1
-
-    @property
     def dim(self):
         return self.coeffs.shape[2]
 
@@ -94,13 +90,20 @@ def piecewise_linear(times, values) -> PiecewisePoly:
     return PiecewisePoly(times, np.stack([c0, c1], axis=1))
 
 
-def extract_costates(prob, layout, z, nu_all):
+def _hamiltonian_x(Lg, Fx, P):
+    """H_x of H = L + p.f from the order-1 parts, as :func:`model.hamiltonian_batch` forms it."""
+    return Lg[:, : Fx.shape[1]] + np.einsum("bi,bij->bj", P, Fx)
+
+
+def extract_costates(layout, nu_all, Fx, Lg):
     """Costates from the defect multipliers.
 
-    The state-stationarity row of the NLP at node k splits into the shares of
-    interval k (its sample p = 0) and of interval k - 1 (its sample
-    p = stride).  With the scheme table, the share of interval k at sample p
-    is ``sum_r state[r][p] nu_kr + h_k quad[p] H_x(t, x, u; q)`` with the
+    ``Fx`` (N+1, n, n) and ``Lg`` (N+1, n+m) are the order-1 dynamics and
+    running-cost parts at the mesh nodes.  The state-stationarity row of the
+    NLP at node k splits into the shares of interval k (its sample p = 0,
+    node k) and of interval k - 1 (its sample p = stride, node k).  With the
+    scheme table, the share of interval k at sample p is
+    ``sum_r state[r][p] nu_kr + h_k quad[p] H_x(t, x, u; q)`` with the
     costate argument ``q = sum_r (flow[r][p] / quad[p]) nu_kr``.  The node
     costate is the share of interval k (from the right of node k) or minus the
     share of interval k - 1 (from the left); stationarity makes the two agree.
@@ -110,7 +113,6 @@ def extract_costates(prob, layout, z, nu_all):
     at interior nodes (a stationarity diagnostic, near zero at converged
     points).
     """
-    X, U = layout.unpack(z)
     S = transcription.sample_multipliers(layout, nu_all)
     w = transcription.quadrature_weights(layout)
     p_station = S / w[:, None]
@@ -120,16 +122,15 @@ def extract_costates(prob, layout, z, nu_all):
     nu = nu_defect.reshape(N, scheme.blocks, layout.n)
     state, flow = np.asarray(scheme.state), np.asarray(scheme.flow)
 
-    def interval_share(p):
-        j = layout.interval_samples[:, p]
+    def interval_share(p, rows):
         quad = scheme.quad[p]
         q = np.einsum("r,kri->ki", flow[:, p] / quad, nu)
-        _, H_x, _ = model.hamiltonian_batch(prob, layout.sample_times[j], X[j], U[j], q)
+        H_x = _hamiltonian_x(Lg[rows], Fx[rows], q)
         weighted_H_x = (layout.mesh.h * quad)[:, None] * H_x
         return np.einsum("r,kri->ki", state[:, p], nu) + weighted_H_x
 
-    p_right = interval_share(0)
-    p_left = -interval_share(scheme.stride)
+    p_right = interval_share(0, slice(0, N))
+    p_left = -interval_share(scheme.stride, slice(1, N + 1))
     p_nodes = np.vstack([p_right, p_left[-1:]])
     jump = 0.0
     if N > 1:
@@ -158,10 +159,6 @@ class Reconstruction:
         return self.layout.mesh
 
     @property
-    def scheme(self):
-        return self.layout.scheme
-
-    @property
     def sample_times(self):
         return self.layout.sample_times
 
@@ -181,19 +178,22 @@ def reconstruct(prob, dkkt) -> Reconstruction:
     x_nodes = x_samples[node_idx]
     u_nodes = u_samples[node_idx]
     lam = dkkt.lam
-    p_station, p_nodes, jump = extract_costates(prob, layout, dkkt.z, dkkt.nu)
 
-    # anchor the terminal costate on the transversality relation, then one
-    # model batch at the nodes gives the state and the costate slopes
-    ept = model.eval_endpoint_terms(prob, x_nodes[0], x_nodes[-1], lam)
+    # one order-1 model pass at the nodes gives the costate shares and the
+    # state and costate slopes: H = L + p.f is affine in p
+    F, Fx, _ = model.dynamics_batch(prob, nodes, x_nodes, u_nodes, order=1)
+    _, Lg = model.running_cost_batch(prob, nodes, x_nodes, u_nodes, order=1)
+    p_station, p_nodes, jump = extract_costates(layout, dkkt.nu, Fx, Lg)
+
+    # anchor the terminal costate on the transversality relation
+    ept = model.eval_endpoint_terms(prob, x_nodes[0], x_nodes[-1], lam, order=1)
     p_terminal = ept.K_xT + ept.b_xT.T @ lam
     anchor_shift = float(np.linalg.norm(p_nodes[-1] - p_terminal))
     p_nodes[-1] = p_terminal
-    F, H_x, _ = model.hamiltonian_batch(prob, nodes, x_nodes, u_nodes, p_nodes)
     return Reconstruction(
         X=hermite_cubic(nodes, x_nodes, F),
         U=piecewise_linear(layout.sample_times, u_samples),
-        P=hermite_cubic(nodes, p_nodes, -H_x),
+        P=hermite_cubic(nodes, p_nodes, -_hamiltonian_x(Lg, Fx, p_nodes)),
         lam=lam,
         layout=layout,
         x_samples=x_samples,

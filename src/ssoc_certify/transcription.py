@@ -269,7 +269,7 @@ def eval_objective(prob, layout, z) -> float:
     X, U = layout.unpack(z)
     w = quadrature_weights(layout)
     L = model.running_cost_batch(prob, layout.sample_times, X, U)
-    return _objective(w, L, model.eval_endpoint_terms(prob, X[0], X[-1]))
+    return _objective(w, L, model.eval_endpoint_terms(prob, X[0], X[-1], order=0))
 
 
 def _defects(prob, layout, X, F, ept):
@@ -291,7 +291,7 @@ def eval_defects(prob, layout, z) -> np.ndarray:
     """All equality constraints at z (defects, boundary, fixed initial state)."""
     X, U = layout.unpack(z)
     F = model.dynamics_batch(prob, layout.sample_times, X, U)
-    ept = model.eval_endpoint_terms(prob, X[0], X[-1]) if layout.n_b > 0 else None
+    ept = model.eval_endpoint_terms(prob, X[0], X[-1], order=0) if layout.n_b > 0 else None
     return _defects(prob, layout, X, F, ept)
 
 
@@ -429,13 +429,10 @@ def eval_kkt(prob, layout, z, nu_all):
     constraints, sparse constraint Jacobian and sparse Lagrangian Hessian.
 
     One order-2 model batch over the samples and one endpoint evaluation
-    serve all five.  f equals :func:`eval_objective` bitwise when the
-    callbacks' AD values round as their plain values do, as for the
-    builtins; an AD division computes ``a * (1/b)`` where plain numpy
-    computes ``a / b``, so a callback that divides may differ in the last
-    bit.  This is the only evaluator of g, J and W; f and c alone, as the
-    line search needs them, come from :func:`eval_objective` and
-    :func:`eval_defects`.
+    serve all five; f equals :func:`eval_objective` bitwise.  This is the
+    only evaluator of g, J and W; f and c alone, as the line search needs
+    them, come from :func:`eval_objective` and :func:`eval_defects`, which
+    evaluate the callbacks on plain values.
     """
     X, U = layout.unpack(z)
     _, lam = split_multipliers(layout, nu_all)

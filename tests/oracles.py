@@ -151,13 +151,18 @@ class DenseAdScalar2:
 
     __rmul__ = __mul__
 
+    # the value of a quotient is a / b; its derivative parts are a * (1/b)'s
     def __truediv__(self, other):
         if not isinstance(other, DenseAdScalar2):
-            return self._scaled(1.0 / _dense_batch(other))
-        return self * other._reciprocal()
+            c = _dense_batch(other)
+            out = self._scaled(1.0 / c)
+            return DenseAdScalar2(self.val / c, out.grad, out._hess)
+        out = self * other._reciprocal()
+        return DenseAdScalar2(self.val / other.val, out.grad, out._hess)
 
     def __rtruediv__(self, other):
-        return self._reciprocal() * other
+        out = self._reciprocal() * other
+        return DenseAdScalar2(_dense_batch(other) / self.val, out.grad, out._hess)
 
     def __pow__(self, exponent):
         e = float(exponent)

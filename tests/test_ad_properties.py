@@ -219,3 +219,14 @@ def test_direction_blocks_equal_dense_rules_bitwise(first_order, tree, seed):
     for got, want in pairs:
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+@SETTINGS
+@pytest.mark.parametrize("first_order", [False, True], ids=["order2", "order1"])
+@given(tree=trees, seed=seeds)
+def test_values_equal_plain_evaluation_bitwise(first_order, tree, seed):
+    """AD values, quotients included, round exactly as plain numpy does."""
+    X, arrays = _inputs(seed)
+    out, _ = _ad_eval(tree, X, arrays, first_order=first_order)
+    assume(isinstance(out, ad.AdScalar2))
+    assert np.array_equal(out.val, _plain_eval(tree, X, arrays), equal_nan=True)

@@ -1,9 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from oracles import dense_ad
 
 import ssoc_certify as sc
 from ssoc_certify import ad, model
-from ssoc_certify.errors import ContractError, DimensionError, RegistryError
+from ssoc_certify.errors import (
+    ContractError,
+    DimensionError,
+    EvaluationDomainError,
+    RegistryError,
+)
 
 
 def test_registry_lists_builtins():
@@ -184,15 +192,20 @@ def test_endpoint_terms_with_boundary_map():
     assert ept.lagr_hess[0, 3] == pytest.approx(-1.0)
 
 
-def _endpoint_batch_problems():
-    bc = model.OcpProblem(
+def _bc_problem(fns=ad):
+    """Endpoint cost and boundary map written against the AD namespace ``fns``."""
+    return model.OcpProblem(
         name="bc", n=2, m=1, T=1.0,
         dynamics=lambda t, x, u: [x[1], u[0]],
         running_cost=lambda t, x, u: 0.5 * u[0] * u[0],
-        endpoint_cost=lambda x0, xT: x0[1] * xT[0] + ad.sin(xT[1]) * x0[0],
+        endpoint_cost=lambda x0, xT: x0[1] * xT[0] + fns.sin(xT[1]) * x0[0],
         boundary=lambda x0, xT: [xT[0] - 2.0 * x0[1], x0[0] * xT[1]],
         n_b=2,
     )
+
+
+def _endpoint_batch_problems():
+    bc = _bc_problem()
     constant_endpoint = model.OcpProblem(
         name="concave", n=1, m=1, T=1.0,
         dynamics=lambda t, x, u: [u[0]],
@@ -212,3 +225,65 @@ def test_endpoint_hessian_batch_rows_equal_single_point_bitwise(prob):
     assert K_hess.shape == (7, 2 * prob.n, 2 * prob.n)
     for b in range(7):
         assert np.array_equal(K_hess[b], sc.eval_endpoint_terms(prob, X0[b], XT[b]).K_hess)
+
+
+def test_boundary_map_terms_equal_dense_rules_bitwise():
+    """The boundary-map path, which no builtin exercises, against a
+    per-component reading of the dense reference rules."""
+    rng = np.random.default_rng(8)
+    x0, xT, lam = rng.normal(size=2), rng.normal(size=2), rng.normal(size=2)
+    ept = sc.eval_endpoint_terms(_bc_problem(), x0, xT, lam)
+    dense = _bc_problem(dense_ad)
+    x0s, xTs = dense_ad.seed_vector(x0[None], 0, 4), dense_ad.seed_vector(xT[None], 2, 4)
+    K = dense.endpoint_cost(x0s, xTs)
+    out = dense.boundary(x0s, xTs)
+    lagr_hess = K.hess[0].copy()
+    for lam_i, c in zip(lam, out):
+        lagr_hess += lam_i * c.hess[0]
+    want = {
+        "b": [c.val[0] for c in out],
+        "b_x0": [c.grad[0, :2] for c in out],
+        "b_xT": [c.grad[0, 2:] for c in out],
+        "K_hess": K.hess[0],
+        "lagr_hess": lagr_hess,
+    }
+    for name, value in want.items():
+        assert np.array_equal(getattr(ept, name), np.array(value)), name
+    assert np.any(ept.lagr_hess != ept.K_hess)
+
+
+@pytest.mark.parametrize("prob", _endpoint_batch_problems(), ids=lambda p: p.name)
+def test_lower_order_endpoint_fields_equal_order_2_bitwise(prob):
+    rng = np.random.default_rng(6)
+    x0, xT, lam = rng.normal(size=prob.n), rng.normal(size=prob.n), rng.normal(size=prob.n_b)
+    full = sc.eval_endpoint_terms(prob, x0, xT, lam)
+    filled_at = {"K", "b"}, {"K", "b", "K_x0", "K_xT", "b_x0", "b_xT"}
+    for order, filled in enumerate(filled_at):
+        ept = sc.eval_endpoint_terms(prob, x0, xT, lam, order=order)
+        for field in dataclasses.fields(ept):
+            got = getattr(ept, field.name)
+            if field.name in filled:
+                assert np.array_equal(got, getattr(full, field.name)), field.name
+            else:
+                assert got is None, field.name
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_non_finite_output_names_its_component(order):
+    prob = model.OcpProblem(
+        name="pole", n=2, m=1, T=1.0,
+        dynamics=lambda t, x, u: [x[1], u[0] / x[0]],
+        running_cost=lambda t, x, u: 1.0 / x[0],
+        endpoint_cost=lambda x0, xT: 1.0 / xT[1],
+    )
+    X = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    U = np.ones((3, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for call, what, comp in (
+            (lambda: model.dynamics_batch(prob, np.zeros(3), X, U, order), "dynamics", 1),
+            (lambda: model.running_cost_batch(prob, np.zeros(3), X, U, order), "running", 0),
+            (lambda: sc.eval_endpoint_terms(prob, X[0], X[2], order=order), "endpoint", 0),
+        ):
+            with pytest.raises(EvaluationDomainError, match=what) as err:
+                call()
+            assert err.value.component == comp

@@ -55,12 +55,14 @@ def test_decomposition_matches_global_l2(quad_run):
 
 def test_one_model_pass_per_point_set(quad_problem, quad_run, monkeypatch):
     """compute_residuals evaluates the model once on the dense grid (which
-    holds the quadrature points) and once at the samples; reconstruct once per
-    costate share and once at the nodes.  Every dynamics batch comes from
-    inside hamiltonian_batch."""
+    holds the quadrature points) and once at the samples, every dynamics
+    batch from inside hamiltonian_batch; reconstruct makes one order-1
+    dynamics batch and one order-1 running-cost batch at the nodes, and no
+    hamiltonian_batch call."""
     calls = []
     inside = [0]
     dynamics_batch, hamiltonian_batch = model.dynamics_batch, model.hamiltonian_batch
+    running_cost_batch = model.running_cost_batch
 
     def counting_hamiltonian(prob, t, X, U, P):
         calls.append(("hamiltonian", np.array(t, copy=True)))
@@ -70,12 +72,16 @@ def test_one_model_pass_per_point_set(quad_problem, quad_run, monkeypatch):
         finally:
             inside[0] -= 1
 
-    def counting_dynamics(prob, t, X, U, order=0):
-        if not inside[0]:
-            calls.append(("dynamics", None))
-        return dynamics_batch(prob, t, X, U, order=order)
+    def counting(name, inner):
+        def batch(prob, t, X, U, order=0):
+            if not inside[0]:
+                calls.append((f"{name} order {order}", np.array(t, copy=True)))
+            return inner(prob, t, X, U, order=order)
 
-    monkeypatch.setattr(model, "dynamics_batch", counting_dynamics)
+        return batch
+
+    monkeypatch.setattr(model, "dynamics_batch", counting("dynamics", dynamics_batch))
+    monkeypatch.setattr(model, "running_cost_batch", counting("running cost", running_cost_batch))
     monkeypatch.setattr(model, "hamiltonian_batch", counting_hamiltonian)
 
     rec = quad_run.rec
@@ -88,14 +94,13 @@ def test_one_model_pass_per_point_set(quad_problem, quad_run, monkeypatch):
     assert np.isin(0.5 * (a + b) + 0.5 * (b - a) * gl_x, t_dense).all()
     assert np.array_equal(t_nodes, rec.sample_times)
 
-    # reconstruct: the two costate shares of every interval, then the nodes
+    # reconstruct: one order-1 pass at the nodes serves the costate shares
+    # and the state and costate slopes
     calls.clear()
     rc.reconstruct(quad_problem, quad_run.dkkt)
-    assert [name for name, _ in calls] == ["hamiltonian"] * 3
-    layout = quad_run.dkkt.layout
-    for (_, t), p in zip(calls, (0, layout.scheme.stride)):
-        assert np.array_equal(t, layout.sample_times[layout.interval_samples[:, p]])
-    assert np.array_equal(calls[2][1], rec.mesh.nodes)
+    assert [name for name, _ in calls] == ["dynamics order 1", "running cost order 1"]
+    for _, t in calls:
+        assert np.array_equal(t, rec.mesh.nodes)
 
 
 def test_relation_check_on_pipeline_runs(quad_run, lq_run):

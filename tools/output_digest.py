@@ -5,8 +5,11 @@
 Runs ``ssoc_certify.cli`` from ``CHECKOUT/src`` (default: the checkout holding
 this script) in a temporary directory: ``certify`` over {quadrotor,
 double-integrator-lq} x {trapezoidal, hermite-simpson} x N in {10, 35, 140},
-plus one forced-reject ``refine`` loop.  Two checkouts that print the same
-lines write byte-identical certificates, trajectories, residuals and reports.
+one ``certify`` on the published constants with injected residuals and
+curvature (the criterion-2 chain), and two forced-reject ``refine`` loops,
+one through an injected residual and one through an injected curvature.
+Two checkouts that print the same lines write byte-identical certificates,
+trajectories, residuals and reports.
 """
 
 import hashlib
@@ -22,7 +25,12 @@ CASES = [
     for problem in ("quadrotor", "double-integrator-lq")
     for scheme in ("trapezoidal", "hermite-simpson")
     for n in (10, 35, 140)
-] + [["refine", "--problem", "quadrotor", "--n", "10", "--max-rounds", "3", "--inject-en2", "1e-10"]]
+] + [
+    ["certify", "--problem", "quadrotor", "--n", "35", "--paper-constants",
+     "--inject-en2", "3.27e-14", "--inject-einf", "7.05e-14", "--inject-alpha", "6.29e-4"],
+    ["refine", "--problem", "quadrotor", "--n", "10", "--max-rounds", "3", "--inject-en2", "1e-10"],
+    ["refine", "--problem", "quadrotor", "--n", "10", "--max-rounds", "3", "--inject-alpha", "-1.0"],
+]
 
 
 def main():
