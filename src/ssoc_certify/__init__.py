@@ -1,11 +1,9 @@
 """Direct-collocation solves with a posteriori second-order certificates."""
 
 from .certify import (
-    AcceptanceResult,
     Certificate,
     CertifySettings,
     CurvatureResult,
-    acceptance_test,
     finalize_certificate,
     reduced_curvature,
     run_certification,

@@ -1,4 +1,4 @@
-"""Reduced-Hessian curvature, scalar acceptance test, and certificates."""
+"""Reduced-Hessian curvature, the certificate and its verdict."""
 
 from __future__ import annotations
 
@@ -19,11 +19,12 @@ from .errors import (
     SettingsError,
     is_number,
 )
-from .numerics import SEED, ldl_positive_definite, start_vector, sparse_lu, sparse_sigma_extremes
+from .numerics import SEED, ldl_positive_definite, start_vector, sparse_lu, sparse_sigma_min
 
 TOOL_VERSION = "0.1.0"
 
-# rank test on J: sigma_min(J) <= RANK_RCOND * max(1, sigma_max(J)) fails
+# rank test on J: sigma_min(J) <= RANK_RCOND * max(1, sqrt(||J||_1 ||J||_inf))
+# fails; the scale bounds sigma_max(J) from above, so it needs no Lanczos run
 RANK_RCOND = 1e-10
 # W + rho J^T J with rho = PENALTY_SCALE * max|W| / max|J|^2 is tested for
 # positive definiteness; rho decides only whether the test passes, never
@@ -49,8 +50,9 @@ class CurvatureResult:
 
 
 def _rank_deficient(J) -> bool:
-    sigma_min, sigma_max = sparse_sigma_extremes(J)
-    return sigma_min <= RANK_RCOND * max(1.0, sigma_max)
+    norm = scipy.sparse.linalg.norm
+    scale = math.sqrt(norm(J, 1)) * math.sqrt(norm(J, np.inf))
+    return sparse_sigma_min(J) <= RANK_RCOND * max(1.0, scale)
 
 
 def _gershgorin_shift(W, s) -> float:
@@ -152,42 +154,6 @@ def reduced_curvature(W, J, M) -> CurvatureResult:
 
 
 @dataclass
-class AcceptanceResult:
-    lhs: float
-    threshold: float
-    projection_margin: float  # 1 - C_T * E
-    accepted_inequality: bool
-    projection_ok: bool
-    simplified_evaluated: bool
-    simplified_accepted: Optional[bool]
-
-
-def acceptance_test(alpha_hat, bundle: constants_mod.ConstantsBundle, e_n2) -> AcceptanceResult:
-    """Scalar curvature-transfer test alpha (1 - C_T E)^2 > Gamma_tot E.
-
-    The exact inequality always governs; when C_T E <= 0.1 the simplified
-    variant alpha > Gamma_tot E is evaluated and recorded as well.  A
-    nonpositive 1 - C_T E voids the near-isometry and rejects outright.
-    """
-    margin = 1.0 - bundle.C_T * e_n2
-    threshold = bundle.Gamma_tot * e_n2
-    lhs = alpha_hat * margin**2
-    projection_ok = margin > 0.0
-    accepted = projection_ok and (lhs > threshold)
-    simplified_evaluated = bundle.C_T * e_n2 <= 0.1
-    simplified_accepted = (alpha_hat > threshold) if simplified_evaluated else None
-    return AcceptanceResult(
-        lhs=lhs,
-        threshold=threshold,
-        projection_margin=margin,
-        accepted_inequality=accepted,
-        projection_ok=projection_ok,
-        simplified_evaluated=simplified_evaluated,
-        simplified_accepted=simplified_accepted,
-    )
-
-
-@dataclass
 class Certificate:
     """Full result of one certification pass (JSON-serializable)."""
 
@@ -220,53 +186,57 @@ def finalize_certificate(
     settings: CertifySettings,
     provenance: dict,
 ) -> Certificate:
-    """Assemble the certificate: transferred curvature, trust radius, proximity.
+    """Assemble the certificate: transferred curvature, verdict, trust radius, proximity.
 
     The residuals and the curvature come from ``report`` and ``curvature``
-    unless ``settings`` injects them; the acceptance test runs on the values
-    used.
+    unless ``settings`` injects them; the verdict reads the values used.
+    With margin = 1 - C_T E, the transferred curvature is
+    alpha_cont = alpha_hat margin^2 - Gamma_tot E.  A nonpositive margin
+    voids the near-isometry and rejects outright; otherwise the certificate
+    is accepted when alpha_cont > 0 and the Legendre constant rho > 0.  When
+    C_T E <= 0.1 the simplified test alpha_hat > Gamma_tot E is recorded
+    as well; it never decides.
     """
     e_n2, e_source = report.E_N2_node, "node-quadrature"
     if settings.inject_e_n2 is not None:
         e_n2, e_source = settings.inject_e_n2, "injected"
     e_inf = report.E_inf if settings.inject_e_inf is None else settings.inject_e_inf
     alpha_hat = curvature.alpha_hat if settings.inject_alpha is None else settings.inject_alpha
-    test = acceptance_test(alpha_hat, bundle, e_n2)
-    alpha_cont = test.lhs - test.threshold
-    trust_radius = None
-    if alpha_cont > 0.0 and test.projection_ok:
-        if bundle.Lambda > 0.0:
-            trust_radius = alpha_cont / (2.0 * bundle.Lambda)
-        else:
-            trust_radius = math.inf  # flat second variation: unbounded tube
+    c_t_e = bundle.C_T * e_n2
+    margin = 1.0 - c_t_e
+    threshold = bundle.Gamma_tot * e_n2
+    lhs = alpha_hat * margin**2
+    alpha_cont = lhs - threshold
+    trust_radius = reason = None
+    if not margin > 0.0:
+        reason = "projection stability lost"
+    elif not alpha_cont > 0.0:
+        reason = "curvature below residual threshold"
+    elif bundle.Lambda > 0.0:
+        trust_radius = alpha_cont / (2.0 * bundle.Lambda)
+    else:
+        trust_radius = math.inf  # flat second variation: unbounded tube
     prox_product = bundle.C_close_inf * e_inf
-    prox_ok = trust_radius is not None and prox_product <= trust_radius
-    accepted = test.accepted_inequality and alpha_cont > 0.0 and bundle.rho > 0.0
-    reason = None
-    if not accepted:
-        if not test.projection_ok:
-            reason = "projection stability lost"
-        elif not test.accepted_inequality or alpha_cont <= 0.0:
-            reason = "curvature below residual threshold"
+    simplified_used = c_t_e <= 0.1
     return Certificate(
-        accepted=accepted,
+        accepted=reason is None and bundle.rho > 0.0,
         alpha_hat=alpha_hat,
         alpha_hat_euclidean=curvature.alpha_hat_euclidean,
         certified_e_n2=float(e_n2),
         certified_e_source=e_source,
-        threshold=test.threshold,
-        lhs=test.lhs,
-        projection_margin=test.projection_margin,
+        threshold=threshold,
+        lhs=lhs,
+        projection_margin=margin,
         alpha_cont=alpha_cont,
         trust_radius=trust_radius,
-        simplified_test_used=test.simplified_evaluated,
-        simplified_accepted=test.simplified_accepted,
+        simplified_test_used=simplified_used,
+        simplified_accepted=(alpha_hat > threshold) if simplified_used else None,
         reject_reason=reason,
         proximity={
             "C_close_E_inf": prox_product,
             "e_inf_used": float(e_inf),
             "trust_radius": trust_radius,
-            "ok": prox_ok,
+            "ok": trust_radius is not None and prox_product <= trust_radius,
         },
         residuals=report.to_dict(),
         constants=bundle.to_dict(),

@@ -23,12 +23,11 @@ class DimensionError(SsocError):
 class EvaluationDomainError(SsocError):
     """A problem callback produced a non-finite value.
 
-    Carries the evaluation time and the offending component index when known.
+    Carries the offending component index when known.
     """
 
-    def __init__(self, message, t=None, component=None):
+    def __init__(self, message, component=None):
         super().__init__(message)
-        self.t = t
         self.component = component
 
 

@@ -3,9 +3,9 @@
 The certification path runs on sparse kernels: SuperLU factorizations
 (``scipy.sparse.linalg.splu``) and ARPACK Lanczos (``eigsh``); no dense
 matrix of the decision-space size is formed.  The functions here pin down
-the contracts the rest of the package relies on: the rank test on J
-(:func:`sparse_sigma_extremes`), sigma_min(M_h) (:func:`sparse_sigma_min`)
-and the positive-definiteness test (:func:`ldl_positive_definite`) that
+the contracts the rest of the package relies on: the smallest singular
+value (:func:`sparse_sigma_min`) that sigma_min(M_h) and the rank test on J
+read, and the positive-definiteness test (:func:`ldl_positive_definite`) that
 certifies the reduced curvature's shift.  The dense reference kernels the
 tests compare the sparse ones against live in ``tests/oracles.py``, except
 the dense LDL^T factorization at the end of this module: the perfbench
@@ -66,58 +66,29 @@ def ldl_positive_definite(A) -> bool:
     )
 
 
-def _short_side_gram(A):
-    """(B, B B^T) with B the orientation of A that has no more rows than columns."""
-    A = scipy.sparse.csr_matrix(A, dtype=float)
-    if A.shape[0] > A.shape[1]:
-        A = A.T.tocsr()
-    return A, (A @ A.T).tocsc()
-
-
-def _gram_sigma_min(B, G) -> float:
-    k = G.shape[0]
-    if k <= 1:
-        return float(scipy.sparse.linalg.norm(B)) if k else 0.0
-    lu = sparse_lu(G)
-    if lu is None:
-        return 0.0
-    inverse = scipy.sparse.linalg.LinearOperator(G.shape, matvec=lu.solve, dtype=float)
-    _, y = scipy.sparse.linalg.eigsh(G, k=1, sigma=0.0, OPinv=inverse, v0=start_vector(k))
-    return float(np.linalg.norm(B.T @ y[:, 0]))
-
-
-def _gram_sigma_max(B, G) -> float:
-    k = G.shape[0]
-    if k <= 1:
-        return float(scipy.sparse.linalg.norm(B)) if k else 0.0
-    # three digits suffice for a scale; full accuracy costs 10x the iterations
-    top = scipy.sparse.linalg.eigsh(
-        G, k=1, which="LA", v0=start_vector(k), tol=1e-3, return_eigenvectors=False
-    )
-    return float(np.sqrt(max(top[0], 0.0)))
-
-
 def sparse_sigma_min(A) -> float:
     """Smallest singular value of a sparse (or dense) matrix.
 
-    Shift-invert Lanczos at 0 on the Gram matrix B B^T of the short side
+    Shift-invert Lanczos at 0 on the Gram matrix B B^T of the short side B
     finds the eigenvector y of its eigenvalue nearest 0, which is its
     smallest because the Gram is positive semidefinite.  The singular value
     is then ||B^T y||: unlike sqrt(lambda_min) this does not square the
     round-off, so a singular value far below sqrt(eps) is still resolved.
     An exactly singular Gram gives 0.
     """
-    return _gram_sigma_min(*_short_side_gram(A))
-
-
-def sparse_sigma_extremes(A) -> tuple[float, float]:
-    """(smallest, largest) singular value of A from one Gram matrix.
-
-    The smallest is bitwise equal to :func:`sparse_sigma_min`; the largest
-    comes from Lanczos on the same Gram to about three digits.
-    """
-    B, G = _short_side_gram(A)
-    return _gram_sigma_min(B, G), _gram_sigma_max(B, G)
+    B = scipy.sparse.csr_matrix(A, dtype=float)
+    if B.shape[0] > B.shape[1]:
+        B = B.T.tocsr()
+    k = B.shape[0]
+    if k <= 1:
+        return float(scipy.sparse.linalg.norm(B)) if k else 0.0
+    G = (B @ B.T).tocsc()
+    lu = sparse_lu(G)
+    if lu is None:
+        return 0.0
+    inverse = scipy.sparse.linalg.LinearOperator(G.shape, matvec=lu.solve, dtype=float)
+    _, y = scipy.sparse.linalg.eigsh(G, k=1, sigma=0.0, OPinv=inverse, v0=start_vector(k))
+    return float(np.linalg.norm(B.T @ y[:, 0]))
 
 
 # -- dense reference kernel ----------------------------------------------------

@@ -196,10 +196,6 @@ class NlpLayout:
         base = j * (self.n + self.m)
         return slice(base, base + self.n)
 
-    def control_slice(self, j):
-        base = j * (self.n + self.m) + self.n
-        return slice(base, base + self.m)
-
     @property
     def boundary_rows(self):
         base = self.n_defect_rows

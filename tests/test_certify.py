@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ssoc_certify as sc
 from oracles import nullspace_basis
@@ -77,6 +79,21 @@ def test_rank_deficient_jacobian_raises():
     J = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
     with pytest.raises(ConstraintQualificationError):
         sc.reduced_curvature(W, J, np.eye(4))
+
+
+def _planted_jacobian(sigma_min):
+    """A dense 4 x 6 J with singular values 100, 3, 1 and sigma_min."""
+    rng = np.random.default_rng(41)
+    U, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    V, _ = np.linalg.qr(rng.normal(size=(6, 4)))
+    return U @ np.diag([100.0, 3.0, 1.0, sigma_min]) @ V.T
+
+
+def test_rank_test_is_relative_to_the_scale_of_j():
+    # 5e-10 clears an absolute 1e-10 floor but sits below 1e-10 * sigma_max
+    with pytest.raises(ConstraintQualificationError):
+        sc.reduced_curvature(np.eye(6), _planted_jacobian(5e-10), np.eye(6))
+    assert sc.reduced_curvature(np.eye(6), _planted_jacobian(1e-5), np.eye(6)).null_dim == 2
 
 
 def test_near_duplicate_jacobian_row_raises(quad_run, quad_problem):
@@ -158,36 +175,93 @@ def test_lq_alpha_equals_rayleigh_sampling_oracle(lq_run):
     assert sampled_min - alpha <= 1e-6
 
 
+def _verdict(alpha_hat, bundle, e_n2):
+    """The certificate of a hand-set curvature, constants bundle and E."""
+    curv = certify.CurvatureResult(alpha_hat, alpha_hat, 3)
+    rep = dataclasses.replace(_dummy_report(), E_N2_node=e_n2)
+    return sc.finalize_certificate(curv, bundle, rep, sc.CertifySettings(), {})
+
+
 def test_acceptance_zero_residual_limit():
     bundle = cn.ConstantsBundle(C_T=123.0, Gamma_tot=1e3, Lambda=1.0, rho=1.0)
-    out = sc.acceptance_test(0.5, bundle, 0.0)
+    out = _verdict(0.5, bundle, 0.0)
     assert out.threshold == 0.0
-    assert out.accepted_inequality
-    out2 = sc.acceptance_test(0.0, bundle, 0.0)
-    assert not out2.accepted_inequality  # strict inequality
+    assert out.accepted
+    out2 = _verdict(0.0, bundle, 0.0)
+    assert not out2.accepted  # strict inequality
+    assert out2.reject_reason == "curvature below residual threshold"
 
 
 def test_acceptance_hand_rejection():
     bundle = cn.ConstantsBundle(C_T=0.0, Gamma_tot=1e3, Lambda=1.0, rho=1.0)
-    out = sc.acceptance_test(1e-6, bundle, 1e-8)
+    out = _verdict(1e-6, bundle, 1e-8)
     assert out.threshold == pytest.approx(1e-5)
-    assert not out.accepted_inequality
+    assert not out.accepted
+    assert out.reject_reason == "curvature below residual threshold"
 
 
 def test_projection_stability_loss_rejects():
     bundle = cn.ConstantsBundle(C_T=1e3, Gamma_tot=1.0, Lambda=1.0, rho=1.0)
-    out = sc.acceptance_test(1.0, bundle, 1e-2)  # C_T * E = 10 > 1
-    assert not out.projection_ok
-    assert not out.accepted_inequality
+    out = _verdict(1.0, bundle, 1e-2)  # C_T * E = 10 > 1
+    assert out.projection_margin < 0.0
+    assert not out.accepted
+    assert out.reject_reason == "projection stability lost"
+    assert out.trust_radius is None
 
 
 def test_simplified_test_recorded_when_margin_small():
     bundle = cn.ConstantsBundle(C_T=1.0, Gamma_tot=10.0, Lambda=1.0, rho=1.0)
-    out = sc.acceptance_test(1.0, bundle, 0.05)
-    assert out.simplified_evaluated
+    out = _verdict(1.0, bundle, 0.05)
+    assert out.simplified_test_used
     assert out.simplified_accepted
-    out2 = sc.acceptance_test(1.0, bundle, 0.5)
-    assert not out2.simplified_evaluated
+    out2 = _verdict(1.0, bundle, 0.5)
+    assert not out2.simplified_test_used
+    assert out2.simplified_accepted is None
+
+
+def _reference_verdict(alpha_hat, bundle, e_n2):
+    """(accepted, reject_reason, trust_radius) by the two-stage rule: a scalar
+    test lhs > threshold, then the certificate's own checks on alpha_cont."""
+    margin = 1.0 - bundle.C_T * e_n2
+    threshold = bundle.Gamma_tot * e_n2
+    lhs = alpha_hat * margin**2
+    projection_ok = margin > 0.0
+    accepted_inequality = projection_ok and (lhs > threshold)
+    alpha_cont = lhs - threshold
+    trust_radius = None
+    if alpha_cont > 0.0 and projection_ok:
+        trust_radius = alpha_cont / (2.0 * bundle.Lambda) if bundle.Lambda > 0.0 else math.inf
+    accepted = accepted_inequality and alpha_cont > 0.0 and bundle.rho > 0.0
+    reason = None
+    if not accepted:
+        if not projection_ok:
+            reason = "projection stability lost"
+        elif not accepted_inequality or alpha_cont <= 0.0:
+            reason = "curvature below residual threshold"
+    return accepted, reason, trust_radius
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    alpha_hat=st.floats(allow_nan=False),
+    C_T=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    Gamma_tot=st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(0.0, 1e300)),
+    Lambda=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    rho=st.floats(-1.0, 1.0),
+    e_n2=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+@example(alpha_hat=math.inf, C_T=1.0, Gamma_tot=1.0, Lambda=1.0, rho=1.0, e_n2=0.5)
+@example(alpha_hat=math.inf, C_T=1.0, Gamma_tot=1e300, Lambda=0.0, rho=1.0, e_n2=1.0)
+@example(alpha_hat=1.0, C_T=10.0, Gamma_tot=0.0, Lambda=1.0, rho=1.0, e_n2=0.5)
+@example(alpha_hat=1.0, C_T=0.0, Gamma_tot=0.0, Lambda=0.0, rho=1.0, e_n2=0.0)
+@example(alpha_hat=1.0, C_T=0.0, Gamma_tot=0.0, Lambda=1.0, rho=0.0, e_n2=0.0)
+@example(alpha_hat=1.0, C_T=0.0, Gamma_tot=0.0, Lambda=1.0, rho=-1.0, e_n2=0.0)
+def test_verdict_matches_two_stage_rule_property(alpha_hat, C_T, Gamma_tot, Lambda, rho, e_n2):
+    bundle = cn.ConstantsBundle(C_T=C_T, Gamma_tot=Gamma_tot, Lambda=Lambda, rho=rho)
+    cert = _verdict(alpha_hat, bundle, e_n2)
+    assert (cert.accepted, cert.reject_reason, cert.trust_radius) == _reference_verdict(
+        alpha_hat, bundle, e_n2
+    )
 
 
 @pytest.mark.parametrize("name", ["inject_e_n2", "inject_e_inf", "inject_alpha"])

@@ -121,27 +121,6 @@ def test_ldl_factorization_inertia_and_solve():
     assert np.max(np.abs(K @ x - b)) <= 1e-12
 
 
-def test_sigma_extremes_form_one_gram_bitwise_equal(quad_run, quad_problem, monkeypatch):
-    J, W = quad_run.dkkt.kkt_matrices(quad_problem)
-    smin = numerics.sparse_sigma_min(J)
-    grams = []
-    short_side_gram = numerics._short_side_gram
-
-    def counting(A):
-        grams.append(A.shape)
-        return short_side_gram(A)
-
-    monkeypatch.setattr(numerics, "_short_side_gram", counting)
-    sigma_min, sigma_max = numerics.sparse_sigma_extremes(J)
-    assert grams == [J.shape]
-    assert sigma_min == smin
-    assert sigma_max == pytest.approx(np.linalg.norm(J.toarray(), 2), rel=1e-3)
-    # the rank test of the reduced curvature forms it once too
-    grams.clear()
-    sc.reduced_curvature(W, J, transcription.variation_gram_sparse(quad_run.dkkt.layout))
-    assert grams == [J.shape]
-
-
 def test_ldl_positive_definite_matches_eigenvalues():
     rng = np.random.default_rng(29)
     for shift in (-3.0, -0.5, 0.5, 3.0):

@@ -107,7 +107,6 @@ def test_pack_unpack_round_trip_property(name, scheme, n_intervals, data):
     assert np.array_equal(layout.pack(X2, U2), z)
     j = data.draw(st.integers(0, layout.n_samples - 1))
     assert np.array_equal(z[layout.state_slice(j)], X[j])
-    assert np.array_equal(z[layout.control_slice(j)], U[j])
 
 
 def _dividing_problem():
