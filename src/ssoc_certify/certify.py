@@ -205,7 +205,7 @@ def finalize_certificate(
     c_t_e = bundle.C_T * e_n2
     margin = 1.0 - c_t_e
     threshold = bundle.Gamma_tot * e_n2
-    lhs = alpha_hat * margin**2
+    lhs = alpha_hat * constants_mod.inf_on_overflow(pow, margin, 2)
     alpha_cont = lhs - threshold
     trust_radius = reason = None
     if not margin > 0.0:

@@ -1,8 +1,10 @@
 """Estimation of the certification constants from discrete data.
 
 The state and control directions of the tube around the reconstruction are
-sampled: ``TIME_SAMPLES_PER_INTERVAL`` uniform times per mesh interval,
-each with the full-radius offsets along every axis.  The costate
+sampled in blocks of ``TIME_SAMPLES_PER_INTERVAL`` uniform times per mesh
+interval: the reconstruction, each full-radius and each half-radius axis
+offset of it, in model batches of whole blocks; a bound skips a block whose
+derivative array equals the reconstruction's bitwise.  The costate
 direction is bounded over the whole dp-box instead: the Hamiltonian is
 affine in p, so Weyl's inequality turns lambda_min(H_uu) and ||H_ux|| at the
 centre costate into bounds that hold for every costate in the box.
@@ -29,9 +31,9 @@ from .numerics import sparse_sigma_min
 SAFETY_FACTOR = 1.5
 # tube time samples per mesh interval
 TIME_SAMPLES_PER_INTERVAL = 4
-# rows per model batch of the tube: small meshes take the whole tube in one
-# batch, larger ones several, so that its peak memory stays bounded in N
-TUBE_BATCH_ROWS = 2048
+# rows per model batch of the tube, which holds whole blocks of one offset
+# each (one block where a block is longer), so its peak memory stays bounded
+TUBE_BATCH_ROWS = 512
 
 # the formula of each derived constant, serialized with the bundle
 FORMULAS = {
@@ -151,60 +153,75 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
     n, m = prob.n, prob.m
     n_t = TIME_SAMPLES_PER_INTERVAL * rec.mesh.n_intervals
     ts = np.linspace(0.0, rec.T, n_t)
-    Xc = rec.X.eval(ts)
-    Uc = rec.U.eval(ts)
-    Pc = rec.P.eval(ts)
+    Xc, Uc, Pc = rec.X.eval(ts), rec.U.eval(ts), rec.P.eval(ts)
 
+    # The tube in blocks of n_t rows: block 0 is the reconstruction itself
+    # (Xc + 0 would lose the sign of a zero), blocks 1 .. 2d its full-radius
+    # axis offsets, the rest its half-radius ones, whose difference quotients
+    # against block 0 give the Lipschitz constants of second derivatives.
     xu_radii = np.concatenate([np.full(n, tube.dx), np.full(m, tube.du)])
-    end_radii = np.full(2 * n, tube.dx)
-    offsets = _axis_offsets(xu_radii, (-1.0, 1.0))
-
-    def model_hessians(t, X, U):
-        _, Fx, Fu, Hf = model.dynamics_batch(prob, t, X, U, order=2)
-        _, _, Lh = model.running_cost_batch(prob, t, X, U, order=2)
-        return Fx, Fu, Hf, Lh
-
-    # the tube rows: the reconstruction, then each full-radius offset of it
-    X_all = np.concatenate([Xc[None], Xc + offsets[:, None, :n]]).reshape(-1, n)
-    U_all = np.concatenate([Uc[None], Uc + offsets[:, None, n:]]).reshape(-1, m)
-    t_all = np.tile(ts, len(offsets) + 1)
-    P_all = np.tile(Pc, (len(offsets) + 1, 1))
-
-    # Every bound below is a max or min over rows, so model batches of at
-    # most TUBE_BATCH_ROWS rows give the one-batch values bitwise and keep
-    # the peak memory bounded as N grows; the first batch holds the n_t
-    # reconstruction rows.
-    # H(p) = Lh + sum_i p_i Hf_i is affine in p, so Weyl's inequality bounds
-    # the strengthened Legendre constant and ||H_ux|| over the whole box
-    # |p_i - Pc_i| <= dp from the control rows of H at the centre costate.
-    # Components whose Hessian is zero over a batch add nothing to any norm
-    # or sum, so they are dropped first.
-    rows = max(n_t, TUBE_BATCH_ROWS)
-    M2f = sup_L = H_ux_inf = H_up_inf = 0.0
+    offsets = np.vstack([
+        np.zeros(n + m), _axis_offsets(xu_radii, (-1.0, 1.0)), _axis_offsets(xu_radii, (0.5, -0.5))
+    ])
+    n_full = 1 + 2 * (n + m)
+    M2f = sup_L = H_ux_inf = H_up_inf = L21_f = L21_L = 0.0
     rho = math.inf
-    for first in range(0, t_all.size, rows):
-        batch = slice(first, first + rows)
-        Fx, Fu, Hf, Lh = model_hessians(t_all[batch], X_all[batch], U_all[batch])
-        if first == 0:
-            # linearized dynamics along the reconstruction only, and the
-            # centre of the L21 quotients
-            A_inf = float(np.max(_spectral_norms(Fx[:n_t])))
-            B_inf = float(np.max(_spectral_norms(Fu[:n_t])))
-            Hf_c, Lh_c = Hf[:n_t].copy(), Lh[:n_t].copy()
+
+    # Each bound is a max or min over rows, so it skips every block whose
+    # derivative arrays that it reads equal block 0's bitwise: such a block
+    # cannot move it, and its quotient is 0 (np.array_equal never calls a
+    # block holding a NaN equal).  H(p) = Lh + sum_i p_i Hf_i is affine in p,
+    # so Weyl's inequality bounds rho and ||H_ux|| over the whole box
+    # |p_i - Pc_i| <= dp from the control rows of H at the centre costate.
+    # All-zero components of Hf add nothing to any norm or sum: dropped.
+    def add_block(k, Fu, Hf, Lh):
+        nonlocal M2f, sup_L, rho, H_ux_inf, H_up_inf, L21_f, L21_L
+        new_f, new_L = (k == 0 or not np.array_equal(a, c) for a, c in zip((Hf, Lh), centre[1:]))
+        if k >= n_full:
+            step = float(np.linalg.norm(offsets[k]))
+            if new_f:
+                dHf = Hf - centre[1]
+                dHf = dHf[:, _nonzero_components(dHf)]
+                L21_f = max(L21_f, float(np.max(_sym_spectral_norms(dHf), initial=0.0)) / step)
+            if new_L:
+                L21_L = max(L21_L, float(np.max(_sym_spectral_norms(Lh - centre[2]))) / step)
+            return
+        # np.maximum / np.minimum keep a NaN, which the Legendre check rejects
+        if k == 0 or not np.array_equal(Fu, centre[0]):
+            H_up_inf = np.maximum(H_up_inf, np.max(_spectral_norms(np.swapaxes(Fu, 1, 2))))
+        if new_L:
+            sup_L = np.maximum(sup_L, np.max(_sym_spectral_norms(Lh)))
+        if not (new_f or new_L):
+            return
         curved = _nonzero_components(Hf)
         Hf = Hf[:, curved]
-        H_u = Lh[:, n:, :] + np.einsum("bi,bijk->bjk", P_all[batch][:, curved], Hf[:, :, n:, :])
+        if new_f:
+            M2f = np.maximum(M2f, np.max(_sym_spectral_norms(Hf), initial=0.0))
+        H_u = Lh[:, n:, :] + np.einsum("bi,bijk->bjk", Pc[:, curved], Hf[:, :, n:, :])
         spread_uu = tube.dp * _norm_sum(Hf[:, :, n:, n:], _sym_spectral_norms)
         spread_ux = tube.dp * _norm_sum(Hf[:, :, n:, :n], _spectral_norms)
-        # np.maximum / np.minimum keep a NaN, which the Legendre check rejects
-        M2f = np.maximum(M2f, np.max(_sym_spectral_norms(Hf), initial=0.0))
-        sup_L = np.maximum(sup_L, np.max(_sym_spectral_norms(Lh)))
         rho = np.minimum(rho, np.min(np.linalg.eigvalsh(H_u[:, :, n:])[:, 0] - spread_uu))
         H_ux_inf = np.maximum(H_ux_inf, np.max(_spectral_norms(H_u[:, :, :n]) + spread_ux))
-        H_up_inf = np.maximum(H_up_inf, np.max(_spectral_norms(np.swapaxes(Fu, 1, 2))))
-        # freed before the next batch is evaluated, so the peak memory holds
-        # one batch's arrays, not two
-        del Fx, Fu, Hf, Lh, H_u
+
+    # Each model batch holds whole blocks and at most max(n_t,
+    # TUBE_BATCH_ROWS) rows, which bounds the tube's peak memory as N grows.
+    per_batch = max(1, TUBE_BATCH_ROWS // n_t)
+    for first in range(0, len(offsets), per_batch):
+        ks = range(first, min(first + per_batch, len(offsets)))
+        X = np.concatenate([Xc + offsets[k, :n] if k else Xc for k in ks])
+        U = np.concatenate([Uc + offsets[k, n:] if k else Uc for k in ks])
+        t = np.tile(ts, len(ks))
+        _, Fx, Fu, Hf = model.dynamics_batch(prob, t, X, U, order=2)
+        _, _, Lh = model.running_cost_batch(prob, t, X, U, order=2)
+        if first == 0:
+            # linearized dynamics along the reconstruction only
+            A_inf = float(np.max(_spectral_norms(Fx[:n_t])))
+            B_inf = float(np.max(_spectral_norms(Fu[:n_t])))
+            centre = Fu[:n_t].copy(), Hf[:n_t].copy(), Lh[:n_t].copy()
+        for j, k in enumerate(ks):
+            rows = slice(j * n_t, (j + 1) * n_t)
+            add_block(k, Fu[rows], Hf[rows], Lh[rows])
+        del Fx, Fu, Hf, Lh  # freed first, so the peak holds one batch, not two
     M2f, sup_L, rho, H_ux_inf, H_up_inf = map(float, (M2f, sup_L, rho, H_ux_inf, H_up_inf))
     if not rho > 0.0:
         raise LegendreViolationError(
@@ -214,54 +231,26 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
 
     # endpoint cost Hessian over the endpoint tube, in one batch: the center,
     # the full-radius axis offsets, then the half-radius ones for L21_K
-    x0v = rec.X.eval(0.0)
-    xTv = rec.X.eval(rec.T)
+    end_radii = np.full(2 * n, tube.dx)
+    x0v, xTv = rec.X.eval(0.0), rec.X.eval(rec.T)
     end_full = _axis_offsets(end_radii, (1.0, -1.0))
     end_half = _axis_offsets(end_radii, (0.5, -0.5))
     end_offsets = np.vstack([np.zeros(2 * n), end_full, end_half])
-    K_hess = model.endpoint_hessian_batch(
-        prob, x0v + end_offsets[:, :n], xTv + end_offsets[:, n:]
-    )
-    n_full = 1 + len(end_full)
-    sup_K = float(np.max(_sym_spectral_norms(K_hess[:n_full])))
+    K_hess = model.endpoint_hessian_batch(prob, x0v + end_offsets[:, :n], xTv + end_offsets[:, n:])
+    n_end = 1 + len(end_full)
+    sup_K = float(np.max(_sym_spectral_norms(K_hess[:n_end])))
     L2 = max(sup_L, M2f, sup_K)
     P_max = float(np.max(np.linalg.norm(Pc, axis=1))) + tube.dp
-
-    # Lipschitz constants of second derivatives: difference quotients between
-    # the center and half-radius axis offsets; one model call per offset,
-    # because a single batch over all of them would set the peak memory
-    half = _axis_offsets(xu_radii, (0.5, -0.5))
-    L21_f = 0.0
-    L21_L = 0.0
-    for off in half:
-        step = float(np.linalg.norm(off))
-        _, _, Hf_o, Lh_o = model_hessians(ts, Xc + off[:n], Uc + off[n:])
-        dHf = Hf_o - Hf_c
-        dHf = dHf[:, _nonzero_components(dHf)]
-        L21_f = max(L21_f, float(np.max(_sym_spectral_norms(dHf), initial=0.0)) / step)
-        L21_L = max(L21_L, float(np.max(_sym_spectral_norms(Lh_o - Lh_c))) / step)
-    k_quotients = _sym_spectral_norms(K_hess[n_full:] - K_hess[0]) / np.linalg.norm(
+    k_quotients = _sym_spectral_norms(K_hess[n_end:] - K_hess[0]) / np.linalg.norm(
         end_half, axis=1
     )
     L21_K = max(0.0, float(np.max(k_quotients)))
-    L21_f *= SAFETY_FACTOR
-    L21_L *= SAFETY_FACTOR
-    L21_K *= SAFETY_FACTOR
+    L21_f, L21_L, L21_K = (SAFETY_FACTOR * q for q in (L21_f, L21_L, L21_K))
 
     return ConstantsBundle(
-        rho=rho,
-        L2=L2,
-        M2f=M2f,
-        L21_f=L21_f,
-        L21_L=L21_L,
-        L21_K=L21_K,
-        L21_H=L21_L + P_max * L21_f,
-        P_max=P_max,
-        A_inf=A_inf,
-        B_inf=B_inf,
-        H_ux_inf=H_ux_inf,
-        H_up_inf=H_up_inf,
-        tube=tube,
+        rho=rho, L2=L2, M2f=M2f, L21_f=L21_f, L21_L=L21_L, L21_K=L21_K,
+        L21_H=L21_L + P_max * L21_f, P_max=P_max, A_inf=A_inf, B_inf=B_inf,
+        H_ux_inf=H_ux_inf, H_up_inf=H_up_inf, tube=tube,
     )
 
 
@@ -284,10 +273,20 @@ def estimate_C_geo(Mh):
     return smin, 1.0 / smin
 
 
+def inf_on_overflow(fn, *args):
+    """fn(*args) for a float function such as math.exp or pow, or inf where
+    its result overflows (Python raises OverflowError there)."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
 def compute_C_T(bundle: ConstantsBundle, scheme, T: float) -> float:
     """Projection stability constant c_Pi * exp(A_inf T) * (1 + B_inf / rho)."""
     scheme = transcription.parse_scheme(scheme)
-    return scheme.lebesgue * math.exp(bundle.A_inf * T) * (1.0 + bundle.B_inf / bundle.rho)
+    exp_AT = inf_on_overflow(math.exp, bundle.A_inf * T)
+    return scheme.lebesgue * exp_AT * (1.0 + bundle.B_inf / bundle.rho)
 
 
 def compute_quadrature_and_conformity(bundle: ConstantsBundle, scheme, mesh):
@@ -302,7 +301,7 @@ def compute_quadrature_and_conformity(bundle: ConstantsBundle, scheme, mesh):
     scheme = transcription.parse_scheme(scheme)
     h_max = float(np.max(mesh.h))
     growth = 1.0 + bundle.A_inf * mesh.T + bundle.B_inf / bundle.rho
-    c_quad = (h_max**2 / 12.0) * bundle.L21_H * growth**2
+    c_quad = (h_max**2 / 12.0) * bundle.L21_H * inf_on_overflow(pow, growth, 2)
     return c_quad, scheme.lebesgue * bundle.L2 * h_max**scheme.degree
 
 
@@ -313,7 +312,7 @@ def compute_Lambda(bundle: ConstantsBundle) -> float:
 
 def compute_C_close(bundle: ConstantsBundle, T: float):
     """(C_xp, C_u, C_close = C_xp + C_u): the strong-regularity proximity constants."""
-    c_xp = bundle.C_geo * (1.0 + T) * math.exp((bundle.A_inf + bundle.B_inf) * T)
+    c_xp = bundle.C_geo * (1.0 + T) * inf_on_overflow(math.exp, (bundle.A_inf + bundle.B_inf) * T)
     c_u = (bundle.H_ux_inf + bundle.H_up_inf) * c_xp / bundle.rho + 1.0 / bundle.rho
     return c_xp, c_u, c_xp + c_u
 

@@ -209,6 +209,18 @@ def test_projection_stability_loss_rejects():
     assert out.trust_radius is None
 
 
+@pytest.mark.parametrize("C_T", [1e170, math.inf])
+def test_huge_or_infinite_c_t_rejects_without_overflow(C_T):
+    # |1 - C_T E| > 1.34e154 overflows a float square; it reads as inf
+    bundle = cn.ConstantsBundle(C_T=C_T, Gamma_tot=1.0, Lambda=1.0, rho=1.0)
+    out = _verdict(1.0, bundle, 1e-14)
+    assert out.projection_margin == 1.0 - C_T * 1e-14
+    assert out.lhs == math.inf
+    assert not out.accepted
+    assert out.reject_reason == "projection stability lost"
+    assert out.trust_radius is None
+
+
 def test_simplified_test_recorded_when_margin_small():
     bundle = cn.ConstantsBundle(C_T=1.0, Gamma_tot=10.0, Lambda=1.0, rho=1.0)
     out = _verdict(1.0, bundle, 0.05)
@@ -224,7 +236,8 @@ def _reference_verdict(alpha_hat, bundle, e_n2):
     test lhs > threshold, then the certificate's own checks on alpha_cont."""
     margin = 1.0 - bundle.C_T * e_n2
     threshold = bundle.Gamma_tot * e_n2
-    lhs = alpha_hat * margin**2
+    # a square above the largest float is inf
+    lhs = alpha_hat * (margin**2 if abs(margin) < 1e150 else math.inf)
     projection_ok = margin > 0.0
     accepted_inequality = projection_ok and (lhs > threshold)
     alpha_cont = lhs - threshold
@@ -244,7 +257,7 @@ def _reference_verdict(alpha_hat, bundle, e_n2):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(
     alpha_hat=st.floats(allow_nan=False),
-    C_T=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    C_T=st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e300)),
     Gamma_tot=st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(0.0, 1e300)),
     Lambda=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
     rho=st.floats(-1.0, 1.0),
@@ -253,6 +266,8 @@ def _reference_verdict(alpha_hat, bundle, e_n2):
 @example(alpha_hat=math.inf, C_T=1.0, Gamma_tot=1.0, Lambda=1.0, rho=1.0, e_n2=0.5)
 @example(alpha_hat=math.inf, C_T=1.0, Gamma_tot=1e300, Lambda=0.0, rho=1.0, e_n2=1.0)
 @example(alpha_hat=1.0, C_T=10.0, Gamma_tot=0.0, Lambda=1.0, rho=1.0, e_n2=0.5)
+@example(alpha_hat=1.0, C_T=1e300, Gamma_tot=1.0, Lambda=1.0, rho=1.0, e_n2=1e-14)
+@example(alpha_hat=-1.0, C_T=1e300, Gamma_tot=0.0, Lambda=1.0, rho=1.0, e_n2=1.0)
 @example(alpha_hat=1.0, C_T=0.0, Gamma_tot=0.0, Lambda=0.0, rho=1.0, e_n2=0.0)
 @example(alpha_hat=1.0, C_T=0.0, Gamma_tot=0.0, Lambda=1.0, rho=0.0, e_n2=0.0)
 @example(alpha_hat=1.0, C_T=0.0, Gamma_tot=0.0, Lambda=1.0, rho=-1.0, e_n2=0.0)

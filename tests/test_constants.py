@@ -48,6 +48,26 @@ def test_compute_c_t_plug_in_values():
     assert val == pytest.approx(10.873, rel=1e-4)
 
 
+def test_overflowing_bounds_read_inf():
+    # exp(A_inf T) and growth^2 beyond the largest float read inf, not OverflowError
+    b = cn.ConstantsBundle(A_inf=400.0, B_inf=1.0, rho=0.5, C_geo=2.0, H_ux_inf=1.0, H_up_inf=1.0)
+    assert cn.compute_C_T(b, "trapezoidal", 2.0) == math.inf
+    assert cn.compute_C_close(b, 2.0) == (math.inf, math.inf, math.inf)
+    mesh = sc.Mesh.uniform(1.0, 10)
+    h = float(np.max(mesh.h))
+    b = cn.ConstantsBundle(A_inf=1e160, B_inf=1.0, rho=0.5, L21_H=2.0, L2=3.0)
+    c_quad, c_tprime = cn.compute_quadrature_and_conformity(b, "trapezoidal", mesh)
+    assert c_quad == math.inf
+    assert c_tprime == pytest.approx(2.0 * 3.0 * h, rel=1e-15)  # trapezoidal: O(h)
+    # finite values are the plain formulas' bitwise
+    b = cn.ConstantsBundle(A_inf=350.0, B_inf=1.0, rho=0.5, C_geo=2.0, L21_H=2.0, L2=3.0,
+                           H_ux_inf=1.0, H_up_inf=1.0)
+    assert cn.compute_C_T(b, "trapezoidal", 2.0) == 2.0 * math.exp(700.0) * 3.0
+    assert cn.compute_C_close(b, 1.0)[0] == 2.0 * 2.0 * math.exp(351.0)
+    c_quad, _ = cn.compute_quadrature_and_conformity(b, "trapezoidal", mesh)
+    assert c_quad == (h**2 / 12.0) * 2.0 * (1.0 + 350.0 + 2.0) ** 2
+
+
 def test_quadrature_constant_scaling_with_mesh():
     b = cn.ConstantsBundle(A_inf=1.0, B_inf=1.0, rho=0.5, L21_H=2.0, L2=3.0)
     quad_c, tprime_c = cn.compute_quadrature_and_conformity(
@@ -299,6 +319,13 @@ def test_curvature_bounds_match_per_offset_reference(quad_problem, quad_run, cas
         # the tube only samples the problem's functions around rec
         prob = _coupled_quadrotor(prob, control=case.startswith("control"))
     got = cn.estimate_curvature_bounds(prob, rec, cn.TubeSpec())
+    box = _assert_matches_per_offset_reference(prob, rec, got)
+    assert box["uu_affine"] == (case != "control-coupled-hermite-simpson")
+
+
+def _assert_matches_per_offset_reference(prob, rec, got):
+    """Compare the tube's bounds with the per-offset reference and the
+    costate-box extremes; returns the latter."""
     ref = _per_offset_curvature_bounds(prob, rec, cn.TubeSpec(), *_fixed_grid(rec))
     box = _costate_box_bounds(prob, rec, cn.TubeSpec())
     # the costate direction is bounded over the whole dp-box by Weyl's
@@ -310,7 +337,6 @@ def test_curvature_bounds_match_per_offset_reference(quad_problem, quad_run, cas
     assert got.H_ux_inf >= box["H_ux_corner_max"] * (1.0 - 1e-13)
     assert got.rho == pytest.approx(box["rho_weyl"], rel=1e-13)
     assert got.rho <= box["H_uu_corner_min"] + 1e-13 * abs(box["H_uu_corner_min"])
-    assert box["uu_affine"] == (case != "control-coupled-hermite-simpson")
     for name, value in ref.items():
         if name == "H_ux_inf" or (name == "rho" and not box["uu_affine"]):
             continue
@@ -319,7 +345,64 @@ def test_curvature_bounds_match_per_offset_reference(quad_problem, quad_run, cas
             assert getattr(got, name) == pytest.approx(value, rel=1e-13), name
         else:
             assert getattr(got, name) == value, name
+    return box
 
+
+def _curved_on_every_axis(prob, dynamics=True):
+    """``prob`` plus a small term in the running cost, and with ``dynamics``
+    in the dynamics, whose Hessian changes along every state and control axis."""
+
+    def bump(x, u):
+        return ad.cos(sum(x) + sum(u))
+
+    def running_cost(t, x, u):
+        return prob.running_cost(t, x, u) + 1e-4 * bump(x, u)
+
+    def dynamics_(t, x, u):
+        f = prob.dynamics(t, x, u)
+        f[-2] = f[-2] + 1e-3 * bump(x, u)
+        return f
+
+    return dataclasses.replace(
+        prob, running_cost=running_cost, dynamics=dynamics_ if dynamics else prob.dynamics
+    )
+
+
+@pytest.mark.parametrize("case", ["lq", "lq-curved-cost", "every-axis"])
+def test_tube_skips_blocks_that_repeat_the_centre(
+    case, lq_problem, lq_run, quad_problem, quad_run, monkeypatch
+):
+    # A bound skips a block whose derivative arrays that it reads equal the
+    # centre block's bitwise.  The centre block reaches the norms 8 times
+    # (A_inf, B_inf, H_up_inf, M2f, sup_L, the two Weyl sums, H_ux_inf), a
+    # full-radius block at most 6 times and a half-radius block at most twice
+    # (the L21_f and L21_L quotients); every tube stack holds one block.
+    if case == "every-axis":
+        prob = _curved_on_every_axis(_coupled_quadrotor(quad_problem, control=True))
+        rec = quad_run.rec
+    else:
+        prob = _curved_on_every_axis(lq_problem, dynamics=False) if case != "lq" else lq_problem
+        rec = lq_run.rec
+    n, d = prob.n, prob.n + prob.m
+    n_t = cn.TIME_SAMPLES_PER_INTERVAL * rec.mesh.n_intervals
+    rows = []
+    for name in ("_sym_spectral_norms", "_spectral_norms"):
+        inner = getattr(cn, name)
+        monkeypatch.setattr(cn, name, lambda a, inner=inner: rows.append(len(a)) or inner(a))
+    got = cn.estimate_curvature_bounds(prob, rec, cn.TubeSpec())
+    # the endpoint tube: its centre and full-radius offsets, then its quotients
+    assert set(rows) == {n_t, 1 + 4 * n, 4 * n}
+    per_block = {
+        # linear dynamics and a quadratic cost: every block repeats the centre
+        "lq": (0, 0),
+        # Lh changes in every block: sup_L, the Weyl sums, H_ux_inf; L21_L
+        "lq-curved-cost": (4, 1),
+        # every array changes in every block
+        "every-axis": (6, 2),
+    }[case]
+    assert rows.count(n_t) == 8 + 2 * d * per_block[0] + 2 * d * per_block[1]
+    monkeypatch.undo()
+    _assert_matches_per_offset_reference(prob, rec, got)
 
 
 def test_tube_batch_rows_change_no_bound(quad_run, quad_problem, monkeypatch):
@@ -337,14 +420,16 @@ def test_tube_batch_rows_change_no_bound(quad_run, quad_problem, monkeypatch):
     monkeypatch.setattr(model, "dynamics_batch", recording)
     n_t = cn.TIME_SAMPLES_PER_INTERVAL * quad_run.rec.mesh.n_intervals
     d = quad_problem.n + quad_problem.m
-    monkeypatch.setattr(cn, "TUBE_BATCH_ROWS", 10**9)
-    whole = cn.estimate_curvature_bounds(quad_problem, quad_run.rec, cn.TubeSpec())
-    assert rows[0] == (1 + 2 * d) * n_t
-    for cap in (1, 300):
+    whole = None
+    for cap in (10**9, 1, 300):
         monkeypatch.setattr(cn, "TUBE_BATCH_ROWS", cap)
         rows.clear()
         got = cn.estimate_curvature_bounds(quad_problem, quad_run.rec, cn.TubeSpec())
-        assert max(rows) == max(cap, n_t)
-        assert sum(rows) == (1 + 4 * d) * n_t  # centre, full- and half-radius offsets
+        # every batch holds whole blocks of n_t rows, at most max(n_t, cap)
+        # rows, and the blocks are the centre, then the full- and the
+        # half-radius axis offsets
+        assert all(r % n_t == 0 and r <= max(n_t, cap) for r in rows), (cap, rows)
+        assert sum(rows) == (1 + 4 * d) * n_t
+        whole = got if whole is None else whole
         for name in names:
             assert getattr(got, name) == getattr(whole, name), (cap, name)

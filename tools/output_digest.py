@@ -6,7 +6,8 @@ Runs ``ssoc_certify.cli`` from ``CHECKOUT/src`` (default: the checkout holding
 this script) in a temporary directory: ``certify`` over {quadrotor,
 double-integrator-lq} x {trapezoidal, hermite-simpson} x N in {10, 35, 140},
 one ``certify`` on the published constants with injected residuals and
-curvature (the criterion-2 chain), one ``sweep`` (whose ``convergence.csv``
+curvature (the criterion-2 chain), one ``certify`` with non-default tube
+radii, one ``sweep`` (whose ``convergence.csv``
 holds alpha, threshold and the verdict per N), and two forced-reject
 ``refine`` loops, one through an injected residual and one through an
 injected curvature.
@@ -30,6 +31,8 @@ CASES = [
 ] + [
     ["certify", "--problem", "quadrotor", "--n", "35", "--paper-constants",
      "--inject-en2", "3.27e-14", "--inject-einf", "7.05e-14", "--inject-alpha", "6.29e-4"],
+    ["certify", "--problem", "quadrotor", "--scheme", "trapezoidal", "--n", "35",
+     "--tube-dx", "0.2", "--tube-du", "0.05", "--tube-dp", "0.2"],
     ["sweep", "--problem", "quadrotor", "--scheme", "trapezoidal", "--n-list", "10,20"],
     ["refine", "--problem", "quadrotor", "--n", "10", "--max-rounds", "3", "--inject-en2", "1e-10"],
     ["refine", "--problem", "quadrotor", "--n", "10", "--max-rounds", "3", "--inject-alpha", "-1.0"],
