@@ -167,8 +167,8 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
     M2f = sup_L = H_ux_inf = H_up_inf = L21_f = L21_L = 0.0
     rho = math.inf
 
-    # Each bound is a max or min over rows, so it skips every block whose
-    # derivative arrays that it reads equal block 0's bitwise: such a block
+    # Each bound is a max or min over rows, so it skips every block where
+    # the derivative arrays it reads equal block 0's bitwise: such a block
     # cannot move it, and its quotient is 0 (np.array_equal never calls a
     # block holding a NaN equal).  H(p) = Lh + sum_i p_i Hf_i is affine in p,
     # so Weyl's inequality bounds rho and ||H_ux|| over the whole box
