@@ -167,8 +167,6 @@ class Certificate:
     projection_margin: float
     alpha_cont: float
     trust_radius: Optional[float]
-    simplified_test_used: bool
-    simplified_accepted: Optional[bool]
     reject_reason: Optional[str]
     proximity: dict
     residuals: dict
@@ -193,17 +191,14 @@ def finalize_certificate(
     With margin = 1 - C_T E, the transferred curvature is
     alpha_cont = alpha_hat margin^2 - Gamma_tot E.  A nonpositive margin
     voids the near-isometry and rejects outright; otherwise the certificate
-    is accepted when alpha_cont > 0 and the Legendre constant rho > 0.  When
-    C_T E <= 0.1 the simplified test alpha_hat > Gamma_tot E is recorded
-    as well; it never decides.
+    is accepted when alpha_cont > 0 and the Legendre constant rho > 0.
     """
     e_n2, e_source = report.E_N2_node, "node-quadrature"
     if settings.inject_e_n2 is not None:
         e_n2, e_source = settings.inject_e_n2, "injected"
     e_inf = report.E_inf if settings.inject_e_inf is None else settings.inject_e_inf
     alpha_hat = curvature.alpha_hat if settings.inject_alpha is None else settings.inject_alpha
-    c_t_e = bundle.C_T * e_n2
-    margin = 1.0 - c_t_e
+    margin = 1.0 - bundle.C_T * e_n2
     threshold = bundle.Gamma_tot * e_n2
     lhs = alpha_hat * constants_mod.inf_on_overflow(pow, margin, 2)
     alpha_cont = lhs - threshold
@@ -217,7 +212,6 @@ def finalize_certificate(
     else:
         trust_radius = math.inf  # flat second variation: unbounded tube
     prox_product = bundle.C_close_inf * e_inf
-    simplified_used = c_t_e <= 0.1
     return Certificate(
         accepted=reason is None and bundle.rho > 0.0,
         alpha_hat=alpha_hat,
@@ -229,8 +223,6 @@ def finalize_certificate(
         projection_margin=margin,
         alpha_cont=alpha_cont,
         trust_radius=trust_radius,
-        simplified_test_used=simplified_used,
-        simplified_accepted=(alpha_hat > threshold) if simplified_used else None,
         reject_reason=reason,
         proximity={
             "C_close_E_inf": prox_product,

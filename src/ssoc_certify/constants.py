@@ -1,52 +1,72 @@
 """Estimation of the certification constants from discrete data.
 
 The state and control directions of the tube around the reconstruction are
-sampled in blocks of ``TIME_SAMPLES_PER_INTERVAL`` uniform times per mesh
-interval: the reconstruction, each full-radius and each half-radius axis
-offset of it, in model batches of whole blocks; a bound skips a block whose
-derivative array equals the reconstruction's bitwise.  The costate
+sampled in blocks of ``TIME_SAMPLES_PER_INTERVAL * N`` uniform times over
+[0, T] (N mesh intervals; a graded mesh's short intervals may hold one
+sample or none): the reconstruction, each full-radius and each half-radius
+axis offset of it, in model batches of whole blocks; a bound skips a block
+whose derivative array equals the reconstruction's bitwise.  The costate
 direction is bounded over the whole dp-box instead: the Hamiltonian is
 affine in p, so Weyl's inequality turns lambda_min(H_uu) and ||H_ux|| at the
 centre costate into bounds that hold for every costate in the box.
 Lipschitz constants of second derivatives come from difference quotients at
 half-radius offsets and carry the factor ``SAFETY_FACTOR`` because sampled
-quotients lower-bound the true sup.  ``FORMULAS`` holds the formula of each
-derived constant, serialized with the bundle.
+quotients lower-bound the true sup.  ``FORMULAS`` is the only definition of
+each derived constant: :func:`derive` evaluates its expressions over the
+sampled constants, and the bundle serializes them with the prose of
+``SAMPLED``.
 """
 
 from __future__ import annotations
 
+import ast
 import math
-from dataclasses import asdict, dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 import scipy.sparse
 
 from . import model, transcription
-from .errors import LegendreViolationError, SettingsError, StrongRegularityError, is_number
+from .errors import (
+    ContractError, LegendreViolationError, SettingsError, StrongRegularityError, is_number
+)
 from .numerics import sparse_sigma_min
 
 # multiplier on the sampled Lipschitz difference quotients
 SAFETY_FACTOR = 1.5
-# tube time samples per mesh interval
+# tube time samples per mesh interval, on a uniform grid over [0, T]
 TIME_SAMPLES_PER_INTERVAL = 4
 # rows per model batch of the tube, which holds whole blocks of one offset
 # each (one block where a block is longer), so its peak memory stays bounded
 TUBE_BATCH_ROWS = 512
 
-# the formula of each derived constant, serialized with the bundle
+# The derived constants in evaluation order, over the sampled fields, the
+# entries above, T, h_max and p (the scheme degree).  C_quad's growth factor is
+# linear in T, not exponential like C_T's: it bounds a local O(h^2) error.
 FORMULAS = {
-    "L21": "safety * max ||d2g(c + r/2 e) - d2g(c)|| / (r/2)",
-    "rho": "min_samples lambda_min(H_uu(p_c)) - dp * sum_i ||(Hf_i)_uu||",
-    "H_ux": "max_samples ||H_ux(p_c)|| + dp * sum_i ||(Hf_i)_ux||",
-    "C_geo": "1 / sigma_min(M_h)",
+    "C_int": "max(T, 1)",
+    "L21_H": "L21_L + P_max * L21_f",
+    "C_geo": "1 / sigma_min_Mh",
     "C_T": "c_Pi * exp(A_inf * T) * (1 + B_inf / rho)",
-    "C_quad": "h_max^2/12 * L21_H * (1 + A_inf*T + B_inf/rho)^2",
-    "C_Tprime": "c_Pi * L2 * h_max^p",
+    "C_quad": "h_max**2 / 12 * L21_H * (1 + A_inf * T + B_inf / rho)**2",
+    "C_Tprime": "c_Pi * L2 * h_max**p",
     "Gamma": "C_geo * L2",
     "Lambda": "C_int * (L21_H + M2f) + 2 * L21_K",
-    "C_close": "C_xp + (H_ux + H_up) C_xp / rho + 1 / rho",
+    "C_xp_inf": "C_geo * (1 + T) * exp((A_inf + B_inf) * T)",
+    "C_u_inf": "(H_ux_inf + H_up_inf) * C_xp_inf / rho + 1 / rho",
+    "C_close_inf": "C_xp_inf + C_u_inf",
+    "Gamma_tot": "Gamma + C_quad + C_Tprime",
+}
+# how the tube samples the constants that no formula derives
+SAMPLED = {
+    "L21_f": "safety * max ||d2f(c + r/2 e) - d2f(c)|| / (r/2)",
+    "L21_L": "safety * max ||d2L(c + r/2 e) - d2L(c)|| / (r/2)",
+    "L21_K": "safety * max ||d2K(c + r/2 e) - d2K(c)|| / (r/2)",
+    "rho": "min_samples lambda_min(H_uu(p_c)) - dp * sum_i ||(Hf_i)_uu||",
+    "H_ux_inf": "max_samples ||H_ux(p_c)|| + dp * sum_i ||(Hf_i)_ux||",
+    "P_max": "max_samples ||p_c|| + dp",
 }
 
 
@@ -96,7 +116,7 @@ class ConstantsBundle:
     safety_factor: float = SAFETY_FACTOR
     tube: Optional[TubeSpec] = None
     paper_constants: bool = False
-    formulas: dict = field(default_factory=lambda: dict(FORMULAS))
+    formulas: dict = field(default_factory=lambda: {**SAMPLED, **FORMULAS})
 
     def to_dict(self):
         return asdict(self)
@@ -147,8 +167,8 @@ def _axis_offsets(radii, scales):
 def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
     """Sample the tube and return the smoothness/curvature constants.
 
-    Returns a partially filled :class:`ConstantsBundle` (the geometric and
-    derived constants are added by the other operations).
+    Returns a partially filled :class:`ConstantsBundle` (sigma_min_Mh, c_Pi
+    and the derived constants are added by :func:`estimate_all`).
     """
     n, m = prob.n, prob.m
     n_t = TIME_SAMPLES_PER_INTERVAL * rec.mesh.n_intervals
@@ -249,13 +269,12 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
 
     return ConstantsBundle(
         rho=rho, L2=L2, M2f=M2f, L21_f=L21_f, L21_L=L21_L, L21_K=L21_K,
-        L21_H=L21_L + P_max * L21_f, P_max=P_max, A_inf=A_inf, B_inf=B_inf,
-        H_ux_inf=H_ux_inf, H_up_inf=H_up_inf, tube=tube,
+        P_max=P_max, A_inf=A_inf, B_inf=B_inf, H_ux_inf=H_ux_inf, H_up_inf=H_up_inf, tube=tube,
     )
 
 
-def estimate_C_geo(Mh):
-    """(sigma_min(M_h), C_geo = 1 / sigma_min(M_h)).
+def estimate_C_geo(Mh) -> float:
+    """sigma_min(M_h), whose inverse is C_geo.
 
     ``Mh`` is the Jacobian of the collocation equations at the discrete
     solution (compressed form for Hermite-Simpson), dense or sparse;
@@ -270,7 +289,7 @@ def estimate_C_geo(Mh):
             f"sigma_min of the discrete KKT Jacobian is {smin:.3e}; "
             "strong regularity is violated"
         )
-    return smin, 1.0 / smin
+    return smin
 
 
 def inf_on_overflow(fn, *args):
@@ -282,79 +301,70 @@ def inf_on_overflow(fn, *args):
         return math.inf
 
 
-def compute_C_T(bundle: ConstantsBundle, scheme, T: float) -> float:
-    """Projection stability constant c_Pi * exp(A_inf T) * (1 + B_inf / rho)."""
-    scheme = transcription.parse_scheme(scheme)
-    exp_AT = inf_on_overflow(math.exp, bundle.A_inf * T)
-    return scheme.lebesgue * exp_AT * (1.0 + bundle.B_inf / bundle.rho)
+# an inf stands for a finite bound past the float range, so 0 times it reads 0
+_BINARY = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Div: operator.truediv, ast.Pow: math.pow,
+    ast.Mult: lambda a, b: 0.0 if 0.0 in (a, b) and math.inf in (abs(a), abs(b)) else a * b,
+}
+_CALLS = {"exp": math.exp, "max": max}
 
 
-def compute_quadrature_and_conformity(bundle: ConstantsBundle, scheme, mesh):
-    """(C_quad, C_Tprime): quadrature and nonconformity constants, O(h^2) and O(h^p).
+def _evaluate(node, values):
+    kind = type(node)
+    if kind is ast.Name and node.id in values:
+        return float(values[node.id])
+    if kind is ast.Constant and is_number(node.value):
+        return float(node.value)
+    if kind is ast.BinOp and type(node.op) in _BINARY:
+        fn, args = _BINARY[type(node.op)], (node.left, node.right)
+    elif kind is ast.UnaryOp and type(node.op) is ast.USub:
+        fn, args = operator.neg, (node.operand,)
+    elif kind is ast.Call and getattr(node.func, "id", None) in _CALLS and not node.keywords:
+        fn, args = _CALLS[node.func.id], node.args
+    else:
+        raise ContractError(f"formula term {ast.unparse(node)!r} is not allowed")
+    return inf_on_overflow(fn, *(_evaluate(arg, values) for arg in args))
 
-    The quadrature constant uses the linear-in-horizon growth factor
-    (1 + A_inf T + B_inf / rho); the Gronwall exponential that appears in
-    the projection bound is replaced here because the exponential variant
-    dwarfs every other term for mildly stiff dynamics while the quadrature
-    error it bounds is a local O(h^2) effect.
+
+def evaluate(formula: str, values) -> float:
+    """``formula`` over the name -> number mapping ``values``, without ``eval``.
+
+    Allowed are numbers, names in ``values``, + - * / **, unary minus and
+    calls to exp and max; any other term raises :class:`ContractError`.
     """
-    scheme = transcription.parse_scheme(scheme)
-    h_max = float(np.max(mesh.h))
-    growth = 1.0 + bundle.A_inf * mesh.T + bundle.B_inf / bundle.rho
-    c_quad = (h_max**2 / 12.0) * bundle.L21_H * inf_on_overflow(pow, growth, 2)
-    return c_quad, scheme.lebesgue * bundle.L2 * h_max**scheme.degree
-
-
-def compute_Lambda(bundle: ConstantsBundle) -> float:
-    """Second-variation Lipschitz constant C_int (L21_H + M2f) + 2 L21_K."""
-    return bundle.C_int * (bundle.L21_H + bundle.M2f) + 2.0 * bundle.L21_K
-
-
-def compute_C_close(bundle: ConstantsBundle, T: float):
-    """(C_xp, C_u, C_close = C_xp + C_u): the strong-regularity proximity constants."""
-    c_xp = bundle.C_geo * (1.0 + T) * inf_on_overflow(math.exp, (bundle.A_inf + bundle.B_inf) * T)
-    c_u = (bundle.H_ux_inf + bundle.H_up_inf) * c_xp / bundle.rho + 1.0 / bundle.rho
-    return c_xp, c_u, c_xp + c_u
+    return _evaluate(ast.parse(formula, mode="eval").body, values)
 
 
 PAPER_CONSTANTS = {
-    "C_geo": 53.39,
-    "Gamma": 979.47,
-    "Lambda": 1.09,
-    "C_close_inf": 59.36,
-    "C_T": 0.0,
+    "C_geo": 53.39, "Gamma": 979.47, "Lambda": 1.09, "C_close_inf": 59.36, "C_T": 0.0
 }
 
 
-def estimate_all(
-    prob,
-    rec,
-    dkkt,
-    tube: Optional[TubeSpec] = None,
-    paper_constants: bool = False,
-) -> ConstantsBundle:
-    """Run the full constants pipeline and return a complete bundle.
+def derive(values, mesh, scheme, paper_constants: bool = False) -> dict:
+    """Every ``FORMULAS`` entry, in order, over the sampled ``values`` on ``mesh``.
 
-    With ``paper_constants`` the benchmark's published values replace the
-    estimated C_geo, Gamma, Lambda and C_close (and C_T is dropped), which
-    reproduces the published arithmetic chain; everything else is still
-    estimated and recorded.
+    With ``paper_constants`` the published values replace their entries
+    before Gamma_tot, the last entry, sums them.
     """
+    scheme = transcription.parse_scheme(scheme)
+    values = dict(values, T=mesh.T, h_max=float(np.max(mesh.h)), p=scheme.degree)
+    for name, formula in FORMULAS.items():
+        if name == "Gamma_tot" and paper_constants:
+            values.update(PAPER_CONSTANTS)
+        values[name] = evaluate(formula, values)
+    return {name: values[name] for name in FORMULAS}
+
+
+def estimate_all(
+    prob, rec, dkkt, tube: Optional[TubeSpec] = None, paper_constants: bool = False
+) -> ConstantsBundle:
+    """The complete bundle: the tube's constants, sigma_min(M_h), c_Pi and
+    the derived constants.  ``paper_constants`` reproduces the published
+    arithmetic chain (see :func:`derive`); all else is still estimated."""
     layout = dkkt.layout
-    scheme, mesh = layout.scheme, layout.mesh
     bundle = estimate_curvature_bounds(prob, rec, tube or TubeSpec())
-    bundle.c_Pi = scheme.lebesgue
-    bundle.C_int = max(mesh.T, 1.0)
+    bundle.c_Pi = layout.scheme.lebesgue
     Mh = transcription.compress_collocation_jacobian(layout, dkkt.kkt_matrices(prob)[0])
-    bundle.sigma_min_Mh, bundle.C_geo = estimate_C_geo(Mh)
-    bundle.C_T = compute_C_T(bundle, scheme, mesh.T)
-    bundle.C_quad, bundle.C_Tprime = compute_quadrature_and_conformity(bundle, scheme, mesh)
-    bundle.Gamma = bundle.C_geo * bundle.L2
-    bundle.Lambda = compute_Lambda(bundle)
-    bundle.C_xp_inf, bundle.C_u_inf, bundle.C_close_inf = compute_C_close(bundle, mesh.T)
-    if paper_constants:
-        bundle.paper_constants = True
-        for name, value in PAPER_CONSTANTS.items():
-            setattr(bundle, name, value)
-    bundle.Gamma_tot = bundle.Gamma + bundle.C_quad + bundle.C_Tprime
-    return bundle
+    bundle.sigma_min_Mh = estimate_C_geo(Mh)
+    bundle.paper_constants = paper_constants
+    return replace(bundle, **derive(asdict(bundle), layout.mesh, layout.scheme, paper_constants))

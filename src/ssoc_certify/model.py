@@ -150,10 +150,12 @@ def hamiltonian_batch(prob: OcpProblem, t, X, U, P):
     if P.shape != F.shape:
         raise DimensionError(f"costate batch has shape {P.shape}, expected {F.shape}")
     _, Lg = running_cost_batch(prob, t, X, U, order=1)
-    n = prob.n
-    H_x = Lg[:, :n] + np.einsum("bi,bij->bj", P, Fx)
-    H_u = Lg[:, n:] + np.einsum("bi,bij->bj", P, Fu)
-    return F, H_x, H_u
+    return F, hamiltonian_x(Lg, Fx, P), Lg[:, prob.n :] + np.einsum("bi,bij->bj", P, Fu)
+
+
+def hamiltonian_x(Lg, Fx, P):
+    """H_x (B, n) of H = L + p.f from the order-1 parts Lg and Fx and the costates P (B, n)."""
+    return Lg[:, : Fx.shape[1]] + np.einsum("bi,bij->bj", P, Fx)
 
 
 def _endpoint_parts(prob, X0, XT, order, boundary):

@@ -90,11 +90,6 @@ def piecewise_linear(times, values) -> PiecewisePoly:
     return PiecewisePoly(times, np.stack([c0, c1], axis=1))
 
 
-def _hamiltonian_x(Lg, Fx, P):
-    """H_x of H = L + p.f from the order-1 parts, as :func:`model.hamiltonian_batch` forms it."""
-    return Lg[:, : Fx.shape[1]] + np.einsum("bi,bij->bj", P, Fx)
-
-
 def extract_costates(layout, nu_all, Fx, Lg):
     """Costates from the defect multipliers.
 
@@ -125,7 +120,7 @@ def extract_costates(layout, nu_all, Fx, Lg):
     def interval_share(p, rows):
         quad = scheme.quad[p]
         q = np.einsum("r,kri->ki", flow[:, p] / quad, nu)
-        H_x = _hamiltonian_x(Lg[rows], Fx[rows], q)
+        H_x = model.hamiltonian_x(Lg[rows], Fx[rows], q)
         weighted_H_x = (layout.mesh.h * quad)[:, None] * H_x
         return np.einsum("r,kri->ki", state[:, p], nu) + weighted_H_x
 
@@ -193,7 +188,7 @@ def reconstruct(prob, dkkt) -> Reconstruction:
     return Reconstruction(
         X=hermite_cubic(nodes, x_nodes, F),
         U=piecewise_linear(layout.sample_times, u_samples),
-        P=hermite_cubic(nodes, p_nodes, -_hamiltonian_x(Lg, Fx, p_nodes)),
+        P=hermite_cubic(nodes, p_nodes, -model.hamiltonian_x(Lg, Fx, p_nodes)),
         lam=lam,
         layout=layout,
         x_samples=x_samples,

@@ -221,16 +221,6 @@ def test_huge_or_infinite_c_t_rejects_without_overflow(C_T):
     assert out.trust_radius is None
 
 
-def test_simplified_test_recorded_when_margin_small():
-    bundle = cn.ConstantsBundle(C_T=1.0, Gamma_tot=10.0, Lambda=1.0, rho=1.0)
-    out = _verdict(1.0, bundle, 0.05)
-    assert out.simplified_test_used
-    assert out.simplified_accepted
-    out2 = _verdict(1.0, bundle, 0.5)
-    assert not out2.simplified_test_used
-    assert out2.simplified_accepted is None
-
-
 def _reference_verdict(alpha_hat, bundle, e_n2):
     """(accepted, reject_reason, trust_radius) by the two-stage rule: a scalar
     test lhs > threshold, then the certificate's own checks on alpha_cont."""

@@ -1,15 +1,24 @@
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ssoc_certify import cli, solver
+from ssoc_certify import constants as cn
+from ssoc_certify.transcription import Mesh, parse_scheme
+
+_DIGEST = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+_spec = importlib.util.spec_from_file_location("output_digest", _DIGEST)
+output_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(output_digest)
 
 CERTIFICATE_KEYS = {
     "accepted", "alpha_cont", "alpha_hat", "alpha_hat_euclidean", "certified_e_n2",
     "certified_e_source", "constants", "lhs", "projection_margin", "provenance",
-    "proximity", "reject_reason", "residuals", "simplified_accepted",
-    "simplified_test_used", "threshold", "trust_radius",
+    "proximity", "reject_reason", "residuals", "threshold", "trust_radius",
 }
 SETTINGS_KEYS = {
     "inject_alpha", "inject_e_inf", "inject_e_n2", "paper_constants", "quad_points",
@@ -20,6 +29,11 @@ CONSTANTS_KEYS = {
     "C_quad", "C_u_inf", "C_xp_inf", "Gamma", "Gamma_tot", "H_up_inf", "H_ux_inf", "L2",
     "L21_H", "L21_K", "L21_L", "L21_f", "Lambda", "M2f", "P_max", "c_Pi",
     "formulas", "paper_constants", "rho", "safety_factor", "sigma_min_Mh", "tube",
+}
+FORMULA_KEYS = {
+    "C_int", "L21_H", "C_geo", "C_T", "C_quad", "C_Tprime", "Gamma", "Lambda", "C_xp_inf",
+    "C_u_inf", "C_close_inf", "Gamma_tot", "L21_f", "L21_L", "L21_K", "rho", "H_ux_inf",
+    "P_max",
 }
 
 
@@ -189,3 +203,45 @@ def test_paper_constants_injection_chain(tmp_path):
     assert abs(cert["alpha_cont"] - 6.29e-4) <= 1e-6
     assert cert["proximity"]["ok"] is True
     assert cert["constants"]["paper_constants"] is True
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in output_digest.CASES if c[0] == "certify"], ids=" ".join
+)
+def test_recorded_formulas_reproduce_recorded_constants(case, tmp_path):
+    # every derived constant of certificate.json follows from the JSON alone:
+    # its recorded formula over its recorded constants and the mesh
+    run_cli([*case, "--out-dir", str(tmp_path)])
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    constants, prov = cert["constants"], cert["provenance"]
+    assert constants["formulas"] == {**cn.SAMPLED, **cn.FORMULAS}
+    assert set(constants["formulas"]) == FORMULA_KEYS
+    nodes = prov["mesh_nodes"]
+    values = dict(constants, T=nodes[-1], h_max=float(np.max(np.diff(nodes))),
+                  p=parse_scheme(prov["scheme"]).degree)
+    paper = constants["paper_constants"]
+    # the published values replace their entries after the table ran, so
+    # C_xp_inf was derived from the estimated C_geo, not the recorded one
+    skipped = set(cn.PAPER_CONSTANTS) | {"C_xp_inf"} if paper else set()
+    for name in set(cn.FORMULAS) - skipped:
+        got = cn.evaluate(constants["formulas"][name], values)
+        assert got.hex() == float(constants[name]).hex(), name
+    # the whole table over the sampled constants alone
+    derived = cn.derive(
+        {k: v for k, v in constants.items() if k not in cn.FORMULAS},
+        Mesh(nodes), prov["scheme"], paper,
+    )
+    for name, value in derived.items():
+        assert value.hex() == float(constants[name]).hex(), name
+
+
+def test_output_digest_hashes_each_second_level_key(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"a": {"x": 1, "y": [2]}, "b": 3.0, "c": {}}))
+    got = dict(output_digest.digests(path))
+    assert sorted(got) == ["report.json:a.x", "report.json:a.y", "report.json:b", "report.json:c"]
+    assert got["report.json:a.y"] == output_digest._sha(b"[2]")
+    (tmp_path / "rows.csv").write_text("N\n1\n")
+    assert list(output_digest.digests(tmp_path / "rows.csv")) == [
+        ("rows.csv", output_digest._sha(b"N\n1\n"))
+    ]

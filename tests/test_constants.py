@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,13 @@ import pytest
 import ssoc_certify as sc
 from ssoc_certify import constants as cn
 from ssoc_certify import ad, model
-from ssoc_certify.errors import LegendreViolationError, SettingsError, StrongRegularityError
+from ssoc_certify.errors import (
+    ContractError,
+    LegendreViolationError,
+    SettingsError,
+    StrongRegularityError,
+)
+from ssoc_certify.transcription import parse_scheme
 
 
 def test_tube_spec_validation():
@@ -39,45 +47,55 @@ def test_quadrotor_rho_is_control_weight(quad_run):
     assert quad_run.bundle.rho == pytest.approx(0.01, rel=1e-10)
 
 
+def _derive(T=1.0, scheme="trapezoidal", n_intervals=10, **fields):
+    """The derived constants of a bundle holding ``fields`` on the uniform
+    mesh of ``n_intervals`` intervals over [0, T]."""
+    bundle = cn.ConstantsBundle(c_Pi=parse_scheme(scheme).lebesgue, **fields)
+    return cn.derive(bundle.to_dict(), sc.Mesh.uniform(T, n_intervals), scheme)
+
+
 def test_compute_c_t_plug_in_values():
-    b = cn.ConstantsBundle(A_inf=0.0, B_inf=0.0, rho=1.0)
-    assert cn.compute_C_T(b, "hermite-simpson", 1.0) == pytest.approx(2.0)
-    b = cn.ConstantsBundle(A_inf=1.0, B_inf=0.01, rho=0.01)
-    val = cn.compute_C_T(b, "trapezoidal", 1.0)
+    d = _derive(A_inf=0.0, B_inf=0.0, rho=1.0, scheme="hermite-simpson")
+    assert d["C_T"] == pytest.approx(2.0)
+    val = _derive(A_inf=1.0, B_inf=0.01, rho=0.01)["C_T"]
     assert val == pytest.approx(4.0 * math.e, rel=1e-12)
     assert val == pytest.approx(10.873, rel=1e-4)
 
 
 def test_overflowing_bounds_read_inf():
-    # exp(A_inf T) and growth^2 beyond the largest float read inf, not OverflowError
-    b = cn.ConstantsBundle(A_inf=400.0, B_inf=1.0, rho=0.5, C_geo=2.0, H_ux_inf=1.0, H_up_inf=1.0)
-    assert cn.compute_C_T(b, "trapezoidal", 2.0) == math.inf
-    assert cn.compute_C_close(b, 2.0) == (math.inf, math.inf, math.inf)
-    mesh = sc.Mesh.uniform(1.0, 10)
-    h = float(np.max(mesh.h))
-    b = cn.ConstantsBundle(A_inf=1e160, B_inf=1.0, rho=0.5, L21_H=2.0, L2=3.0)
-    c_quad, c_tprime = cn.compute_quadrature_and_conformity(b, "trapezoidal", mesh)
-    assert c_quad == math.inf
-    assert c_tprime == pytest.approx(2.0 * 3.0 * h, rel=1e-15)  # trapezoidal: O(h)
+    # exp(A_inf T) and growth^2 beyond the largest float read inf, not
+    # OverflowError; C_geo = 1 / sigma_min_Mh = 2 and L21_H = L21_L = 2
+    b = dict(A_inf=400.0, B_inf=1.0, rho=0.5, sigma_min_Mh=0.5, H_ux_inf=1.0, H_up_inf=1.0)
+    d = _derive(T=2.0, **b)
+    assert d["C_T"] == math.inf
+    assert (d["C_xp_inf"], d["C_u_inf"], d["C_close_inf"]) == (math.inf, math.inf, math.inf)
+    h = float(np.max(sc.Mesh.uniform(1.0, 10).h))
+    d = _derive(A_inf=1e160, B_inf=1.0, rho=0.5, L21_L=2.0, P_max=0.0, L21_f=0.0, L2=3.0)
+    assert d["C_quad"] == math.inf
+    assert d["C_Tprime"] == pytest.approx(2.0 * 3.0 * h, rel=1e-15)  # trapezoidal: O(h)
     # finite values are the plain formulas' bitwise
-    b = cn.ConstantsBundle(A_inf=350.0, B_inf=1.0, rho=0.5, C_geo=2.0, L21_H=2.0, L2=3.0,
-                           H_ux_inf=1.0, H_up_inf=1.0)
-    assert cn.compute_C_T(b, "trapezoidal", 2.0) == 2.0 * math.exp(700.0) * 3.0
-    assert cn.compute_C_close(b, 1.0)[0] == 2.0 * 2.0 * math.exp(351.0)
-    c_quad, _ = cn.compute_quadrature_and_conformity(b, "trapezoidal", mesh)
-    assert c_quad == (h**2 / 12.0) * 2.0 * (1.0 + 350.0 + 2.0) ** 2
+    b = dict(A_inf=350.0, B_inf=1.0, rho=0.5, sigma_min_Mh=0.5, L21_L=2.0, P_max=0.0,
+             L21_f=0.0, L2=3.0, H_ux_inf=1.0, H_up_inf=1.0)
+    assert _derive(T=2.0, **b)["C_T"] == 2.0 * math.exp(700.0) * 3.0
+    d = _derive(**b)
+    assert d["C_xp_inf"] == 2.0 * 2.0 * math.exp(351.0)
+    assert d["C_quad"] == (h**2 / 12.0) * 2.0 * (1.0 + 350.0 + 2.0) ** 2
+
+
+def test_zero_times_overflowed_bound_reads_zero():
+    # an inf stands for a finite bound past the float range, so the zero
+    # coefficient H_ux_inf + H_up_inf times C_xp_inf = inf is 0, not NaN
+    d = _derive(T=2.0, A_inf=400.0, B_inf=0.0, rho=1.0, sigma_min_Mh=1.0, H_ux_inf=0.0,
+                H_up_inf=0.0)
+    assert (d["C_xp_inf"], d["C_u_inf"], d["C_close_inf"]) == (math.inf, 1.0, math.inf)
 
 
 def test_quadrature_constant_scaling_with_mesh():
-    b = cn.ConstantsBundle(A_inf=1.0, B_inf=1.0, rho=0.5, L21_H=2.0, L2=3.0)
-    quad_c, tprime_c = cn.compute_quadrature_and_conformity(
-        b, "hermite-simpson", sc.Mesh.uniform(1.0, 10)
-    )
-    quad_f, tprime_f = cn.compute_quadrature_and_conformity(
-        b, "hermite-simpson", sc.Mesh.uniform(1.0, 20)
-    )
-    assert quad_f == pytest.approx(quad_c / 4.0, rel=1e-12)
-    assert tprime_f == pytest.approx(tprime_c / 8.0, rel=1e-12)
+    b = dict(A_inf=1.0, B_inf=1.0, rho=0.5, L21_L=2.0, P_max=0.0, L21_f=0.0, L2=3.0,
+             scheme="hermite-simpson")
+    coarse, fine = _derive(n_intervals=10, **b), _derive(n_intervals=20, **b)
+    assert fine["C_quad"] == pytest.approx(coarse["C_quad"] / 4.0, rel=1e-12)
+    assert fine["C_Tprime"] == pytest.approx(coarse["C_Tprime"] / 8.0, rel=1e-12)
 
 
 def test_quadrature_constant_vanishes_without_third_derivatives(lq_run):
@@ -85,28 +103,48 @@ def test_quadrature_constant_vanishes_without_third_derivatives(lq_run):
 
 
 def test_lambda_hand_value():
-    b = cn.ConstantsBundle(L21_L=1.0, P_max=2.0, L21_f=0.5, M2f=1.0, L21_K=0.0, C_int=2.0)
-    b.L21_H = b.L21_L + b.P_max * b.L21_f
-    assert cn.compute_Lambda(b) == pytest.approx(2.0 * (2.0 + 1.0))
+    d = _derive(T=2.0, L21_L=1.0, P_max=2.0, L21_f=0.5, M2f=1.0, L21_K=0.0)
+    assert (d["C_int"], d["L21_H"]) == (2.0, 2.0)
+    assert d["Lambda"] == pytest.approx(2.0 * (2.0 + 1.0))
 
 
 def test_c_close_hand_value_and_monotonicity():
-    b = cn.ConstantsBundle(A_inf=0.0, B_inf=0.0, rho=1.0, C_geo=1.0, H_ux_inf=0.0, H_up_inf=0.0)
-    c_xp, c_u, c_close = cn.compute_C_close(b, 1.0)
-    assert c_close == pytest.approx(3.0)
-    assert c_close == c_xp + c_u
-    b2 = cn.ConstantsBundle(A_inf=0.0, B_inf=0.0, rho=2.0, C_geo=1.0, H_ux_inf=0.0, H_up_inf=0.0)
-    assert cn.compute_C_close(b2, 1.0)[1] < c_u
+    b = dict(A_inf=0.0, B_inf=0.0, sigma_min_Mh=1.0, H_ux_inf=0.0, H_up_inf=0.0)
+    d = _derive(rho=1.0, **b)
+    assert d["C_close_inf"] == pytest.approx(3.0)
+    assert d["C_close_inf"] == d["C_xp_inf"] + d["C_u_inf"]
+    assert _derive(rho=2.0, **b)["C_u_inf"] < d["C_u_inf"]
+
+
+def test_evaluator_arithmetic():
+    assert cn.evaluate("-max(T, 1)**2 / 4 - exp(0) + 2 * T", {"T": 3.0}) == -9.0 / 4.0 - 1.0 + 6.0
+    assert cn.evaluate("exp(T) + 10**T", {"T": 1000.0}) == math.inf
+    assert cn.evaluate("0 * exp(T) - exp(T) * 0", {"T": 1000.0}) == 0.0
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["T.real", "v[0]", "abs(T)", "__import__('os')", "exp(x=T)", "exp(*v)", "U", "T < 1",
+     "'T'", "True * T", "lambda: T", "T if T else 1"],
+)
+def test_evaluator_rejects_other_terms(formula):
+    with pytest.raises(ContractError):
+        cn.evaluate(formula, {"T": 2.0, "v": [1.0]})
+
+
+def test_readme_formula_table_is_the_code():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \|$", readme, re.M)
+    assert rows == list(cn.FORMULAS.items())
 
 
 def test_c_geo_identity_and_lift_override():
     rng = np.random.default_rng(31)
     A = rng.normal(size=(6, 6))
     spd = A @ A.T + np.eye(6)
-    smin, c_geo = cn.estimate_C_geo(spd)
-    assert c_geo * smin == pytest.approx(1.0, rel=1e-12)
-    smin_eye, _ = cn.estimate_C_geo(np.eye(4))
-    assert smin_eye == pytest.approx(1.0)
+    smin = cn.estimate_C_geo(spd)
+    assert smin == pytest.approx(np.linalg.svd(spd, compute_uv=False)[-1], rel=1e-12)
+    assert cn.estimate_C_geo(np.eye(4)) == pytest.approx(1.0)
 
 
 def test_c_geo_rejects_singular():
@@ -236,9 +274,7 @@ def _per_offset_curvature_bounds(prob, rec, tube, scales, n_t, safety_factor=1.5
     return {
         "rho": rho, "L2": max(sup_L, M2f, sup_K), "M2f": M2f,
         "L21_f": L21_f * safety_factor, "L21_L": L21_L * safety_factor,
-        "L21_K": L21_K * safety_factor,
-        "L21_H": L21_L * safety_factor + P_max * L21_f * safety_factor,
-        "P_max": P_max,
+        "L21_K": L21_K * safety_factor, "P_max": P_max,
         "A_inf": float(np.max(_svd_norms(Fx_c))), "B_inf": float(np.max(_svd_norms(Fu_c))),
         "H_ux_inf": H_ux_inf, "H_up_inf": float(np.max(_svd_norms(np.swapaxes(Fu, 1, 2)))),
     }
@@ -408,7 +444,7 @@ def test_tube_skips_blocks_that_repeat_the_centre(
 def test_tube_batch_rows_change_no_bound(quad_run, quad_problem, monkeypatch):
     # every tube bound is a max or min over rows, so the row cap per model
     # batch, which bounds the tube's peak memory, leaves each bound bitwise equal
-    names = ["rho", "L2", "M2f", "L21_f", "L21_L", "L21_K", "L21_H", "P_max",
+    names = ["rho", "L2", "M2f", "L21_f", "L21_L", "L21_K", "P_max",
              "A_inf", "B_inf", "H_ux_inf", "H_up_inf"]
     rows = []
     inner = model.dynamics_batch

@@ -48,7 +48,7 @@ def test_curvature_and_sigma_min_match_dense_oracle(kkt_point, quad_problem):
     M = tr.variation_gram_sparse(layout)
     Mh = tr.compress_collocation_jacobian(layout, J)
     curv = sc.reduced_curvature(W, J, M)
-    smin, _ = cn.estimate_C_geo(Mh)
+    smin = cn.estimate_C_geo(Mh)
 
     alpha, alpha_euclid, null_dim = _dense_curvature(W, J, M)
     smin_dense = sigma_min(Mh.toarray())

@@ -1,4 +1,4 @@
-"""Print the exit code and the sha256 of every CLI output file over a fixed case matrix.
+"""Print the exit code and the sha256 digests of every CLI output over a fixed case matrix.
 
     python3 tools/output_digest.py [CHECKOUT]
 
@@ -11,18 +11,22 @@ radii, one ``sweep`` (whose ``convergence.csv``
 holds alpha, threshold and the verdict per N), and two forced-reject
 ``refine`` loops, one through an injected residual and one through an
 injected curvature.
-Two checkouts that print the same lines write byte-identical certificates,
-trajectories, residuals and reports.
+
+A JSON output gets one digest per key path down to the second level
+(``certificate.json:constants.formulas``), so a change confined to one
+object shows as that line; any other file gets one digest.  Two checkouts
+that print the same lines write the same certificates, trajectories,
+residuals and reports.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
 CASES = [
     ["certify", "--problem", problem, "--scheme", scheme, "--n", str(n)]
     for problem in ("quadrotor", "double-integrator-lq")
@@ -39,8 +43,25 @@ CASES = [
 ]
 
 
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(path: Path):
+    """(label, sha256) pairs of one output file."""
+    if path.suffix != ".json":
+        yield path.name, _sha(path.read_bytes())
+        return
+    for key, value in sorted(json.loads(path.read_text()).items()):
+        items = sorted(value.items()) if isinstance(value, dict) and value else [(None, value)]
+        for sub, item in items:
+            label = f"{path.name}:{key}" if sub is None else f"{path.name}:{key}.{sub}"
+            yield label, _sha(json.dumps(item, sort_keys=True).encode())
+
+
 def main():
-    env = dict(os.environ, PYTHONPATH=str(ROOT.resolve() / "src"), PYTHONDONTWRITEBYTECODE="1")
+    root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"), PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as tmp:
         for k, case in enumerate(CASES):
             out = Path(tmp) / str(k)
@@ -50,7 +71,8 @@ def main():
             )
             print(" ".join(case), f"exit={proc.returncode}")
             for path in sorted(out.iterdir()) if out.exists() else []:
-                print(f"  {hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+                for label, digest in digests(path):
+                    print(f"  {digest}  {label}")
 
 
 if __name__ == "__main__":
