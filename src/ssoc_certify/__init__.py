@@ -23,7 +23,7 @@ from .residuals import (
     residual_relation_check,
     worst_intervals,
 )
-from .solver import SolveReport, SolverOptions, newton_step, solve
+from .solver import SolveReport, newton_step, solve
 from .transcription import (
     HERMITE_SIMPSON,
     TRAPEZOIDAL,

@@ -227,7 +227,6 @@ def finalize_certificate(
         proximity={
             "C_close_E_inf": prox_product,
             "e_inf_used": float(e_inf),
-            "trust_radius": trust_radius,
             "ok": trust_radius is not None and prox_product <= trust_radius,
         },
         residuals=report.to_dict(),
@@ -238,18 +237,23 @@ def finalize_certificate(
 
 @dataclass
 class CertifySettings:
-    """Knobs of one certification pass beyond problem/mesh/scheme."""
+    """The settings of one certification pass beyond problem/mesh/scheme.
 
+    ``tolerance`` is the solver's KKT tolerance; every value is validated
+    here, before any solve.
+    """
+
+    tolerance: float = 1e-12
     tube: constants_mod.TubeSpec = field(default_factory=constants_mod.TubeSpec)
-    quad_points: int = 5
     paper_constants: bool = False
     inject_e_n2: Optional[float] = None
     inject_e_inf: Optional[float] = None
     inject_alpha: Optional[float] = None
 
     def __post_init__(self):
-        if not (is_number(self.quad_points, int) and self.quad_points >= 3):
-            raise SettingsError(f"quad_points must be an integer >= 3, got {self.quad_points!r}")
+        tol = self.tolerance
+        if not (is_number(tol) and math.isfinite(tol) and tol > 0):
+            raise SettingsError(f"tolerance must be finite and > 0, got {tol!r}")
         for name in ("inject_e_n2", "inject_e_inf"):
             value = getattr(self, name)
             if value is not None and not (is_number(value) and math.isfinite(value) and value >= 0.0):
@@ -274,7 +278,6 @@ def run_certification(
     prob,
     mesh,
     scheme,
-    options: Optional[solver.SolverOptions] = None,
     settings: Optional[CertifySettings] = None,
     initial_guess=None,
 ) -> CertificationRun:
@@ -282,7 +285,7 @@ def run_certification(
     settings = settings or CertifySettings()
     scheme = transcription.parse_scheme(scheme)
     dkkt, solve_report = solver.solve(
-        prob, mesh, scheme, options=options, initial_guess=initial_guess
+        prob, mesh, scheme, tolerance=settings.tolerance, initial_guess=initial_guess
     )
     if not solve_report.converged:
         err = ConvergenceError(
@@ -291,7 +294,7 @@ def run_certification(
         err.report = solve_report
         raise err
     rec = reconstruction.reconstruct(prob, dkkt)
-    report = residuals_mod.compute_residuals(prob, rec, settings.quad_points)
+    report = residuals_mod.compute_residuals(prob, rec)
     layout = dkkt.layout
     J, W = dkkt.kkt_matrices(prob)
     bundle = constants_mod.estimate_all(
@@ -305,7 +308,6 @@ def run_certification(
 
     recorded = asdict(settings)
     del recorded["tube"]  # recorded in constants.tube
-    recorded["tolerance"] = (options or solver.SolverOptions()).kkt_tolerance
     provenance = {
         "problem": prob.name,
         "n_intervals": mesh.n_intervals,

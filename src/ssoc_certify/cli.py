@@ -10,28 +10,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
+
+from . import certify, model, refine, transcription
+from .constants import TubeSpec
+from .errors import SettingsError, SsocError
 
 EXIT_ACCEPTED = 0
 EXIT_ERROR = 1
 EXIT_REJECTED = 2
-
-
-def _cap_threads():
-    """Honor SSOC_CERTIFY_THREADS by capping BLAS pools before numpy loads."""
-    cap = os.environ.get("SSOC_CERTIFY_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
-_cap_threads()
-
-from . import certify, model, refine, solver, transcription  # noqa: E402
-from .errors import SettingsError, SsocError  # noqa: E402
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tube-dx", type=float, default=0.1)
         p.add_argument("--tube-du", type=float, default=0.1)
         p.add_argument("--tube-dp", type=float, default=0.1)
-        p.add_argument("--quad-points", type=int, default=5)
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument(
             "--paper-constants",
@@ -94,20 +81,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args):
-    """(solver options, certification settings); SettingsError on bad values."""
-    from .constants import TubeSpec
-
-    options = solver.SolverOptions(kkt_tolerance=args.tol)
-    settings = certify.CertifySettings(
+def _settings_from_args(args):
+    """The certification settings; SettingsError on bad values."""
+    return certify.CertifySettings(
+        tolerance=args.tol,
         tube=TubeSpec(dx=args.tube_dx, du=args.tube_du, dp=args.tube_dp),
-        quad_points=args.quad_points,
         paper_constants=args.paper_constants,
         inject_e_n2=args.inject_en2,
         inject_e_inf=args.inject_einf,
         inject_alpha=args.inject_alpha,
     )
-    return options, settings
 
 
 def _json_dump(payload, path: Path):
@@ -179,17 +162,17 @@ def _parse_n_list(text):
     return n_list
 
 
-def _run_single(prob, scheme, n, options, settings):
+def _run_single(prob, scheme, n, settings):
     mesh = transcription.Mesh.uniform(prob.T, n)
-    return certify.run_certification(prob, mesh, scheme, options=options, settings=settings)
+    return certify.run_certification(prob, mesh, scheme, settings=settings)
 
 
 def cmd_certify(args) -> int:
-    options, settings = _config_from_args(args)
+    settings = _settings_from_args(args)
     prob = model.builtin_problem(args.problem)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    run = _run_single(prob, args.scheme, args.n, options, settings)
+    run = _run_single(prob, args.scheme, args.n, settings)
     _json_dump(run.certificate.to_dict(), out / "certificate.json")
     _write_trajectory(run, out / "trajectory.csv")
     _write_residuals(run, out / "residuals.csv")
@@ -199,14 +182,14 @@ def cmd_certify(args) -> int:
 def cmd_sweep(args) -> int:
     # invalid input is an error of the whole command, not a rejected row
     n_list = _parse_n_list(args.n_list)
-    options, settings = _config_from_args(args)
+    settings = _settings_from_args(args)
     prob = model.builtin_problem(args.problem)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for n in n_list:
         try:
-            run = _run_single(prob, args.scheme, n, options, settings)
+            run = _run_single(prob, args.scheme, n, settings)
             cert = run.certificate
             rows.append(
                 [
@@ -235,14 +218,12 @@ def cmd_refine(args) -> int:
         max_rounds=args.max_rounds,
         max_total_intervals=args.max_intervals,
     )
-    options, settings = _config_from_args(args)
+    settings = _settings_from_args(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     prob = model.builtin_problem(args.problem)
     mesh = transcription.Mesh.uniform(prob.T, args.n)
-    result = refine.certify_loop(
-        prob, mesh, args.scheme, policy=policy, options=options, settings=settings
-    )
+    result = refine.certify_loop(prob, mesh, args.scheme, policy=policy, settings=settings)
     payload = {
         "termination": result.termination,
         "rounds": [s.to_dict() for s in result.history],

@@ -30,7 +30,8 @@ import scipy.sparse
 
 from . import model, transcription
 from .errors import (
-    ContractError, LegendreViolationError, SettingsError, StrongRegularityError, is_number
+    ContractError, EvaluationDomainError, LegendreViolationError, SettingsError,
+    StrongRegularityError, is_number,
 )
 from .numerics import sparse_sigma_min
 
@@ -122,6 +123,20 @@ class ConstantsBundle:
         return asdict(self)
 
 
+def _eigvalsh(stack):
+    """Ascending eigenvalues of each symmetric matrix in a (..., k, k) stack;
+    all NaN when an entry is not finite, where LAPACK may return finite
+    values or fail."""
+    if not np.isfinite(stack).all():
+        return np.full(stack.shape[:-1], np.nan)
+    return np.linalg.eigvalsh(stack)
+
+
+def _max(*values):
+    """max(values), but NaN when one is NaN, which Python's max may drop."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def _spectral_norms(stack):
     """Spectral norm of each matrix in a (..., k, l) stack.
 
@@ -132,14 +147,14 @@ def _spectral_norms(stack):
         return np.zeros(stack.shape[:-2])
     trans = np.swapaxes(stack, -1, -2)
     gram = stack @ trans if stack.shape[-2] <= stack.shape[-1] else trans @ stack
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    return np.sqrt(np.maximum(_eigvalsh(gram)[..., -1], 0.0))
 
 
 def _sym_spectral_norms(stack):
     """Spectral norm of each symmetric matrix in a (..., k, k) stack: max |eigenvalue|."""
     if stack.size == 0:
         return np.zeros(stack.shape[:-2])
-    eigs = np.linalg.eigvalsh(stack)
+    eigs = _eigvalsh(stack)
     return np.maximum(-eigs[..., 0], eigs[..., -1])
 
 
@@ -168,7 +183,9 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
     """Sample the tube and return the smoothness/curvature constants.
 
     Returns a partially filled :class:`ConstantsBundle` (sigma_min_Mh, c_Pi
-    and the derived constants are added by :func:`estimate_all`).
+    and the derived constants are added by :func:`estimate_all`).  Raises
+    :class:`EvaluationDomainError` naming every sampled constant that is
+    not finite, as where a model derivative in the tube holds a NaN.
     """
     n, m = prob.n, prob.m
     n_t = TIME_SAMPLES_PER_INTERVAL * rec.mesh.n_intervals
@@ -202,11 +219,12 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
             if new_f:
                 dHf = Hf - centre[1]
                 dHf = dHf[:, _nonzero_components(dHf)]
-                L21_f = max(L21_f, float(np.max(_sym_spectral_norms(dHf), initial=0.0)) / step)
+                L21_f = _max(L21_f, float(np.max(_sym_spectral_norms(dHf), initial=0.0)) / step)
             if new_L:
-                L21_L = max(L21_L, float(np.max(_sym_spectral_norms(Lh - centre[2]))) / step)
+                L21_L = _max(L21_L, float(np.max(_sym_spectral_norms(Lh - centre[2]))) / step)
             return
-        # np.maximum / np.minimum keep a NaN, which the Legendre check rejects
+        # np.maximum / np.minimum and _max keep a NaN, which the finiteness
+        # check below rejects
         if k == 0 or not np.array_equal(Fu, centre[0]):
             H_up_inf = np.maximum(H_up_inf, np.max(_spectral_norms(np.swapaxes(Fu, 1, 2))))
         if new_L:
@@ -220,7 +238,7 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
         H_u = Lh[:, n:, :] + np.einsum("bi,bijk->bjk", Pc[:, curved], Hf[:, :, n:, :])
         spread_uu = tube.dp * _norm_sum(Hf[:, :, n:, n:], _sym_spectral_norms)
         spread_ux = tube.dp * _norm_sum(Hf[:, :, n:, :n], _spectral_norms)
-        rho = np.minimum(rho, np.min(np.linalg.eigvalsh(H_u[:, :, n:])[:, 0] - spread_uu))
+        rho = np.minimum(rho, np.min(_eigvalsh(H_u[:, :, n:])[:, 0] - spread_uu))
         H_ux_inf = np.maximum(H_ux_inf, np.max(_spectral_norms(H_u[:, :, :n]) + spread_ux))
 
     # Each model batch holds whole blocks and at most max(n_t,
@@ -243,11 +261,6 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
             add_block(k, Fu[rows], Hf[rows], Lh[rows])
         del Fx, Fu, Hf, Lh  # freed first, so the peak holds one batch, not two
     M2f, sup_L, rho, H_ux_inf, H_up_inf = map(float, (M2f, sup_L, rho, H_ux_inf, H_up_inf))
-    if not rho > 0.0:
-        raise LegendreViolationError(
-            f"min eigenvalue of H_uu over the tube is {rho:.3e}; "
-            "strengthened Legendre condition fails"
-        )
 
     # endpoint cost Hessian over the endpoint tube, in one batch: the center,
     # the full-radius axis offsets, then the half-radius ones for L21_K
@@ -259,18 +272,28 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
     K_hess = model.endpoint_hessian_batch(prob, x0v + end_offsets[:, :n], xTv + end_offsets[:, n:])
     n_end = 1 + len(end_full)
     sup_K = float(np.max(_sym_spectral_norms(K_hess[:n_end])))
-    L2 = max(sup_L, M2f, sup_K)
-    P_max = float(np.max(np.linalg.norm(Pc, axis=1))) + tube.dp
     k_quotients = _sym_spectral_norms(K_hess[n_end:] - K_hess[0]) / np.linalg.norm(
         end_half, axis=1
     )
-    L21_K = max(0.0, float(np.max(k_quotients)))
+    L21_K = _max(0.0, float(np.max(k_quotients)))
     L21_f, L21_L, L21_K = (SAFETY_FACTOR * q for q in (L21_f, L21_L, L21_K))
-
-    return ConstantsBundle(
-        rho=rho, L2=L2, M2f=M2f, L21_f=L21_f, L21_L=L21_L, L21_K=L21_K,
-        P_max=P_max, A_inf=A_inf, B_inf=B_inf, H_ux_inf=H_ux_inf, H_up_inf=H_up_inf, tube=tube,
+    sampled = dict(
+        rho=rho, L2=_max(sup_L, M2f, sup_K), M2f=M2f, L21_f=L21_f, L21_L=L21_L, L21_K=L21_K,
+        P_max=float(np.max(np.linalg.norm(Pc, axis=1))) + tube.dp,
+        A_inf=A_inf, B_inf=B_inf, H_ux_inf=H_ux_inf, H_up_inf=H_up_inf,
     )
+    bad = [f"{name} = {value}" for name, value in sampled.items() if not math.isfinite(value)]
+    if bad:
+        raise EvaluationDomainError(
+            f"sampled constants not finite ({', '.join(bad)}); "
+            "a model derivative over the tube holds a NaN or an inf"
+        )
+    if not rho > 0.0:
+        raise LegendreViolationError(
+            f"min eigenvalue of H_uu over the tube is {rho:.3e}; "
+            "strengthened Legendre condition fails"
+        )
+    return ConstantsBundle(**sampled, tube=tube)
 
 
 def estimate_C_geo(Mh) -> float:

@@ -50,21 +50,21 @@ class PiecewisePoly:
         idx = np.searchsorted(self.breaks, t, side="right") - 1
         return np.clip(idx, 0, self.coeffs.shape[0] - 1), t
 
-    def eval(self, t):
+    def _horner(self, t, coeffs):
+        """Horner's rule at t over per-piece power-basis ``coeffs``."""
         idx, t = self._locate(t)
         s = t - self.breaks[idx]
         out = np.zeros(np.shape(s) + (self.dim,))
-        for j in range(self.coeffs.shape[1] - 1, -1, -1):
-            out = out * s[..., None] + self.coeffs[idx, j]
+        for j in range(coeffs.shape[1] - 1, -1, -1):
+            out = out * s[..., None] + coeffs[idx, j]
         return out
 
+    def eval(self, t):
+        return self._horner(t, self.coeffs)
+
     def eval_derivative(self, t):
-        idx, t = self._locate(t)
-        s = t - self.breaks[idx]
-        out = np.zeros(np.shape(s) + (self.dim,))
-        for j in range(self.coeffs.shape[1] - 1, 0, -1):
-            out = out * s[..., None] + j * self.coeffs[idx, j]
-        return out
+        powers = np.arange(1, self.coeffs.shape[1])[:, None]
+        return self._horner(t, powers * self.coeffs[:, 1:])
 
 
 def hermite_cubic(nodes, values, slopes) -> PiecewisePoly:
@@ -140,7 +140,6 @@ class Reconstruction:
     X: PiecewisePoly  # states, cubic
     U: PiecewisePoly  # controls, linear
     P: PiecewisePoly  # costate, cubic
-    lam: np.ndarray
     layout: transcription.NlpLayout
     x_samples: np.ndarray
     u_samples: np.ndarray
@@ -172,7 +171,6 @@ def reconstruct(prob, dkkt) -> Reconstruction:
     x_samples, u_samples = layout.unpack(dkkt.z)
     x_nodes = x_samples[node_idx]
     u_nodes = u_samples[node_idx]
-    lam = dkkt.lam
 
     # one order-1 model pass at the nodes gives the costate shares and the
     # state and costate slopes: H = L + p.f is affine in p
@@ -181,15 +179,14 @@ def reconstruct(prob, dkkt) -> Reconstruction:
     p_station, p_nodes, jump = extract_costates(layout, dkkt.nu, Fx, Lg)
 
     # anchor the terminal costate on the transversality relation
-    ept = model.eval_endpoint_terms(prob, x_nodes[0], x_nodes[-1], lam, order=1)
-    p_terminal = ept.K_xT + ept.b_xT.T @ lam
+    ept = model.eval_endpoint_terms(prob, x_nodes[0], x_nodes[-1], order=1)
+    p_terminal = ept.K_xT + ept.b_xT.T @ dkkt.lam
     anchor_shift = float(np.linalg.norm(p_nodes[-1] - p_terminal))
     p_nodes[-1] = p_terminal
     return Reconstruction(
         X=hermite_cubic(nodes, x_nodes, F),
         U=piecewise_linear(layout.sample_times, u_samples),
         P=hermite_cubic(nodes, p_nodes, -model.hamiltonian_x(Lg, Fx, p_nodes)),
-        lam=lam,
         layout=layout,
         x_samples=x_samples,
         u_samples=u_samples,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from . import certify, residuals as residuals_mod, solver, transcription
+from . import certify, residuals as residuals_mod, transcription
 from .errors import SettingsError, SsocError, is_number
 
 
@@ -58,7 +58,6 @@ def certify_loop(
     initial_mesh,
     scheme,
     policy: Optional[RefinePolicy] = None,
-    options: Optional[solver.SolverOptions] = None,
     settings: Optional[certify.CertifySettings] = None,
 ) -> RefineResult:
     """Run solve/certify rounds, bisecting the worst intervals on rejection.
@@ -78,8 +77,7 @@ def certify_loop(
     for rnd in range(policy.max_rounds + 1):
         try:
             run = certify.run_certification(
-                prob, mesh, scheme, options=options, settings=settings,
-                initial_guess=guess,
+                prob, mesh, scheme, settings=settings, initial_guess=guess
             )
         except SsocError as err:
             err.history = history

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.sparse
 
 from . import transcription
-from .errors import SettingsError, SolverBreakdownError, is_number
+from .errors import SolverBreakdownError
 from .numerics import sparse_lu
 
 # Curvature test of a Newton step: dz'(W + delta I) dz >= KAPPA |dz|^2.
@@ -27,16 +25,6 @@ BACKTRACK = 0.5
 PENALTY_MARGIN = 1.1
 # Plain Newton steps taken after convergence while the residual shrinks.
 POLISH_STEPS = 3
-
-
-@dataclass
-class SolverOptions:
-    kkt_tolerance: float = 1e-12
-
-    def __post_init__(self):
-        tol = self.kkt_tolerance
-        if not (is_number(tol) and math.isfinite(tol) and tol > 0):
-            raise SettingsError(f"kkt_tolerance must be finite and > 0, got {self.kkt_tolerance!r}")
 
 
 @dataclass
@@ -101,8 +89,8 @@ def default_initial_guess(prob, layout):
     return layout.pack(X, U)
 
 
-def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_guess=None):
-    """Solve the collocation NLP to a discrete KKT point.
+def solve(prob, mesh, scheme, tolerance=1e-12, initial_guess=None):
+    """Solve the collocation NLP to a max KKT residual of ``tolerance``.
 
     Returns (DiscreteKkt, SolveReport).  After reaching the tolerance a few
     plain Newton polish steps are taken while they keep shrinking the max
@@ -111,7 +99,6 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
     tolerance was not met (flagged in the report); certification refuses
     non-converged inputs.
     """
-    options = options or SolverOptions()
     layout = transcription.assemble(prob, mesh, scheme)
     if initial_guess is None:
         z = default_initial_guess(prob, layout)
@@ -135,7 +122,7 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
     f0, g, c, J, W, res = kkt_state(z, nu)
     iterations = 0
 
-    while res > options.kkt_tolerance and iterations < MAX_ITERATIONS:
+    while res > tolerance and iterations < MAX_ITERATIONS:
         iterations += 1
         dz, nu_new, delta_used = newton_step(W, J, g, c)
         sigma = max(sigma, PENALTY_MARGIN * float(np.max(np.abs(nu_new), initial=0.0)))
@@ -158,11 +145,11 @@ def solve(prob, mesh, scheme, options: Optional[SolverOptions] = None, initial_g
         nu = nu_new
         f0, g, c, J, W, res = kkt_state(z, nu)
 
-    converged = res <= options.kkt_tolerance
+    converged = res <= tolerance
     if converged:
         # push the residual toward the round-off floor, but stay proportional
         # to the requested tolerance so loose solves stay loose
-        floor = options.kkt_tolerance * 1e-3
+        floor = tolerance * 1e-3
         for _ in range(POLISH_STEPS):
             if res <= floor:
                 break

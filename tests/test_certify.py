@@ -276,6 +276,23 @@ def test_settings_reject_strings_and_bools(name, value):
         sc.CertifySettings(**{name: value})
 
 
+@pytest.mark.parametrize("value", [0.0, float("nan"), float("inf"), "1e-8", True])
+def test_settings_reject_bad_tolerance(value):
+    with pytest.raises(SettingsError):
+        sc.CertifySettings(tolerance=value)
+
+
+def test_loose_tolerance_reaches_the_solver(quad_problem):
+    settings = sc.CertifySettings(tolerance=1e-2)
+    run = sc.run_certification(
+        quad_problem, sc.Mesh.uniform(quad_problem.T, 10), "hermite-simpson", settings=settings
+    )
+    rep = run.solve_report
+    assert rep.converged
+    assert max(rep.kkt_residual, rep.constraint_residual) > 1e-9
+    assert run.certificate.provenance["settings"]["tolerance"] == 1e-2
+
+
 def test_paper_arithmetic_chain_values(quad_problem):
     settings = sc.CertifySettings(
         paper_constants=True,
@@ -334,7 +351,7 @@ def _dummy_report():
         e_dyn_L2=0.0, e_stat_L2=0.0, e_bc=0.0, E_N2=0.0,
         e_dyn_node_L2=0.0, e_stat_node_L2=0.0, E_N2_node=0.0, kkt_node_inf=0.0,
         e_dyn_inf=0.0, e_adj_inf=0.0, e_stat_inf=0.0, E_inf=0.0, E_inf_basic=0.0,
-        e_bc_weighted=None, per_interval=[], quad_points=5, inf_samples_per_cell=21,
+        per_interval=[],
     )
 
 

@@ -21,9 +21,14 @@ CERTIFICATE_KEYS = {
     "proximity", "reject_reason", "residuals", "threshold", "trust_radius",
 }
 SETTINGS_KEYS = {
-    "inject_alpha", "inject_e_inf", "inject_e_n2", "paper_constants", "quad_points",
-    "tolerance",
+    "inject_alpha", "inject_e_inf", "inject_e_n2", "paper_constants", "tolerance",
 }
+RESIDUALS_KEYS = {
+    "E_N2", "E_N2_node", "E_inf", "E_inf_basic", "e_adj_inf", "e_bc", "e_dyn_L2",
+    "e_dyn_inf", "e_dyn_node_L2", "e_stat_L2", "e_stat_inf", "e_stat_node_L2",
+    "kkt_node_inf", "per_interval",
+}
+PROXIMITY_KEYS = {"C_close_E_inf", "e_inf_used", "ok"}
 CONSTANTS_KEYS = {
     "A_inf", "B_inf", "C_T", "C_Tprime", "C_close_inf", "C_geo", "C_int",
     "C_quad", "C_u_inf", "C_xp_inf", "Gamma", "Gamma_tot", "H_up_inf", "H_ux_inf", "L2",
@@ -60,6 +65,8 @@ def test_certify_writes_outputs_and_exit_zero(tmp_path):
     assert cert["accepted"] is True
     assert set(cert) == CERTIFICATE_KEYS
     assert set(cert["provenance"]["settings"]) == SETTINGS_KEYS
+    assert set(cert["residuals"]) == RESIDUALS_KEYS
+    assert set(cert["proximity"]) == PROXIMITY_KEYS
     assert set(cert["constants"]) == CONSTANTS_KEYS
     assert cert["constants"]["tube"] == {
         "dx": 0.1, "du": 0.1, "dp": 0.1,
@@ -121,15 +128,12 @@ def test_invalid_flag_exits_one(capsys):
         ["certify", "--tol", "inf"],
         ["certify", "--tol", "nan"],
         ["refine", "--tol", "inf"],
-        ["certify", "--quad-points", "2"],
-        ["sweep", "--quad-points", "2", "--n-list", "4,5"],
-        ["refine", "--quad-points", "2"],
     ],
     ids=[
         "n-list-not-int", "n-list-unordered", "fraction-zero", "tube-dx-zero", "tol-zero",
         "n-list-zero", "sweep-unknown-problem", "tube-dp-nan", "tube-du-inf",
         "inject-en2-negative", "inject-einf-nan", "inject-alpha-inf", "tol-inf", "tol-nan",
-        "refine-tol-inf", "quad-points-two", "sweep-quad-points-two", "refine-quad-points-two",
+        "refine-tol-inf",
     ],
 )
 def test_bad_input_reports_error_without_traceback(args, tmp_path, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from ssoc_certify import constants as cn
 from ssoc_certify import ad, model
 from ssoc_certify.errors import (
     ContractError,
+    EvaluationDomainError,
     LegendreViolationError,
     SettingsError,
     StrongRegularityError,
@@ -170,6 +171,41 @@ def test_legendre_violation_detected():
         cn.estimate_curvature_bounds(prob, rec, cn.TubeSpec())
 
 
+def test_nan_endpoint_hessian_names_the_constants(quad_problem, quad_run, monkeypatch):
+    # a NaN in the centre endpoint Hessian reaches L2 and every L21_K quotient
+    inner = model.endpoint_hessian_batch
+
+    def nan_centre(prob, X0, XT):
+        K_hess = inner(prob, X0, XT)
+        K_hess[0, 0, 0] = math.nan
+        return K_hess
+
+    monkeypatch.setattr(model, "endpoint_hessian_batch", nan_centre)
+    with pytest.raises(EvaluationDomainError, match=r"\(L2 = nan, L21_K = nan\)"):
+        cn.estimate_curvature_bounds(quad_problem, quad_run.rec, cn.TubeSpec())
+
+
+def test_nan_half_radius_running_cost_hessian_names_l21_l(quad_problem, quad_run, monkeypatch):
+    # one block per model batch: the last batch is a half-radius block,
+    # which only the L21_L quotient reads
+    monkeypatch.setattr(cn, "TUBE_BATCH_ROWS", 1)
+    inner = model.running_cost_batch
+    batches = 1 + 4 * (quad_problem.n + quad_problem.m)
+    calls = []
+
+    def nan_last(prob, t, X, U, order=0):
+        parts = inner(prob, t, X, U, order=order)
+        calls.append(order)
+        if len(calls) == batches:
+            parts[2][0, quad_problem.n, quad_problem.n] = math.nan
+        return parts
+
+    monkeypatch.setattr(model, "running_cost_batch", nan_last)
+    with pytest.raises(EvaluationDomainError, match=r"\(L21_L = nan\)"):
+        cn.estimate_curvature_bounds(quad_problem, quad_run.rec, cn.TubeSpec())
+    assert calls == [2] * batches
+
+
 def test_bundle_identities(quad_run):
     b = quad_run.bundle
     assert b.Gamma == b.C_geo * b.L2
@@ -247,7 +283,7 @@ def _per_offset_curvature_bounds(prob, rec, tube, scales, n_t, safety_factor=1.5
     x0v, xTv = rec.X.eval(0.0), rec.X.eval(rec.T)
     sup_K = max(
         float(cn._sym_spectral_norms(
-            sc.eval_endpoint_terms(prob, x0v + d0[:n], xTv + d0[n:], rec.lam).K_hess[None]
+            sc.eval_endpoint_terms(prob, x0v + d0[:n], xTv + d0[n:]).K_hess[None]
         )[0])
         for d0 in np.vstack([np.zeros(2 * n), cn._axis_offsets(end_radii, (1.0, -1.0))])
     )
@@ -265,9 +301,9 @@ def _per_offset_curvature_bounds(prob, rec, tube, scales, n_t, safety_factor=1.5
         _, _, Lh_o = model.running_cost_batch(prob, ts, Xc + off[:n], Uc + off[n:], order=2)
         L21_f = max(L21_f, float(np.max(cn._sym_spectral_norms(Hf_o - Hf[:B0]))) / step)
         L21_L = max(L21_L, float(np.max(cn._sym_spectral_norms(Lh_o - Lh[:B0]))) / step)
-    K_c = sc.eval_endpoint_terms(prob, x0v, xTv, rec.lam).K_hess
+    K_c = sc.eval_endpoint_terms(prob, x0v, xTv).K_hess
     for off in cn._axis_offsets(end_radii, (0.5, -0.5)):
-        K_o = sc.eval_endpoint_terms(prob, x0v + off[:n], xTv + off[n:], rec.lam).K_hess
+        K_o = sc.eval_endpoint_terms(prob, x0v + off[:n], xTv + off[n:]).K_hess
         step = float(np.linalg.norm(off))
         L21_K = max(L21_K, float(cn._sym_spectral_norms((K_o - K_c)[None])[0]) / step)
     P_max = float(np.max(np.linalg.norm(Pc, axis=1))) + tube.dp

@@ -110,7 +110,7 @@ def test_terminal_costate_anchored(quad_run):
     prob = sc.builtin_problem("quadrotor")
     rec = quad_run.rec
     ept = model.eval_endpoint_terms(
-        prob, rec.X.eval(0.0), rec.X.eval(rec.T), rec.lam
+        prob, rec.X.eval(0.0), rec.X.eval(rec.T), quad_run.dkkt.lam
     )
     target = ept.K_xT
     assert np.linalg.norm(rec.P.eval(rec.T) - target) <= 1e-10

@@ -39,11 +39,6 @@ def test_identically_satisfied_problem_has_zero_residuals():
     assert rep.e_bc == 0.0
 
 
-def test_minimum_quadrature_points_enforced(lq_run, lq_problem):
-    with pytest.raises(Exception):
-        sc.compute_residuals(lq_problem, lq_run.rec, quad_points_per_interval=2)
-
-
 def test_decomposition_matches_global_l2(quad_run):
     rep = quad_run.residual_report
     dyn_sq = sum(d * d for (_, d, _) in rep.per_interval)
@@ -56,13 +51,19 @@ def test_decomposition_matches_global_l2(quad_run):
 def test_one_model_pass_per_point_set(quad_problem, quad_run, monkeypatch):
     """compute_residuals evaluates the model once on the dense grid (which
     holds the quadrature points) and once at the samples, every dynamics
-    batch from inside hamiltonian_batch; reconstruct makes one order-1
-    dynamics batch and one order-1 running-cost batch at the nodes, and no
-    hamiltonian_batch call."""
+    batch from inside hamiltonian_batch, and reads the endpoint terms at
+    order 0; reconstruct makes one order-1 dynamics batch and one order-1
+    running-cost batch at the nodes, and no hamiltonian_batch call."""
     calls = []
     inside = [0]
     dynamics_batch, hamiltonian_batch = model.dynamics_batch, model.hamiltonian_batch
     running_cost_batch = model.running_cost_batch
+    eval_endpoint_terms = model.eval_endpoint_terms
+    endpoint_orders = []
+
+    def recording_endpoint_terms(prob, x0, xT, lam=None, order=2):
+        endpoint_orders.append(order)
+        return eval_endpoint_terms(prob, x0, xT, lam, order=order)
 
     def counting_hamiltonian(prob, t, X, U, P):
         calls.append(("hamiltonian", np.array(t, copy=True)))
@@ -83,14 +84,16 @@ def test_one_model_pass_per_point_set(quad_problem, quad_run, monkeypatch):
     monkeypatch.setattr(model, "dynamics_batch", counting("dynamics", dynamics_batch))
     monkeypatch.setattr(model, "running_cost_batch", counting("running cost", running_cost_batch))
     monkeypatch.setattr(model, "hamiltonian_batch", counting_hamiltonian)
+    monkeypatch.setattr(model, "eval_endpoint_terms", recording_endpoint_terms)
 
     rec = quad_run.rec
-    rep = rs.compute_residuals(quad_problem, rec)
+    rs.compute_residuals(quad_problem, rec)
     assert [name for name, _ in calls] == ["hamiltonian", "hamiltonian"]
+    assert endpoint_orders == [0]
     t_dense, t_nodes = calls[0][1], calls[1][1]
     assert t_dense.size == np.unique(t_dense).size
     a, b = rec.U.breaks[:-1, None], rec.U.breaks[1:, None]
-    gl_x = np.polynomial.legendre.leggauss(rep.quad_points)[0]
+    gl_x = np.polynomial.legendre.leggauss(rs.GAUSS_POINTS)[0]
     assert np.isin(0.5 * (a + b) + 0.5 * (b - a) * gl_x, t_dense).all()
     assert np.array_equal(t_nodes, rec.sample_times)
 
@@ -117,9 +120,10 @@ def test_relation_check_negative_control(quad_run):
     assert not sc.residual_relation_check(broken, 2.0)
 
 
-def test_quadrature_refinement_stability(lq_problem, lq_run):
-    r5 = sc.compute_residuals(lq_problem, lq_run.rec, 5)
-    r10 = sc.compute_residuals(lq_problem, lq_run.rec, 10)
+def test_quadrature_refinement_stability(lq_problem, lq_run, monkeypatch):
+    r5 = sc.compute_residuals(lq_problem, lq_run.rec)
+    monkeypatch.setattr(rs, "GAUSS_POINTS", 10)
+    r10 = sc.compute_residuals(lq_problem, lq_run.rec)
     assert r10.E_N2 == pytest.approx(r5.E_N2, rel=1e-2)
 
 
@@ -164,9 +168,7 @@ def test_worst_intervals_tie_break_and_spike():
         e_dyn_L2=0.0, e_stat_L2=0.0, e_bc=0.0, E_N2=0.0,
         e_dyn_node_L2=0.0, e_stat_node_L2=0.0, E_N2_node=0.0, kkt_node_inf=0.0,
         e_dyn_inf=0.0, e_adj_inf=0.0, e_stat_inf=0.0, E_inf=0.0, E_inf_basic=0.0,
-        e_bc_weighted=None,
         per_interval=[(0, 1.0, 0.0), (1, 1.0, 0.0), (2, 1.0, 0.0), (3, 1.0, 0.0)],
-        quad_points=5, inf_samples_per_cell=21,
     )
     assert sc.worst_intervals(rep, 0.5) == [0, 1]
     rep.per_interval[2] = (2, 5.0, 0.0)

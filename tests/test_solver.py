@@ -3,7 +3,7 @@ import pytest
 
 import ssoc_certify as sc
 from ssoc_certify import model, solver, transcription
-from ssoc_certify.errors import SettingsError, SolverBreakdownError
+from ssoc_certify.errors import SolverBreakdownError
 
 
 def test_newton_step_solves_equality_qp_in_one_step():
@@ -84,20 +84,6 @@ def test_merit_history_monotone_nonincreasing(quad_problem):
     hist = rep.merit_history
     assert len(hist) >= 2
     assert all(b <= a + 1e-10 * max(1.0, abs(a)) for a, b in zip(hist, hist[1:]))
-
-
-@pytest.mark.parametrize("value", [0.0, float("nan"), "1e-8", True])
-def test_options_reject_bad_tolerance(value):
-    with pytest.raises(SettingsError):
-        solver.SolverOptions(kkt_tolerance=value)
-
-
-def test_loose_tolerance_leaves_larger_residuals(quad_problem):
-    mesh = sc.Mesh.uniform(quad_problem.T, 10)
-    opts = solver.SolverOptions(kkt_tolerance=1e-2)
-    _, rep = sc.solve(quad_problem, mesh, "hermite-simpson", options=opts)
-    assert rep.converged
-    assert max(rep.kkt_residual, rep.constraint_residual) > 1e-9
 
 
 def test_report_records_guess_policy(lq_problem):

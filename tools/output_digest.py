@@ -7,10 +7,10 @@ this script) in a temporary directory: ``certify`` over {quadrotor,
 double-integrator-lq} x {trapezoidal, hermite-simpson} x N in {10, 35, 140},
 one ``certify`` on the published constants with injected residuals and
 curvature (the criterion-2 chain), one ``certify`` with non-default tube
-radii, one ``sweep`` (whose ``convergence.csv``
-holds alpha, threshold and the verdict per N), and two forced-reject
-``refine`` loops, one through an injected residual and one through an
-injected curvature.
+radii, one ``certify`` with a loose solver tolerance, one ``sweep`` (whose
+``convergence.csv`` holds alpha, threshold and the verdict per N), and two
+forced-reject ``refine`` loops, one through an injected residual and one
+through an injected curvature.
 
 A JSON output gets one digest per key path down to the second level
 (``certificate.json:constants.formulas``), so a change confined to one
@@ -37,6 +37,7 @@ CASES = [
      "--inject-en2", "3.27e-14", "--inject-einf", "7.05e-14", "--inject-alpha", "6.29e-4"],
     ["certify", "--problem", "quadrotor", "--scheme", "trapezoidal", "--n", "35",
      "--tube-dx", "0.2", "--tube-du", "0.05", "--tube-dp", "0.2"],
+    ["certify", "--problem", "double-integrator-lq", "--n", "10", "--tol", "1e-9"],
     ["sweep", "--problem", "quadrotor", "--scheme", "trapezoidal", "--n-list", "10,20"],
     ["refine", "--problem", "quadrotor", "--n", "10", "--max-rounds", "3", "--inject-en2", "1e-10"],
     ["refine", "--problem", "quadrotor", "--n", "10", "--max-rounds", "3", "--inject-alpha", "-1.0"],
