@@ -11,7 +11,10 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from . import certify, model, refine, transcription
 from .constants import TubeSpec
@@ -31,13 +34,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
+def _setting(p, flag, dest, type=float, **kwargs):
+    # stored under the name of its settings field; the metavar stays the flag's
+    metavar = flag[2:].replace("-", "_").upper()
+    p.add_argument(flag, dest=dest, metavar=metavar, type=type, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ssoc-certify", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list builtin problems and schemes")
 
-    def common(p):
+    def command(name, help):
+        # a flag without a default is stored only when given, so the settings
+        # objects keep the one copy of each default
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         p.add_argument("--problem", required=True, help="builtin problem name")
         p.add_argument("--n", type=int, default=20, help="number of mesh intervals")
         p.add_argument(
@@ -45,101 +57,68 @@ def build_parser() -> argparse.ArgumentParser:
             default="hermite-simpson",
             choices=sorted(transcription.SCHEMES),
         )
-        p.add_argument("--tol", type=float, default=1e-12, help="solver KKT tolerance")
-        p.add_argument("--tube-dx", type=float, default=0.1)
-        p.add_argument("--tube-du", type=float, default=0.1)
-        p.add_argument("--tube-dp", type=float, default=0.1)
+        _setting(p, "--tol", "tolerance", help="solver KKT tolerance")
+        _setting(p, "--tube-dx", "dx")
+        _setting(p, "--tube-du", "du")
+        _setting(p, "--tube-dp", "dp")
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument(
             "--paper-constants",
             action="store_true",
             help="substitute the published benchmark constants for the estimated ones",
         )
-        p.add_argument("--inject-en2", type=float, default=None,
-                       help="use this value as the certified residual aggregate")
-        p.add_argument("--inject-einf", type=float, default=None,
-                       help="use this value as the sup residual in the proximity check")
-        p.add_argument("--inject-alpha", type=float, default=None,
-                       help="use this value as the discrete reduced curvature")
+        _setting(p, "--inject-en2", "inject_e_n2",
+                 help="use this value as the certified residual aggregate")
+        _setting(p, "--inject-einf", "inject_e_inf",
+                 help="use this value as the sup residual in the proximity check")
+        _setting(p, "--inject-alpha", "inject_alpha",
+                 help="use this value as the discrete reduced curvature")
+        return p
 
-    p_cert = sub.add_parser("certify", help="one solve + certification pass")
-    common(p_cert)
-
-    p_sweep = sub.add_parser("sweep", help="certification across mesh sizes")
-    common(p_sweep)
+    command("certify", "one solve + certification pass")
+    p_sweep = command("sweep", "certification across mesh sizes")
     p_sweep.add_argument(
         "--n-list",
         default="10,15,20,25,30,35",
         help="comma separated ascending interval counts",
     )
-
-    p_ref = sub.add_parser("refine", help="certify-or-refine loop")
-    common(p_ref)
-    p_ref.add_argument("--fraction", type=float, default=0.3)
-    p_ref.add_argument("--max-rounds", type=int, default=8)
-    p_ref.add_argument("--max-intervals", type=int, default=400)
+    p_ref = command("refine", "certify-or-refine loop")
+    p_ref.add_argument("--fraction", type=float)
+    p_ref.add_argument("--max-rounds", type=int)
+    _setting(p_ref, "--max-intervals", "max_total_intervals", type=int)
     return parser
 
 
-def _settings_from_args(args):
-    """The certification settings; SettingsError on bad values."""
-    return certify.CertifySettings(
-        tolerance=args.tol,
-        tube=TubeSpec(dx=args.tube_dx, du=args.tube_du, dp=args.tube_dp),
-        paper_constants=args.paper_constants,
-        inject_e_n2=args.inject_en2,
-        inject_e_inf=args.inject_einf,
-        inject_alpha=args.inject_alpha,
-    )
+def _given(args, cls):
+    """The fields of the dataclass ``cls`` that the command line set."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
 
 
 def _json_dump(payload, path: Path):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_trajectory(run, path: Path, samples_per_interval=10):
-    import numpy as np
+def _write_csv(path: Path, header, rows):
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
+
+def _write_trajectory(run, path: Path):
     rec = run.rec
     nodes = rec.mesh.nodes
-    ts = []
-    for k in range(rec.mesh.n_intervals):
-        ts.append(np.linspace(nodes[k], nodes[k + 1], samples_per_interval, endpoint=False))
-    ts.append(np.array([nodes[-1]]))
-    ts = np.concatenate(ts)
-    X = rec.X.eval(ts)
-    U = rec.U.eval(ts)
-    P = rec.P.eval(ts)
-    n, m = X.shape[1], U.shape[1]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t"]
-            + [f"x_{i + 1}" for i in range(n)]
-            + [f"u_{j + 1}" for j in range(m)]
-            + [f"p_{i + 1}" for i in range(n)]
-        )
-        for row in range(ts.size):
-            writer.writerow(
-                [repr(float(ts[row]))]
-                + [repr(float(v)) for v in X[row]]
-                + [repr(float(v)) for v in U[row]]
-                + [repr(float(v)) for v in P[row]]
-            )
+    grid = np.linspace(nodes[:-1], nodes[1:], 10, endpoint=False, axis=1)  # 10 per interval
+    ts = np.append(grid, nodes[-1])
+    X, U, P = (f.eval(ts) for f in (rec.X, rec.U, rec.P))
+    header = ["t"] + [
+        f"{name}_{i + 1}" for name, f in (("x", X), ("u", U), ("p", P)) for i in range(f.shape[1])
+    ]
+    rows = np.column_stack([ts, X, U, P])
+    _write_csv(path, header, ([repr(float(v)) for v in row] for row in rows))
 
 
-def _write_residuals(run, path: Path):
-    nodes = run.rec.mesh.nodes
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "t_left", "t_right", "dyn_l2", "stat_l2"])
-        for (k, dyn, stat) in run.residual_report.per_interval:
-            writer.writerow(
-                [k, repr(float(nodes[k])), repr(float(nodes[k + 1])), repr(dyn), repr(stat)]
-            )
-
-
-def cmd_list(_args) -> int:
+def cmd_list() -> int:
     print("problems:")
     for name in model.builtin_names():
         print(f"  {name}")
@@ -162,68 +141,40 @@ def _parse_n_list(text):
     return n_list
 
 
-def _run_single(prob, scheme, n, settings):
-    mesh = transcription.Mesh.uniform(prob.T, n)
-    return certify.run_certification(prob, mesh, scheme, settings=settings)
-
-
-def cmd_certify(args) -> int:
-    settings = _settings_from_args(args)
-    prob = model.builtin_problem(args.problem)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    run = _run_single(prob, args.scheme, args.n, settings)
+def cmd_certify(args, prob, settings, out: Path) -> int:
+    mesh = transcription.Mesh.uniform(prob.T, args.n)
+    run = certify.run_certification(prob, mesh, args.scheme, settings=settings)
     _json_dump(run.certificate.to_dict(), out / "certificate.json")
     _write_trajectory(run, out / "trajectory.csv")
-    _write_residuals(run, out / "residuals.csv")
+    nodes = run.rec.mesh.nodes
+    rows = (
+        [k, repr(float(nodes[k])), repr(float(nodes[k + 1])), repr(dyn), repr(stat)]
+        for k, dyn, stat in run.residual_report.per_interval
+    )
+    _write_csv(out / "residuals.csv", ["k", "t_left", "t_right", "dyn_l2", "stat_l2"], rows)
     return EXIT_ACCEPTED if run.certificate.accepted else EXIT_REJECTED
 
 
-def cmd_sweep(args) -> int:
-    # invalid input is an error of the whole command, not a rejected row
-    n_list = _parse_n_list(args.n_list)
-    settings = _settings_from_args(args)
-    prob = model.builtin_problem(args.problem)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_sweep(args, prob, settings, out: Path) -> int:
     rows = []
-    for n in n_list:
+    for n in args.n_list:
         try:
-            run = _run_single(prob, args.scheme, n, settings)
-            cert = run.certificate
-            rows.append(
-                [
-                    n,
-                    repr(run.residual_report.E_N2),
-                    repr(run.residual_report.E_inf),
-                    repr(cert.alpha_hat),
-                    repr(cert.threshold),
-                    str(cert.accepted).lower(),
-                    "ok",
-                ]
-            )
+            mesh = transcription.Mesh.uniform(prob.T, n)
+            run = certify.run_certification(prob, mesh, args.scheme, settings=settings)
+            rep, cert = run.residual_report, run.certificate
+            values = (rep.E_N2, rep.E_inf, cert.alpha_hat, cert.threshold)
+            rows.append([n, *map(repr, values), str(cert.accepted).lower(), "ok"])
         except SsocError as err:
             rows.append([n, "", "", "", "", "false", f"error: {err}"])
-    with (out / "convergence.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "E_N2", "E_inf", "alpha_hat", "threshold", "accepted", "status"])
-        writer.writerows(rows)
+    header = ["N", "E_N2", "E_inf", "alpha_hat", "threshold", "accepted", "status"]
+    _write_csv(out / "convergence.csv", header, rows)
     all_ok = all(row[6] == "ok" and row[5] == "true" for row in rows)
     return EXIT_ACCEPTED if all_ok else EXIT_REJECTED
 
 
-def cmd_refine(args) -> int:
-    policy = refine.RefinePolicy(
-        fraction=args.fraction,
-        max_rounds=args.max_rounds,
-        max_total_intervals=args.max_intervals,
-    )
-    settings = _settings_from_args(args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    prob = model.builtin_problem(args.problem)
+def cmd_refine(args, prob, settings, out: Path) -> int:
     mesh = transcription.Mesh.uniform(prob.T, args.n)
-    result = refine.certify_loop(prob, mesh, args.scheme, policy=policy, settings=settings)
+    result = refine.certify_loop(prob, mesh, args.scheme, policy=args.policy, settings=settings)
     payload = {
         "termination": result.termination,
         "rounds": [s.to_dict() for s in result.history],
@@ -239,14 +190,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "list": cmd_list,
-        "certify": cmd_certify,
-        "sweep": cmd_sweep,
-        "refine": cmd_refine,
-    }
+    if args.command == "list":
+        return cmd_list()
+    handlers = {"certify": cmd_certify, "sweep": cmd_sweep, "refine": cmd_refine}
     try:
-        return handlers[args.command](args)
+        # every input is checked before the output directory exists; invalid
+        # input is an error of the whole command, not a rejected sweep row
+        if args.command == "sweep":
+            args.n_list = _parse_n_list(args.n_list)
+        if args.command == "refine":
+            args.policy = refine.RefinePolicy(**_given(args, refine.RefinePolicy))
+        tube = TubeSpec(**_given(args, TubeSpec))
+        settings = certify.CertifySettings(tube=tube, **_given(args, certify.CertifySettings))
+        prob = model.builtin_problem(args.problem)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        return handlers[args.command](args, prob, settings, out)
     except SsocError as err:
         sys.stderr.write(f"error: {err}\n")
         if hasattr(err, "report"):

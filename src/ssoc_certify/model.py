@@ -84,7 +84,8 @@ def _seed(A, C, order):
 def _parts(outputs, B, d, order, what):
     """[values (B, c), gradients (B, c, d), Hessians (B, c, d, d)] of the c
     callback ``outputs``, up to ``order``; a plain output is a constant.
-    A non-finite value raises, naming ``what`` and the component."""
+    A non-finite entry of any part raises, naming the part, ``what`` and
+    the component."""
     c = len(outputs)
     parts = [np.empty((B, c))] + [np.zeros((B, c) + (d,) * k) for k in range(1, order + 1)]
     for i, out in enumerate(outputs):
@@ -92,9 +93,10 @@ def _parts(outputs, B, d, order, what):
         if isinstance(out, ad.AdScalar2):
             for scatter, part in zip((out.scatter_grad, out.scatter_hess), parts[1:]):
                 scatter(part[:, i])
-    if not np.all(np.isfinite(parts[0])):
-        comp = int(np.argwhere(~np.isfinite(parts[0]))[0, 1])
-        raise EvaluationDomainError(f"non-finite value in {what}", component=comp)
+    for part, kind in zip(parts, ("value", "gradient", "Hessian")):
+        if not np.all(np.isfinite(part)):
+            comp = int(np.argwhere(~np.isfinite(part))[0, 1])
+            raise EvaluationDomainError(f"non-finite {kind} in {what}", component=comp)
     return parts
 
 

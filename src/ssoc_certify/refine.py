@@ -72,7 +72,6 @@ def certify_loop(
     history = []
     meshes = []
     guess = None
-    run = None
     termination = "max-rounds"
     for rnd in range(policy.max_rounds + 1):
         try:
@@ -100,7 +99,6 @@ def certify_loop(
             termination = "accepted"
             break
         if rnd == policy.max_rounds:
-            termination = "max-rounds"
             break
         worst = residuals_mod.worst_intervals(run.residual_report, policy.fraction)
         next_mesh = mesh.bisect(worst)

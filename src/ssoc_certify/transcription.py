@@ -31,9 +31,12 @@ HERMITE_SIMPSON = "hermite-simpson"
 class Scheme:
     """Collocation scheme descriptor.
 
-    ``degree`` is the state reconstruction degree (1 for trapezoidal, 3 for
-    Hermite-Simpson); ``lebesgue`` the interpolation stability constant used
-    by the certification bounds (2 covers piecewise linear and cubic Hermite).
+    ``degree`` is the exponent p of the conformity bound
+    ``C_Tprime = c_Pi * L2 * h_max**p`` (1 for trapezoidal, 3 for
+    Hermite-Simpson), its only use; it is not the degree of the state
+    reconstruction, which is cubic Hermite for both schemes.  ``lebesgue``
+    is the interpolation stability constant used by the certification
+    bounds (2 covers piecewise linear and cubic Hermite).
 
     The remaining fields are the per-interval coefficient table that every
     scheme-dependent formula is derived from.  Interval k owns the samples

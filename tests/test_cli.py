@@ -249,3 +249,15 @@ def test_output_digest_hashes_each_second_level_key(tmp_path):
     assert list(output_digest.digests(tmp_path / "rows.csv")) == [
         ("rows.csv", output_digest._sha(b"N\n1\n"))
     ]
+
+
+@pytest.mark.parametrize("command", ["certify", "sweep", "refine"])
+@pytest.mark.parametrize(
+    "bad", [["--problem", "foo"], ["--problem", "quadrotor", "--tube-dx", "0"]],
+    ids=["unknown-problem", "bad-setting"],
+)
+def test_bad_input_creates_no_output_directory(command, bad, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli([command, *bad, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -287,3 +287,21 @@ def test_non_finite_output_names_its_component(order):
             with pytest.raises(EvaluationDomainError, match=what) as err:
                 call()
             assert err.value.component == comp
+
+
+def test_non_finite_derivative_at_finite_value_names_its_part():
+    # |x| = sqrt(x^2) is finite at x = 0, its derivative is not
+    prob = model.OcpProblem(
+        name="kink", n=1, m=1, T=1.0,
+        dynamics=lambda t, x, u: [u[0]],
+        running_cost=lambda t, x, u: 0.5 * u[0] * u[0] + 1e-3 * ad.sqrt(x[0] * x[0]),
+        endpoint_cost=lambda x0, xT: 0.5 * xT[0] * xT[0],
+        x0=np.zeros(1),
+    )
+    what = "non-finite gradient in running cost"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationDomainError, match=what) as err:
+            model.running_cost_batch(prob, np.zeros(2), np.zeros((2, 1)), np.ones((2, 1)), 2)
+        assert err.value.component == 0
+        with pytest.raises(EvaluationDomainError, match=what):
+            sc.run_certification(prob, sc.Mesh.uniform(prob.T, 5), "hermite-simpson")

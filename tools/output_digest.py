@@ -8,9 +8,11 @@ double-integrator-lq} x {trapezoidal, hermite-simpson} x N in {10, 35, 140},
 one ``certify`` on the published constants with injected residuals and
 curvature (the criterion-2 chain), one ``certify`` with non-default tube
 radii, one ``certify`` with a loose solver tolerance, one ``sweep`` (whose
-``convergence.csv`` holds alpha, threshold and the verdict per N), and two
-forced-reject ``refine`` loops, one through an injected residual and one
-through an injected curvature.
+``convergence.csv`` holds alpha, threshold and the verdict per N), and three
+forced-reject ``refine`` loops: one through an injected residual, one
+through an injected curvature, and one that also sets the refinement
+fraction and the interval cap.  ``FAILING_CASES`` must exit 1 before
+writing any file, so they print their exit code alone.
 
 A JSON output gets one digest per key path down to the second level
 (``certificate.json:constants.formulas``), so a change confined to one
@@ -41,6 +43,12 @@ CASES = [
     ["sweep", "--problem", "quadrotor", "--scheme", "trapezoidal", "--n-list", "10,20"],
     ["refine", "--problem", "quadrotor", "--n", "10", "--max-rounds", "3", "--inject-en2", "1e-10"],
     ["refine", "--problem", "quadrotor", "--n", "10", "--max-rounds", "3", "--inject-alpha", "-1.0"],
+    ["refine", "--problem", "quadrotor", "--n", "10", "--max-rounds", "3", "--fraction", "0.5",
+     "--max-intervals", "20", "--inject-en2", "1e-10"],
+]
+# kept out of CASES, whose certify entries tests/test_cli.py reads certificates from
+FAILING_CASES = [
+    ["certify", "--problem", "quadrotor", "--tol", "0"],
 ]
 
 
@@ -64,7 +72,7 @@ def main():
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"), PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as tmp:
-        for k, case in enumerate(CASES):
+        for k, case in enumerate(CASES + FAILING_CASES):
             out = Path(tmp) / str(k)
             proc = subprocess.run(
                 [sys.executable, "-m", "ssoc_certify.cli", *case, "--out-dir", str(out)],
