@@ -41,6 +41,20 @@ directions with materialized zero parts (kept as a reference in the test
 suite); only entries outside the active directions, which the dense rules
 fill with zeros of either sign, differ in the sign of zero.
 
+Each value also carries two bitmasks over the seed directions:
+:attr:`AdScalar2.gmask` (G), the inputs its gradient values read, and
+:attr:`AdScalar2.hmask` (H), the inputs its Hessian values read. Seeds,
+plain operands and a quotient's value add nothing; a sum takes the union
+of each mask; a product ``a * b`` takes G(a) | G(b) | dirs(b) (when a has
+directions) | dirs(a) (when b has directions) for G, and H(a) | H(b) |
+dirs(b) (when a has a Hessian) | dirs(a) (when b has one) | G(a) | G(b)
+(when both have directions) for H; a scalar function, the reciprocal and
+``**`` included, reads every input of its argument in both. Moving an
+input outside G (H) leaves the gradient (Hessian) bitwise unchanged,
+provided the callback computes only through the arithmetic and helpers of
+this module: a value read through ``.val`` carries no derivative, so the
+derivatives of anything computed from it would already be wrong.
+
 Arrays are read-only by convention: a result may share its derivative
 arrays with an operand (adding a constant leaves both as they were), so no
 array is written in place after its value is constructed. Callers copy
@@ -77,10 +91,11 @@ def _placement(pos):
 
 
 # Caches of pure functions of their keys: dirs -> placement of dirs among
-# all d directions, and (dirs_a, dirs_b) -> (union, placement of dirs_a,
-# placement of dirs_b in the union).  A problem's expressions produce only a
-# few distinct direction sets, so both stay small.
+# all d directions, dirs -> bitmask of dirs, and (dirs_a, dirs_b) -> (union,
+# placement of dirs_a, placement of dirs_b in the union).  A problem's
+# expressions produce only a few distinct direction sets, so all stay small.
 _PLACEMENTS = {}
+_BITS = {}
 _UNIONS = {}
 
 
@@ -88,6 +103,14 @@ def _dense_placement(dirs):
     hit = _PLACEMENTS.get(dirs)
     if hit is None:
         hit = _PLACEMENTS[dirs] = _placement(dirs)
+    return hit
+
+
+def _bits(dirs):
+    """The bitmask of the directions ``dirs``."""
+    hit = _BITS.get(dirs)
+    if hit is None:
+        hit = _BITS[dirs] = sum(1 << i for i in dirs)
     return hit
 
 
@@ -135,19 +158,20 @@ def _merged(shape, a, a_at, b, b_at, subtract):
 class AdScalar2:
     """A batch of scalars carrying first and second derivative parts."""
 
-    __slots__ = ("val", "_grad", "_hess", "dirs", "n_dirs", "first_order")
+    __slots__ = ("val", "_grad", "_hess", "dirs", "n_dirs", "first_order", "gmask", "hmask")
 
     # numpy operands on the left defer to the reflected methods below
     # instead of building object arrays
     __array_ufunc__ = None
 
-    def __init__(self, val, grad, hess, dirs, n_dirs, first_order=False):
+    def __init__(self, val, grad, hess, dirs, n_dirs, first_order=False, masks=(0, 0)):
         self.val = val
         self._grad = grad
         self._hess = None if first_order else hess
         self.dirs = dirs
         self.n_dirs = n_dirs
         self.first_order = first_order
+        self.gmask, self.hmask = masks
 
     # -- constructors -----------------------------------------------------
 
@@ -197,7 +221,7 @@ class AdScalar2:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _like(self, val, grad, hess, dirs=None, first_order=None):
+    def _like(self, val, grad, hess, dirs=None, first_order=None, masks=None):
         return AdScalar2(
             val,
             grad,
@@ -205,6 +229,7 @@ class AdScalar2:
             self.dirs if dirs is None else dirs,
             self.n_dirs,
             self.first_order if first_order is None else first_order,
+            (self.gmask, self.hmask) if masks is None else masks,
         )
 
     def _pair(self, other):
@@ -219,6 +244,7 @@ class AdScalar2:
         """``self + other`` or ``self - other`` for an AD value ``other``."""
         val = self.val - other.val if subtract else self.val + other.val
         first = self.first_order or other.first_order
+        masks = (self.gmask | other.gmask, self.hmask | other.hmask)
         ga, ha, gb, hb = self._grad, self._hess, other._grad, other._hess
         if self.dirs == other.dirs:
             grad = ga - gb if subtract else ga + gb
@@ -228,7 +254,7 @@ class AdScalar2:
                 hess = -hb if subtract else hb
             else:
                 hess = ha - hb if subtract else ha + hb
-            return self._spanning(val, grad, hess, self.dirs, first)
+            return self._spanning(val, grad, hess, self.dirs, first, masks)
         # the first block is placed into the union and the second one added
         # to it: the shared entries get the same sums as above, without the
         # embedded operand copies of :meth:`_pair`, which raised a
@@ -240,7 +266,7 @@ class AdScalar2:
         hess = None
         if not first and (ha is not None or hb is not None):
             hess = _merged((rows, k, k), ha, ha_at, hb, hb_at, subtract)
-        return self._like(val, grad, hess, dirs, first)
+        return self._like(val, grad, hess, dirs, first, masks)
 
     def _scaled(self, c):
         """``self * c`` for a plain (1,) or (B,) array ``c``."""
@@ -271,17 +297,18 @@ class AdScalar2:
             return self._scaled(_as_batch(other))
         o = other
         first = self.first_order or o.first_order
+        masks = self._product_masks(o)
         ga, ha, gb, hb, dirs = self._pair(o)
         val = self.val * o.val
         grad = ga * o.val[:, None] + gb * self.val[:, None]
         if first:
-            return self._like(val, grad, None, dirs, first)
+            return self._like(val, grad, None, dirs, first, masks)
         cross = ga[:, :, None] * gb[:, None, :]
         # the outer products are summed before they join the other terms,
         # which keeps the Hessian bitwise symmetric
         sym = cross + np.swapaxes(cross, 1, 2)
         if ha is None and hb is None:
-            return self._like(val, grad, sym, dirs)
+            return self._like(val, grad, sym, dirs, masks=masks)
         if hb is None:
             hess = ha * o.val[:, None, None]
         elif ha is None:
@@ -289,9 +316,26 @@ class AdScalar2:
         else:
             hess = ha * o.val[:, None, None] + hb * self.val[:, None, None]
         hess += sym
-        return self._like(val, grad, hess, dirs)
+        return self._like(val, grad, hess, dirs, masks=masks)
 
     __rmul__ = __mul__
+
+    def _product_masks(self, other):
+        """(G, H) of ``self * other``: the gradient ``g_a b + g_b a`` reads
+        each operand's value where the other has directions, the Hessian
+        ``h_a b + h_b a + g_a g_b^T + g_b g_a^T`` each value where the other
+        has a Hessian and both gradients where both have directions."""
+        a, b = self, other
+        da, db = _bits(a.dirs), _bits(b.dirs)
+        gmask = a.gmask | b.gmask | (db if a.dirs else 0) | (da if b.dirs else 0)
+        hmask = a.hmask | b.hmask
+        if a._hess is not None:
+            hmask |= db
+        if b._hess is not None:
+            hmask |= da
+        if a.dirs and b.dirs:
+            hmask |= a.gmask | b.gmask
+        return gmask, hmask
 
     # a quotient's value is ``a / b``, as plain numpy computes it; its
     # derivative parts are those of ``a * (1/b)``
@@ -320,20 +364,23 @@ class AdScalar2:
 
     def _chain(self, f, fp, fpp):
         """Compose with a scalar function given value/1st/2nd derivative arrays."""
+        # f' and f'' read the value, so every input of it (G and H lie in dirs)
+        dirs = _bits(self.dirs)
+        masks = (dirs, dirs)
         grad = fp[:, None] * self._grad
         if self.first_order:
-            return self._like(f, grad, None)
+            return self._like(f, grad, None, masks=masks)
         hess = self._grad[:, :, None] * self._grad[:, None, :]
         hess *= fpp[:, None, None]
         if self._hess is not None:
             hess += fp[:, None, None] * self._hess
-        return self._like(f, grad, hess)
+        return self._like(f, grad, hess, masks=masks)
 
     def _with_val(self, val):
         """This value's derivative parts under the value ``val``."""
         return self._like(val, self._grad, self._hess)
 
-    def _spanning(self, val, grad, hess, dirs=None, first_order=None):
+    def _spanning(self, val, grad, hess, dirs=None, first_order=None, masks=None):
         """A result whose derivative parts span the batch of ``val``.
 
         A sum passes a derivative part through unchanged, so when the other
@@ -344,7 +391,7 @@ class AdScalar2:
             grad = np.broadcast_to(grad, (b,) + grad.shape[1:])
         if hess is not None and hess.shape[0] != b:
             hess = np.broadcast_to(hess, (b,) + hess.shape[1:])
-        return self._like(val, grad, hess, dirs, first_order)
+        return self._like(val, grad, hess, dirs, first_order, masks)
 
 
 # -- elementary functions, dispatching on operand type ----------------------

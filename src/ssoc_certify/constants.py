@@ -5,7 +5,13 @@ sampled in blocks of ``TIME_SAMPLES_PER_INTERVAL * N`` uniform times over
 [0, T] (N mesh intervals; a graded mesh's short intervals may hold one
 sample or none): the reconstruction, each full-radius and each half-radius
 axis offset of it, in model batches of whole blocks; a bound skips a block
-whose derivative array equals the reconstruction's bitwise.  The costate
+whose derivative array equals the reconstruction's bitwise.  The input
+masks of :func:`model.dependency_masks` say beforehand which blocks can
+differ: the dynamics are evaluated on a full-radius block only when its
+axis is in some component's gradient or Hessian mask, on a half-radius
+block only when it is in some Hessian mask, and the running cost only when
+it is in its Hessian mask; every other block holds the reconstruction's
+arrays, so the bounds are those of the unpruned tube, bitwise.  The costate
 direction is bounded over the whole dp-box instead: the Hamiltonian is
 affine in p, so Weyl's inequality turns lambda_min(H_uu) and ||H_ux|| at the
 centre costate into bounds that hold for every costate in the box.
@@ -201,19 +207,41 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
         np.zeros(n + m), _axis_offsets(xu_radii, (-1.0, 1.0)), _axis_offsets(xu_radii, (0.5, -0.5))
     ])
     n_full = 1 + 2 * (n + m)
+
+    # A block offset along an axis outside a mask repeats block 0's arrays
+    # that the mask covers, bitwise: it is evaluated for the dynamics only
+    # where it can change Fu or Hf (a full-radius block, read for both) or
+    # Hf (a half-radius block, read for L21_f alone), and for the running
+    # cost only where it can change Lh.  Every other block holds block 0's
+    # arrays themselves.
+    (G_f, H_f), (_, H_L) = model.dependency_masks(prob, ts[0], Xc[0], Uc[0])
+
+    def moves(k, full_mask, half_mask):
+        if k == 0:
+            return True
+        full = k < n_full
+        axis = (k - 1 if full else k - n_full) // 2
+        return bool((full_mask if full else half_mask) >> axis & 1)
+
+    eval_f = [moves(k, G_f | H_f, H_f) for k in range(len(offsets))]
+    eval_L = [moves(k, H_L, H_L) for k in range(len(offsets))]
     M2f = sup_L = H_ux_inf = H_up_inf = L21_f = L21_L = 0.0
     rho = math.inf
 
     # Each bound is a max or min over rows, so it skips every block where
     # the derivative arrays it reads equal block 0's bitwise: such a block
     # cannot move it, and its quotient is 0 (np.array_equal never calls a
-    # block holding a NaN equal).  H(p) = Lh + sum_i p_i Hf_i is affine in p,
+    # block holding a NaN equal; a block not evaluated holds block 0's
+    # array itself).  H(p) = Lh + sum_i p_i Hf_i is affine in p,
     # so Weyl's inequality bounds rho and ||H_ux|| over the whole box
     # |p_i - Pc_i| <= dp from the control rows of H at the centre costate.
     # All-zero components of Hf add nothing to any norm or sum: dropped.
     def add_block(k, Fu, Hf, Lh):
         nonlocal M2f, sup_L, rho, H_ux_inf, H_up_inf, L21_f, L21_L
-        new_f, new_L = (k == 0 or not np.array_equal(a, c) for a, c in zip((Hf, Lh), centre[1:]))
+        new_u, new_f, new_L = (
+            k == 0 or (a is not c and not np.array_equal(a, c))
+            for a, c in zip((Fu, Hf, Lh), centre)
+        )
         if k >= n_full:
             step = float(np.linalg.norm(offsets[k]))
             if new_f:
@@ -225,7 +253,7 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
             return
         # np.maximum / np.minimum and _max keep a NaN, which the finiteness
         # check below rejects
-        if k == 0 or not np.array_equal(Fu, centre[0]):
+        if new_u:
             H_up_inf = np.maximum(H_up_inf, np.max(_spectral_norms(np.swapaxes(Fu, 1, 2))))
         if new_L:
             sup_L = np.maximum(sup_L, np.max(_sym_spectral_norms(Lh)))
@@ -241,25 +269,31 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
         rho = np.minimum(rho, np.min(_eigvalsh(H_u[:, :, n:])[:, 0] - spread_uu))
         H_ux_inf = np.maximum(H_ux_inf, np.max(_spectral_norms(H_u[:, :, :n]) + spread_ux))
 
-    # Each model batch holds whole blocks and at most max(n_t,
-    # TUBE_BATCH_ROWS) rows, which bounds the tube's peak memory as N grows.
-    per_batch = max(1, TUBE_BATCH_ROWS // n_t)
-    for first in range(0, len(offsets), per_batch):
-        ks = range(first, min(first + per_batch, len(offsets)))
+    def evaluate(batch, ks):
+        """{k: the order-2 parts of ``batch`` on block k} for the blocks ``ks``."""
+        if not ks:
+            return {}
         X = np.concatenate([Xc + offsets[k, :n] if k else Xc for k in ks])
         U = np.concatenate([Uc + offsets[k, n:] if k else Uc for k in ks])
-        t = np.tile(ts, len(ks))
-        _, Fx, Fu, Hf = model.dynamics_batch(prob, t, X, U, order=2)
-        _, _, Lh = model.running_cost_batch(prob, t, X, U, order=2)
+        parts = batch(prob, np.tile(ts, len(ks)), X, U, order=2)
+        return {k: [p[j * n_t : (j + 1) * n_t] for p in parts] for j, k in enumerate(ks)}
+
+    # Each model batch holds whole blocks and at most max(n_t,
+    # TUBE_BATCH_ROWS) rows, which bounds the tube's peak memory as N grows.
+    blocks = [k for k in range(len(offsets)) if eval_f[k] or eval_L[k]]
+    per_batch = max(1, TUBE_BATCH_ROWS // n_t)
+    for first in range(0, len(blocks), per_batch):
+        ks = blocks[first : first + per_batch]
+        dyn = evaluate(model.dynamics_batch, [k for k in ks if eval_f[k]])
+        cost = evaluate(model.running_cost_batch, [k for k in ks if eval_L[k]])
         if first == 0:
             # linearized dynamics along the reconstruction only
-            A_inf = float(np.max(_spectral_norms(Fx[:n_t])))
-            B_inf = float(np.max(_spectral_norms(Fu[:n_t])))
-            centre = Fu[:n_t].copy(), Hf[:n_t].copy(), Lh[:n_t].copy()
-        for j, k in enumerate(ks):
-            rows = slice(j * n_t, (j + 1) * n_t)
-            add_block(k, Fu[rows], Hf[rows], Lh[rows])
-        del Fx, Fu, Hf, Lh  # freed first, so the peak holds one batch, not two
+            A_inf, B_inf = (float(np.max(_spectral_norms(a))) for a in dyn[0][1:3])
+            centre = dyn[0][2].copy(), dyn[0][3].copy(), cost[0][2].copy()
+        for k in ks:
+            Fu, Hf = dyn[k][2:] if k in dyn else centre[:2]
+            add_block(k, Fu, Hf, cost[k][2] if k in cost else centre[2])
+        del dyn, cost, Fu, Hf  # freed first, so the peak holds one batch, not two
     M2f, sup_L, rho, H_ux_inf, H_up_inf = map(float, (M2f, sup_L, rho, H_ux_inf, H_up_inf))
 
     # endpoint cost Hessian over the endpoint tube, in one batch: the center,

@@ -140,6 +140,29 @@ def running_cost_batch(prob: OcpProblem, t, X, U, order=0):
     return (L, *derivs) if order else L
 
 
+def dependency_masks(prob: OcpProblem, t, x, u):
+    """((G_f, H_f), (G_L, H_L)): the inputs that the dynamics' and the
+    running cost's gradient and Hessian values read, as bitmasks over the
+    n + m axes of (x, u) (see :mod:`ssoc_certify.ad`).
+
+    One order-2 probe of both callbacks at the point (t, x (n,), u (m,));
+    the dynamics' masks are the unions over its components.  Offsetting
+    the point along an axis outside a mask leaves the parts it covers
+    bitwise unchanged.
+    """
+    t, X, U = _batch_points(prob, t, x, u)
+    xs, us = _seed(X, U, 2)
+
+    def union(outputs):
+        G = H = 0  # a plain output is a constant
+        for out in outputs:
+            if isinstance(out, ad.AdScalar2):
+                G, H = G | out.gmask, H | out.hmask
+        return G, H
+
+    return union(prob.dynamics(t, xs, us)), union([prob.running_cost(t, xs, us)])
+
+
 def hamiltonian_batch(prob: OcpProblem, t, X, U, P):
     """(F, H_x, H_u) of H = L + p.f at a batch of points.
 

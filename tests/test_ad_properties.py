@@ -230,3 +230,48 @@ def test_values_equal_plain_evaluation_bitwise(first_order, tree, seed):
     out, _ = _ad_eval(tree, X, arrays, first_order=first_order)
     assume(isinstance(out, ad.AdScalar2))
     assert np.array_equal(out.val, _plain_eval(tree, X, arrays), equal_nan=True)
+
+
+# A straight-line program: each instruction applies an operation to two
+# registers (a unary one reads the first) and appends its result.  The
+# registers start as the D variables and two plain constants; an operand is
+# one of these or, counted from the end, one of the last three results.
+operands = st.one_of(st.integers(0, D + 1), st.integers(-3, -1))
+programs = st.lists(
+    st.tuples(st.sampled_from(BINARY + UNARY), operands, operands), min_size=2, max_size=10
+)
+
+
+def _run_program(program, variables, constants):
+    """Every register of ``program`` run on ``variables``."""
+    regs = list(variables) + list(constants)
+    ev = Evaluator(regs, [])  # a register reads as variable k
+    for op, i, j in program:
+        a, b = ("var", i % len(regs)), ("var", j % len(regs))  # -1 is the last result
+        regs.append(ev((op, a, b) if op in BINARY else (op, a)))
+    return regs
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    program=programs,
+    seed=seeds,
+    constants=st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=2, max_size=2),
+    offset=st.floats(0.25, 1.0),
+)
+def test_masks_name_every_input_a_derivative_reads(program, seed, constants, offset):
+    # offsetting an input outside a value's gradient mask G (Hessian mask
+    # H) leaves its gradient (Hessian) bitwise unchanged
+    X, _ = _inputs(seed)
+    base = _run_program(program, ad.seed_vector(X, 0, D), constants)
+    for axis in range(D):
+        step = np.zeros(D)
+        step[axis] = offset
+        moved = _run_program(program, ad.seed_vector(X + step, 0, D), constants)
+        for b, m in zip(base, moved):
+            if not isinstance(b, ad.AdScalar2):
+                continue
+            if not b.gmask >> axis & 1:
+                assert np.array_equal(b.grad, m.grad, equal_nan=True), (axis, bin(b.gmask))
+            if not b.hmask >> axis & 1:
+                assert np.array_equal(b.hess, m.hess, equal_nan=True), (axis, bin(b.hmask))

@@ -186,11 +186,13 @@ def test_nan_endpoint_hessian_names_the_constants(quad_problem, quad_run, monkey
 
 
 def test_nan_half_radius_running_cost_hessian_names_l21_l(quad_problem, quad_run, monkeypatch):
-    # one block per model batch: the last batch is a half-radius block,
-    # which only the L21_L quotient reads
+    # one block per model batch: with a running cost curved along every
+    # axis, its last batch is a half-radius block, which only the L21_L
+    # quotient reads
+    prob = _curved_on_every_axis(quad_problem, dynamics=False)
     monkeypatch.setattr(cn, "TUBE_BATCH_ROWS", 1)
     inner = model.running_cost_batch
-    batches = 1 + 4 * (quad_problem.n + quad_problem.m)
+    batches = 1 + 4 * (prob.n + prob.m)
     calls = []
 
     def nan_last(prob, t, X, U, order=0):
@@ -202,7 +204,7 @@ def test_nan_half_radius_running_cost_hessian_names_l21_l(quad_problem, quad_run
 
     monkeypatch.setattr(model, "running_cost_batch", nan_last)
     with pytest.raises(EvaluationDomainError, match=r"\(L21_L = nan\)"):
-        cn.estimate_curvature_bounds(quad_problem, quad_run.rec, cn.TubeSpec())
+        cn.estimate_curvature_bounds(prob, quad_run.rec, cn.TubeSpec())
     assert calls == [2] * batches
 
 
@@ -477,31 +479,56 @@ def test_tube_skips_blocks_that_repeat_the_centre(
     _assert_matches_per_offset_reference(prob, rec, got)
 
 
+def _tube_rows(prob, rec, monkeypatch):
+    """The tube's bounds and the row counts of its dynamics and its
+    running-cost model batches."""
+    rows = {"dynamics_batch": [], "running_cost_batch": []}
+    with monkeypatch.context() as patch:
+        for name, calls in rows.items():
+            inner = getattr(model, name)
+
+            def recording(prob, t, X, U, order=0, inner=inner, calls=calls):
+                calls.append(len(t))
+                return inner(prob, t, X, U, order=order)
+
+            patch.setattr(model, name, recording)
+        got = cn.estimate_curvature_bounds(prob, rec, cn.TubeSpec())
+    return got, rows["dynamics_batch"], rows["running_cost_batch"]
+
+
 def test_tube_batch_rows_change_no_bound(quad_run, quad_problem, monkeypatch):
     # every tube bound is a max or min over rows, so the row cap per model
     # batch, which bounds the tube's peak memory, leaves each bound bitwise equal
     names = ["rho", "L2", "M2f", "L21_f", "L21_L", "L21_K", "P_max",
              "A_inf", "B_inf", "H_ux_inf", "H_up_inf"]
-    rows = []
-    inner = model.dynamics_batch
-
-    def recording(prob, t, X, U, order=0):
-        rows.append(len(t))
-        return inner(prob, t, X, U, order=order)
-
-    monkeypatch.setattr(model, "dynamics_batch", recording)
     n_t = cn.TIME_SAMPLES_PER_INTERVAL * quad_run.rec.mesh.n_intervals
-    d = quad_problem.n + quad_problem.m
     whole = None
     for cap in (10**9, 1, 300):
         monkeypatch.setattr(cn, "TUBE_BATCH_ROWS", cap)
-        rows.clear()
-        got = cn.estimate_curvature_bounds(quad_problem, quad_run.rec, cn.TubeSpec())
+        got, dyn_rows, cost_rows = _tube_rows(quad_problem, quad_run.rec, monkeypatch)
         # every batch holds whole blocks of n_t rows, at most max(n_t, cap)
-        # rows, and the blocks are the centre, then the full- and the
-        # half-radius axis offsets
-        assert all(r % n_t == 0 and r <= max(n_t, cap) for r in rows), (cap, rows)
-        assert sum(rows) == (1 + 4 * d) * n_t
+        # rows; the dynamics' Hessians read theta, u1 and u2, so their
+        # blocks are the centre and the four offsets along each of these
+        # axes, and the running cost's Hessian is constant: its centre alone
+        for rows in (dyn_rows, cost_rows):
+            assert all(r % n_t == 0 and r <= max(n_t, cap) for r in rows), (cap, rows)
+        assert (sum(dyn_rows), sum(cost_rows)) == (13 * n_t, n_t)
         whole = got if whole is None else whole
         for name in names:
             assert getattr(got, name) == getattr(whole, name), (cap, name)
+
+
+@pytest.mark.parametrize("case", ["lq", "every-axis"])
+def test_tube_evaluates_only_blocks_its_masks_can_move(
+    case, lq_problem, lq_run, quad_problem, quad_run, monkeypatch
+):
+    # linear dynamics and a quadratic cost read no input in their Hessians:
+    # one block of each; a bump in both along every axis: all 1 + 4d blocks
+    if case == "lq":
+        prob, rec, blocks = lq_problem, lq_run.rec, 1
+    else:
+        prob, rec = _curved_on_every_axis(quad_problem), quad_run.rec
+        blocks = 1 + 4 * (prob.n + prob.m)
+    n_t = cn.TIME_SAMPLES_PER_INTERVAL * rec.mesh.n_intervals
+    _, dyn_rows, cost_rows = _tube_rows(prob, rec, monkeypatch)
+    assert sum(dyn_rows) == sum(cost_rows) == blocks * n_t
