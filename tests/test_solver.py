@@ -78,6 +78,23 @@ def test_quadrotor_converges_to_tight_tolerance(quad_problem):
     assert np.all(np.isfinite(dkkt.z))
 
 
+@pytest.mark.parametrize("n", [35, 140])
+def test_one_polish_step_reaches_the_round_off_floor(quad_problem, n, monkeypatch):
+    calls = []
+    eval_kkt = transcription.eval_kkt
+
+    def counting_kkt(*args):
+        calls.append(1)
+        return eval_kkt(*args)
+
+    monkeypatch.setattr(transcription, "eval_kkt", counting_kkt)
+    _, rep = sc.solve(quad_problem, sc.Mesh.uniform(quad_problem.T, n), "hermite-simpson")
+    assert rep.converged
+    # the start, one per iteration, then the polish evaluations
+    assert len(calls) - 1 - rep.iterations <= 1
+    assert max(rep.kkt_residual, rep.constraint_residual) <= 1e-14
+
+
 def test_merit_history_monotone_nonincreasing(quad_problem):
     mesh = sc.Mesh.uniform(quad_problem.T, 10)
     _, rep = sc.solve(quad_problem, mesh, "hermite-simpson")
