@@ -46,12 +46,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list builtin problems and schemes")
 
-    def command(name, help):
+    def command(name, help, one_mesh=True):
         # a flag without a default is stored only when given, so the settings
-        # objects keep the one copy of each default
-        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        # objects keep the one copy of each default; sweep takes its meshes
+        # from --n-list instead of --n, which no abbreviation may reach
+        p = sub.add_parser(
+            name, help=help, argument_default=argparse.SUPPRESS, allow_abbrev=False
+        )
         p.add_argument("--problem", required=True, help="builtin problem name")
-        p.add_argument("--n", type=int, default=20, help="number of mesh intervals")
+        if one_mesh:
+            p.add_argument("--n", type=int, default=20, help="number of mesh intervals")
         p.add_argument(
             "--scheme",
             default="hermite-simpson",
@@ -76,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("certify", "one solve + certification pass")
-    p_sweep = command("sweep", "certification across mesh sizes")
+    p_sweep = command("sweep", "certification across mesh sizes", one_mesh=False)
     p_sweep.add_argument(
         "--n-list",
         default="10,15,20,25,30,35",
@@ -142,8 +146,7 @@ def _parse_n_list(text):
 
 
 def cmd_certify(args, prob, settings, out: Path) -> int:
-    mesh = transcription.Mesh.uniform(prob.T, args.n)
-    run = certify.run_certification(prob, mesh, args.scheme, settings=settings)
+    run = certify.run_certification(prob, args.mesh, args.scheme, settings=settings)
     _json_dump(run.certificate.to_dict(), out / "certificate.json")
     _write_trajectory(run, out / "trajectory.csv")
     nodes = run.rec.mesh.nodes
@@ -173,8 +176,9 @@ def cmd_sweep(args, prob, settings, out: Path) -> int:
 
 
 def cmd_refine(args, prob, settings, out: Path) -> int:
-    mesh = transcription.Mesh.uniform(prob.T, args.n)
-    result = refine.certify_loop(prob, mesh, args.scheme, policy=args.policy, settings=settings)
+    result = refine.certify_loop(
+        prob, args.mesh, args.scheme, policy=args.policy, settings=settings
+    )
     payload = {
         "termination": result.termination,
         "rounds": [s.to_dict() for s in result.history],
@@ -203,6 +207,8 @@ def main(argv=None) -> int:
         tube = TubeSpec(**_given(args, TubeSpec))
         settings = certify.CertifySettings(tube=tube, **_given(args, certify.CertifySettings))
         prob = model.builtin_problem(args.problem)
+        if args.command != "sweep":
+            args.mesh = transcription.Mesh.uniform(prob.T, args.n)
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args, prob, settings, out)

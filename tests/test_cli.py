@@ -105,8 +105,12 @@ def test_unknown_problem_exits_one(tmp_path, capsys):
     assert "unknown problem" in capsys.readouterr().err
 
 
-def test_invalid_flag_exits_one(capsys):
-    assert run_cli(["certify", "--nope"]) == 1
+@pytest.mark.parametrize(
+    "args", [["certify", "--nope"], ["sweep", "--problem", "quadrotor", "--n", "5"]],
+    ids=["unknown-flag", "sweep-n"],
+)
+def test_invalid_flag_exits_one(args, capsys):
+    assert run_cli(args) == 1
     assert "usage" in capsys.readouterr().err.lower()
 
 
@@ -251,10 +255,20 @@ def test_output_digest_hashes_each_second_level_key(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("command", ["certify", "sweep", "refine"])
 @pytest.mark.parametrize(
-    "bad", [["--problem", "foo"], ["--problem", "quadrotor", "--tube-dx", "0"]],
-    ids=["unknown-problem", "bad-setting"],
+    "command, bad",
+    [
+        (command, bad)
+        for command in ("certify", "sweep", "refine")
+        for bad in (["--problem", "foo"], ["--problem", "quadrotor", "--tube-dx", "0"])
+    ]
+    + [(command, ["--problem", "quadrotor", "--n", "0"]) for command in ("certify", "refine")],
+    ids=[
+        f"{command}-{bad}"
+        for command in ("certify", "sweep", "refine")
+        for bad in ("unknown-problem", "bad-setting")
+    ]
+    + ["certify-n-zero", "refine-n-zero"],
 )
 def test_bad_input_creates_no_output_directory(command, bad, tmp_path, capsys):
     out = tmp_path / "out"
