@@ -216,15 +216,12 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
     # arrays themselves.
     (G_f, H_f), (_, H_L) = model.dependency_masks(prob, ts[0], Xc[0], Uc[0])
 
-    def moves(k, full_mask, half_mask):
-        if k == 0:
-            return True
-        full = k < n_full
-        axis = (k - 1 if full else k - n_full) // 2
-        return bool((full_mask if full else half_mask) >> axis & 1)
+    def moves(k, mask):
+        # block k > 0 is offset along axis (k - 1) // 2 mod d
+        return k == 0 or bool(mask >> ((k - 1) // 2 % (n + m)) & 1)
 
-    eval_f = [moves(k, G_f | H_f, H_f) for k in range(len(offsets))]
-    eval_L = [moves(k, H_L, H_L) for k in range(len(offsets))]
+    eval_f = [moves(k, G_f | H_f if k < n_full else H_f) for k in range(len(offsets))]
+    eval_L = [moves(k, H_L) for k in range(len(offsets))]
     M2f = sup_L = H_ux_inf = H_up_inf = L21_f = L21_L = 0.0
     rho = math.inf
 
