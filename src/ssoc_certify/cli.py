@@ -43,6 +43,7 @@ def _setting(p, flag, dest, type=float, **kwargs):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ssoc-certify", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subcommand parser
 
     sub.add_parser("list", help="list builtin problems and schemes")
 
@@ -191,7 +192,10 @@ def cmd_refine(args, prob, settings, out: Path) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # the subcommand's parser reports them, so its usage line shows
+            parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.command == "list":

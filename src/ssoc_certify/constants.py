@@ -4,14 +4,16 @@ The state and control directions of the tube around the reconstruction are
 sampled in blocks of ``TIME_SAMPLES_PER_INTERVAL * N`` uniform times over
 [0, T] (N mesh intervals; a graded mesh's short intervals may hold one
 sample or none): the reconstruction, each full-radius and each half-radius
-axis offset of it, in model batches of whole blocks; a bound skips a block
-whose derivative array equals the reconstruction's bitwise.  The input
-masks of :func:`model.dependency_masks` say beforehand which blocks can
-differ: the dynamics are evaluated on a full-radius block only when its
-axis is in some component's gradient or Hessian mask, on a half-radius
-block only when it is in some Hessian mask, and the running cost only when
-it is in its Hessian mask; every other block holds the reconstruction's
-arrays, so the bounds are those of the unpruned tube, bitwise.  The costate
+axis offset of it, in model batches of whole blocks.  One rule, from the
+input masks of :func:`model.dependency_masks`, decides which blocks are
+evaluated and which bounds read them: an offset along an axis outside a
+mask leaves the arrays the mask covers bitwise equal to the
+reconstruction's, so a block is read for the dynamics' Jacobian in u only
+when its axis is in their gradient mask (full-radius blocks only), for
+the dynamics' Hessians only when it is in their Hessian mask, and for the
+running cost's Hessian only when it is in its Hessian mask; a block read
+for none is dropped, and the bounds are those of the full tube, bitwise.
+The costate
 direction is bounded over the whole dp-box instead: the Hamiltonian is
 affine in p, so Weyl's inequality turns lambda_min(H_uu) and ||H_ux|| at the
 centre costate into bounds that hold for every costate in the box.
@@ -198,49 +200,35 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
     ts = np.linspace(0.0, rec.T, n_t)
     Xc, Uc, Pc = rec.X.eval(ts), rec.U.eval(ts), rec.P.eval(ts)
 
-    # The tube in blocks of n_t rows: block 0 is the reconstruction itself
-    # (Xc + 0 would lose the sign of a zero), blocks 1 .. 2d its full-radius
-    # axis offsets, the rest its half-radius ones, whose difference quotients
-    # against block 0 give the Lipschitz constants of second derivatives.
-    xu_radii = np.concatenate([np.full(n, tube.dx), np.full(m, tube.du)])
-    offsets = np.vstack([
-        np.zeros(n + m), _axis_offsets(xu_radii, (-1.0, 1.0)), _axis_offsets(xu_radii, (0.5, -0.5))
-    ])
-    n_full = 1 + 2 * (n + m)
-
-    # A block offset along an axis outside a mask repeats block 0's arrays
-    # that the mask covers, bitwise: it is evaluated for the dynamics only
-    # where it can change Fu or Hf (a full-radius block, read for both) or
-    # Hf (a half-radius block, read for L21_f alone), and for the running
-    # cost only where it can change Lh.  Every other block holds block 0's
-    # arrays themselves.
+    # The tube in blocks of n_t rows: the reconstruction itself (Xc + 0 would
+    # lose the sign of a zero), its full-radius axis offsets, then its
+    # half-radius ones, whose difference quotients against the centre give
+    # the Lipschitz constants of second derivatives.  Each block carries its
+    # offset, whether it is half-radius, and three flags from its axis's
+    # masks: can it change Fu (G_f; only full-radius blocks are read for
+    # H_up_inf), Hf (H_f) and Lh (H_L).  A block with no flag is dropped.
     (G_f, H_f), (_, H_L) = model.dependency_masks(prob, ts[0], Xc[0], Uc[0])
-
-    def moves(k, mask):
-        # block k > 0 is offset along axis (k - 1) // 2 mod d
-        return k == 0 or bool(mask >> ((k - 1) // 2 % (n + m)) & 1)
-
-    eval_f = [moves(k, G_f | H_f if k < n_full else H_f) for k in range(len(offsets))]
-    eval_L = [moves(k, H_L) for k in range(len(offsets))]
+    xu_radii = np.concatenate([np.full(n, tube.dx), np.full(m, tube.du)])
+    blocks = [(None, False, True, True, True)]
+    for half, scales in ((False, (-1.0, 1.0)), (True, (0.5, -0.5))):
+        pairs = _axis_offsets(xu_radii, scales).reshape(n + m, 2, n + m)
+        for axis, pair in enumerate(pairs):
+            flags = [bool(mask >> axis & 1) for mask in (0 if half else G_f, H_f, H_L)]
+            blocks += [(offset, half, *flags) for offset in pair if any(flags)]
     M2f = sup_L = H_ux_inf = H_up_inf = L21_f = L21_L = 0.0
     rho = math.inf
 
-    # Each bound is a max or min over rows, so it skips every block where
-    # the derivative arrays it reads equal block 0's bitwise: such a block
-    # cannot move it, and its quotient is 0 (np.array_equal never calls a
-    # block holding a NaN equal; a block not evaluated holds block 0's
-    # array itself).  H(p) = Lh + sum_i p_i Hf_i is affine in p,
-    # so Weyl's inequality bounds rho and ||H_ux|| over the whole box
-    # |p_i - Pc_i| <= dp from the control rows of H at the centre costate.
-    # All-zero components of Hf add nothing to any norm or sum: dropped.
-    def add_block(k, Fu, Hf, Lh):
+    # A bound reads a block only where the flag of the array it reads is set;
+    # a block's unflagged arrays are the centre's.  H(p) = Lh + sum_i p_i Hf_i
+    # is affine in p, so Weyl's inequality bounds rho and ||H_ux|| over the
+    # whole box |p_i - Pc_i| <= dp from the control rows of H at the centre
+    # costate.  All-zero components of Hf add nothing to any norm or sum:
+    # dropped.
+    def add_block(block, Fu, Hf, Lh):
         nonlocal M2f, sup_L, rho, H_ux_inf, H_up_inf, L21_f, L21_L
-        new_u, new_f, new_L = (
-            k == 0 or (a is not c and not np.array_equal(a, c))
-            for a, c in zip((Fu, Hf, Lh), centre)
-        )
-        if k >= n_full:
-            step = float(np.linalg.norm(offsets[k]))
+        offset, half, new_u, new_f, new_L = block
+        if half:
+            step = float(np.linalg.norm(offset))
             if new_f:
                 dHf = Hf - centre[1]
                 dHf = dHf[:, _nonzero_components(dHf)]
@@ -266,31 +254,30 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
         rho = np.minimum(rho, np.min(_eigvalsh(H_u[:, :, n:])[:, 0] - spread_uu))
         H_ux_inf = np.maximum(H_ux_inf, np.max(_spectral_norms(H_u[:, :, :n]) + spread_ux))
 
-    def evaluate(batch, ks):
-        """{k: the order-2 parts of ``batch`` on block k} for the blocks ``ks``."""
-        if not ks:
-            return {}
-        X = np.concatenate([Xc + offsets[k, :n] if k else Xc for k in ks])
-        U = np.concatenate([Uc + offsets[k, n:] if k else Uc for k in ks])
-        parts = batch(prob, np.tile(ts, len(ks)), X, U, order=2)
-        return {k: [p[j * n_t : (j + 1) * n_t] for p in parts] for j, k in enumerate(ks)}
+    def evaluate(batch, group):
+        """The order-2 parts of ``batch`` on each block of ``group``, in order."""
+        if not group:
+            return []
+        X = np.concatenate([Xc if off is None else Xc + off[:n] for off, *_ in group])
+        U = np.concatenate([Uc if off is None else Uc + off[n:] for off, *_ in group])
+        parts = batch(prob, np.tile(ts, len(group)), X, U, order=2)
+        return [[p[j * n_t : (j + 1) * n_t] for p in parts] for j in range(len(group))]
 
     # Each model batch holds whole blocks and at most max(n_t,
     # TUBE_BATCH_ROWS) rows, which bounds the tube's peak memory as N grows.
-    blocks = [k for k in range(len(offsets)) if eval_f[k] or eval_L[k]]
     per_batch = max(1, TUBE_BATCH_ROWS // n_t)
     for first in range(0, len(blocks), per_batch):
-        ks = blocks[first : first + per_batch]
-        dyn = evaluate(model.dynamics_batch, [k for k in ks if eval_f[k]])
-        cost = evaluate(model.running_cost_batch, [k for k in ks if eval_L[k]])
+        group = blocks[first : first + per_batch]
+        dyn = evaluate(model.dynamics_batch, [b for b in group if b[2] or b[3]])
+        cost = evaluate(model.running_cost_batch, [b for b in group if b[4]])
         if first == 0:
             # linearized dynamics along the reconstruction only
             A_inf, B_inf = (float(np.max(_spectral_norms(a))) for a in dyn[0][1:3])
             centre = dyn[0][2].copy(), dyn[0][3].copy(), cost[0][2].copy()
-        for k in ks:
-            Fu, Hf = dyn[k][2:] if k in dyn else centre[:2]
-            add_block(k, Fu, Hf, cost[k][2] if k in cost else centre[2])
-        del dyn, cost, Fu, Hf  # freed first, so the peak holds one batch, not two
+        for block in group:
+            Fu, Hf = dyn.pop(0)[2:] if block[2] or block[3] else centre[:2]
+            add_block(block, Fu, Hf, cost.pop(0)[2] if block[4] else centre[2])
+        del Fu, Hf  # freed first, so the peak holds one batch, not two
     M2f, sup_L, rho, H_ux_inf, H_up_inf = map(float, (M2f, sup_L, rho, H_ux_inf, H_up_inf))
 
     # endpoint cost Hessian over the endpoint tube, in one batch: the center,

@@ -23,9 +23,6 @@ MAX_ITERATIONS = 200
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 PENALTY_MARGIN = 1.1
-# Plain Newton steps taken after convergence while the residual shrinks:
-# one reaches the round-off floor, a second only moves within it.
-POLISH_STEPS = 1
 
 
 @dataclass
@@ -93,13 +90,13 @@ def default_initial_guess(prob, layout):
 def solve(prob, mesh, scheme, tolerance=1e-12, initial_guess=None):
     """Solve the collocation NLP to a max KKT residual of ``tolerance``.
 
-    Returns (DiscreteKkt, SolveReport).  After reaching the tolerance up to
-    ``POLISH_STEPS`` (one) plain Newton polish steps are taken while they
-    keep shrinking the max KKT residual, so converged points sit at the
-    round-off floor (on the quadrotor at N = 140 one step takes the residual
-    from 3.8e-13 to 2.9e-15, and two more only to 2.5e-15).  The discrete point is returned even when the
-    tolerance was not met (flagged in the report); certification refuses
-    non-converged inputs.
+    Returns (DiscreteKkt, SolveReport).  After reaching the tolerance one
+    plain Newton polish step is taken, and kept only when it shrinks the
+    max KKT residual, so converged points sit at the round-off floor (on the
+    quadrotor at N = 140 it takes the residual from 3.8e-13 to 2.9e-15; two
+    more steps would only reach 2.5e-15).  The discrete point is returned
+    even when the tolerance was not met (flagged in the report);
+    certification refuses non-converged inputs.
     """
     layout = transcription.assemble(prob, mesh, scheme)
     if initial_guess is None:
@@ -148,24 +145,19 @@ def solve(prob, mesh, scheme, tolerance=1e-12, initial_guess=None):
         f0, g, c, J, W, res = kkt_state(z, nu)
 
     converged = res <= tolerance
-    if converged:
-        # push the residual toward the round-off floor, but stay proportional
-        # to the requested tolerance so loose solves stay loose
-        floor = tolerance * 1e-3
-        for _ in range(POLISH_STEPS):
-            if res <= floor:
-                break
-            try:
-                dz, nu_new, _ = newton_step(W, J, g, c)
-            except SolverBreakdownError:
-                break
+    # push the residual toward the round-off floor, but stay proportional
+    # to the requested tolerance so loose solves stay loose
+    if converged and res > tolerance * 1e-3:
+        try:
+            dz, nu_new, _ = newton_step(W, J, g, c)
+        except SolverBreakdownError:
+            pass
+        else:
             trial = kkt_state(z + dz, nu_new)
             if trial[-1] < res:
                 z = z + dz
                 nu = nu_new
                 f0, g, c, J, W, res = trial
-            else:
-                break
 
     report = SolveReport(
         iterations=iterations,

@@ -442,20 +442,39 @@ def _curved_on_every_axis(prob, dynamics=True):
     )
 
 
-@pytest.mark.parametrize("case", ["lq", "lq-curved-cost", "every-axis"])
+def _curved_in_gradient_only(prob):
+    """``prob`` plus 1e-3 x0 u0 in f[0]: its gradient reads x0 and u0, its
+    Hessian is constant."""
+
+    def dynamics(t, x, u):
+        f = prob.dynamics(t, x, u)
+        f[0] = f[0] + 1e-3 * x[0] * u[0]
+        return f
+
+    return dataclasses.replace(prob, dynamics=dynamics)
+
+
+@pytest.mark.parametrize("case", ["lq", "lq-curved-cost", "every-axis", "gradient-only"])
 def test_tube_skips_blocks_that_repeat_the_centre(
     case, lq_problem, lq_run, quad_problem, quad_run, monkeypatch
 ):
-    # A bound skips a block whose derivative arrays that it reads equal the
-    # centre block's bitwise.  The centre block reaches the norms 8 times
-    # (A_inf, B_inf, H_up_inf, M2f, sup_L, the two Weyl sums, H_ux_inf), a
-    # full-radius block at most 6 times and a half-radius block at most twice
-    # (the L21_f and L21_L quotients); every tube stack holds one block.
+    # A bound reads a block only when the AD's input masks say the array it
+    # reads can change along the block's axis: Fu when the axis is in the
+    # dynamics' gradient mask (full-radius blocks only), Hf when it is in
+    # their Hessian mask, Lh when it is in the running cost's.  The centre
+    # block reaches the norms 8 times (A_inf, B_inf, H_up_inf, M2f, sup_L,
+    # the two Weyl sums, H_ux_inf), a full-radius block at most 6 times and
+    # a half-radius block at most twice (the L21_f and L21_L quotients);
+    # every tube stack holds one block.
     if case == "every-axis":
         prob = _curved_on_every_axis(_coupled_quadrotor(quad_problem, control=True))
         rec = quad_run.rec
     else:
-        prob = _curved_on_every_axis(lq_problem, dynamics=False) if case != "lq" else lq_problem
+        prob = {
+            "lq": lq_problem,
+            "lq-curved-cost": _curved_on_every_axis(lq_problem, dynamics=False),
+            "gradient-only": _curved_in_gradient_only(lq_problem),
+        }[case]
         rec = lq_run.rec
     n, d = prob.n, prob.n + prob.m
     n_t = cn.TIME_SAMPLES_PER_INTERVAL * rec.mesh.n_intervals
@@ -463,18 +482,23 @@ def test_tube_skips_blocks_that_repeat_the_centre(
     for name in ("_sym_spectral_norms", "_spectral_norms"):
         inner = getattr(cn, name)
         monkeypatch.setattr(cn, name, lambda a, inner=inner: rows.append(len(a)) or inner(a))
-    got = cn.estimate_curvature_bounds(prob, rec, cn.TubeSpec())
+    got, dyn_rows, cost_rows = _tube_rows(prob, rec, monkeypatch)
     # the endpoint tube: its centre and full-radius offsets, then its quotients
     assert set(rows) == {n_t, 1 + 4 * n, 4 * n}
-    per_block = {
-        # linear dynamics and a quadratic cost: every block repeats the centre
-        "lq": (0, 0),
-        # Lh changes in every block: sup_L, the Weyl sums, H_ux_inf; L21_L
-        "lq-curved-cost": (4, 1),
-        # every array changes in every block
-        "every-axis": (6, 2),
+    axes, per_full, per_half = {
+        # linear dynamics and a quadratic cost: no mask holds an axis
+        "lq": (0, 0, 0),
+        # Lh changes along every axis: sup_L, the Weyl sums, H_ux_inf; L21_L
+        "lq-curved-cost": (d, 4, 1),
+        # every array changes along every axis
+        "every-axis": (d, 6, 2),
+        # Fu can change along x0 and u0, Hf and Lh nowhere: the four
+        # full-radius blocks of these axes reach H_up_inf alone
+        "gradient-only": (2, 1, 0),
     }[case]
-    assert rows.count(n_t) == 8 + 2 * d * per_block[0] + 2 * d * per_block[1]
+    assert rows.count(n_t) == 8 + 2 * axes * (per_full + per_half)
+    if case == "gradient-only":
+        assert (sum(dyn_rows), sum(cost_rows)) == (5 * n_t, n_t)
     monkeypatch.undo()
     _assert_matches_per_offset_reference(prob, rec, got)
 

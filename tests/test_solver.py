@@ -162,7 +162,7 @@ def test_one_model_batch_per_newton_step(quad_problem, monkeypatch):
     assert calls["derivative"] == kkt_calls
     assert calls["hamiltonian"] == 0
     assert rep.iterations <= calls["objective"] == calls["defects"]
-    assert rep.iterations + 1 <= kkt_calls <= rep.iterations + 1 + solver.POLISH_STEPS
+    assert rep.iterations + 1 <= kkt_calls <= rep.iterations + 2  # one polish step
     assert dkkt.J is not None and dkkt.W is not None
 
     calls["kkt"].clear()
