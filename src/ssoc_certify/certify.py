@@ -19,7 +19,7 @@ from .errors import (
     SettingsError,
     is_number,
 )
-from .numerics import SEED, ldl_positive_definite, start_vector, sparse_lu, sparse_sigma_min
+from .numerics import SEED, ldl_positive_definite, saddle_lu, sparse_sigma_min, start_vector
 
 TOOL_VERSION = "0.1.0"
 
@@ -66,7 +66,7 @@ def _gershgorin_shift(W, s) -> float:
 
 
 def _saddle_lu(W, J, shift, weight):
-    lu = sparse_lu(scipy.sparse.bmat([[W - scipy.sparse.diags(shift * weight), J.T], [J, None]]))
+    lu = saddle_lu(W, J, -shift * weight)
     if lu is None:
         raise ContractError("shifted saddle matrix is singular")
     return lu
@@ -107,12 +107,13 @@ def reduced_curvature(W, J, M) -> CurvatureResult:
 
     W, J and M may be dense or sparse; M must be diagonal with positive
     entries, as the variation Gram is.  No basis Z of null(J) is formed:
-    shift-invert Lanczos runs on the saddle matrix
-    [[W - sigma D, J^T], [J, 0]] (D = diag(M), or I for the Euclidean
-    value), whose inverse's (1,1) block is the inverse of the shifted
-    reduced pencil on null(J).  The shift sigma is certified to lie below
-    the pencil's spectrum: 0 when W + rho J^T J is positive definite
-    (Finsler: then so is Z'WZ), else the Gershgorin floor of
+    shift-invert Lanczos runs on the banded LU (:func:`numerics.saddle_lu`)
+    of the saddle matrix [[W - sigma D, J^T], [J, 0]] (D = diag(M), or I
+    for the Euclidean value), whose inverse's (1,1) block is the inverse
+    of the shifted reduced pencil on null(J).  The shift sigma is certified
+    to lie below the pencil's spectrum: 0 when W + rho J^T J passes the
+    banded Cholesky test of :func:`numerics.ldl_positive_definite`
+    (positive definite; by Finsler so is Z'WZ), else the Gershgorin floor of
     D^-1/2 W D^-1/2, which bounds the pencil on the whole space and so on
     null(J).
 

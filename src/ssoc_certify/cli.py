@@ -191,11 +191,16 @@ def cmd_refine(args, prob, settings, out: Path) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args, extra = parser.parse_known_args(argv)
         if extra:
-            # the subcommand's parser reports them, so its usage line shows
-            parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+            # the root parser takes no flag but -h, so anything ahead of the
+            # subcommand is its leftover; the rest is the subcommand's, whose
+            # usage line then shows
+            ahead = argv.index(args.command) > 0
+            owner = parser if ahead else parser.commands[args.command]
+            owner.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.command == "list":

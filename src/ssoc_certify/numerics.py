@@ -1,16 +1,25 @@
 """Linear algebra kernels for certification.
 
-The certification path runs on sparse kernels: SuperLU factorizations
-(``scipy.sparse.linalg.splu``) and ARPACK Lanczos (``eigsh``); no dense
-matrix of the decision-space size is formed.  The functions here pin down
-the contracts the rest of the package relies on: the smallest singular
-value (:func:`sparse_sigma_min`) that sigma_min(M_h) and the rank test on J
-read, and the positive-definiteness test (:func:`ldl_positive_definite`) that
-certifies the reduced curvature's shift.  The dense reference kernels the
-tests compare the sparse ones against live in ``tests/oracles.py``, except
-the dense LDL^T factorization at the end of this module: the perfbench
-tracer patches ``numerics.LdlFactorization`` by name, so it stays here until
-the benchmark changes.
+The certification path runs on banded and sparse kernels; no dense matrix
+of the decision-space size is formed.  Every saddle matrix
+[[W + diag(v), J^T], [J, 0]] (the Newton steps and the reduced curvature's
+shift-invert) is factored by LAPACK's banded LU (:func:`saddle_lu`), and the
+positive-definiteness test that certifies the reduced curvature's shift
+(:func:`ldl_positive_definite`) is LAPACK's banded Cholesky.  Both read their
+order from the nonzero values of the matrices, as this module sits below the
+layout: z keeps its order, which is time order because the layout's samples
+are time-ordered, and each constraint row sits at the centre of its nonzero
+columns.  When x(0) and x(T) are coupled (a boundary map or an endpoint
+cost) that band spans the whole matrix, so the folded order z_0, z_{n-1},
+z_1, z_{n-2}, ... is formed as well, and the narrower band is factored.  A
+collocation band does not grow with the mesh, so the factors take memory
+linear in n_z.  The smallest singular value (:func:`sparse_sigma_min`) that
+sigma_min(M_h) and the rank test on J read is ARPACK Lanczos on a Gram
+matrix that SuperLU factors.  The dense reference kernels the tests compare
+these against live in ``tests/oracles.py``, except the dense LDL^T
+factorization at the end of this module: the perfbench tracer patches
+``numerics.LdlFactorization`` by name, so it stays here until the benchmark
+changes.
 """
 
 from __future__ import annotations
@@ -29,41 +38,126 @@ def start_vector(k):
     return np.random.default_rng(SEED).standard_normal(k)
 
 
-def sparse_lu(A, **options):
-    """SuperLU factors of a square matrix, or None when a pivot is exactly zero.
+# -- banded kernels in time order ----------------------------------------------
 
-    ``options`` go to ``scipy.sparse.linalg.splu``.
+
+def _entries(A):
+    """Row indices, column indices and values of the nonzero values of A.
+
+    Stored zeros are dropped: they would widen the band for nothing.
     """
-    try:
-        return scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(A, dtype=float), **options)
-    except RuntimeError as exc:
-        if "singular" not in str(exc):
-            raise
+    A = scipy.sparse.csr_matrix(A, dtype=float)
+    A.sum_duplicates()
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    keep = A.data != 0.0
+    return rows[keep], A.indices[keep], A.data[keep]
+
+
+def _folded_rank(n):
+    """Rank of each of n time-ordered positions in the order 0, n-1, 1, n-2, ..."""
+    j = np.arange(n)
+    return np.where(j < n - j, 2 * j, 2 * (n - j) - 1)
+
+
+def _saddle_positions(z_rank, J_rows, J_cols, n_c):
+    """Position of each saddle unknown: z by ``z_rank``, each constraint row
+    at the centre of the ranks of its nonzero columns (ties: z first)."""
+    n_z = z_rank.size
+    ranks = z_rank[J_cols]
+    lo = np.full(n_c, n_z)
+    hi = np.full(n_c, -1)
+    np.minimum.at(lo, J_rows, ranks)
+    np.maximum.at(hi, J_rows, ranks)
+    key = np.concatenate([z_rank, 0.5 * (lo + hi)])
+    pos = np.empty(key.size, dtype=np.intp)
+    pos[np.argsort(key, kind="stable")] = np.arange(key.size)
+    return pos
+
+
+def _narrowest(candidates, rows, cols):
+    """(pos, kl, ku) of the candidate order with the fewest diagonals in its band."""
+    best = None
+    for pos in candidates:
+        d = pos[rows] - pos[cols]
+        kl, ku = int(d.max(initial=0)), int(-d.min(initial=0))
+        if best is None or kl + ku < best[1] + best[2]:
+            best = (pos, kl, ku)
+    return best
+
+
+# The candidate ranks of z: as given, which is time order because the
+# layout's samples are time-ordered, and folded, which puts x(0) next to x(T).
+_Z_RANKS = (np.arange, _folded_rank)
+
+
+class BandedLu:
+    """LAPACK banded LU (``dgbtrf``) of a symmetrically permuted square matrix.
+
+    ``pos[i]`` is the position of unknown i in the factored order; ``kl``
+    and ``ku`` are the band's sub- and superdiagonal counts in that order.
+    """
+
+    def __init__(self, lu, ipiv, kl, ku, pos):
+        self._lu, self._ipiv, self.kl, self.ku = lu, ipiv, kl, ku
+        self.pos = pos
+        self._order = np.argsort(pos)
+
+    @property
+    def shape(self):
+        n = self.pos.size
+        return (n, n)
+
+    def solve(self, b):
+        x, _ = scipy.linalg.lapack.dgbtrs(
+            self._lu, self.kl, self.ku, np.asarray(b, dtype=float)[self._order], self._ipiv
+        )
+        return x[self.pos]
+
+
+def saddle_lu(W, J, shift=0.0):
+    """Banded LU of [[W + diag(shift), J^T], [J, 0]], or None when a pivot is exactly zero.
+
+    ``shift`` is a scalar or a vector of length n_z; W and J may be dense or
+    sparse.  The unknowns take the narrower band of the two time orders of
+    the module docstring (each constraint row at the centre of its nonzero
+    columns, z as given or folded).
+    """
+    W_rows, W_cols, W_vals = _entries(W)
+    J_rows, J_cols, J_vals = _entries(J)
+    n_c, n_z = J.shape
+    rows = np.concatenate([W_rows, J_rows + n_z, J_cols])
+    cols = np.concatenate([W_cols, J_cols, J_rows + n_z])
+    candidates = (_saddle_positions(rank(n_z), J_rows, J_cols, n_c) for rank in _Z_RANKS)
+    pos, kl, ku = _narrowest(candidates, rows, cols)
+    ab = np.zeros((2 * kl + ku + 1, n_z + n_c), order="F")
+    ab[kl + ku + pos[rows] - pos[cols], pos[cols]] = np.concatenate([W_vals, J_vals, J_vals])
+    ab[kl + ku, pos[:n_z]] += shift
+    lu, ipiv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info > 0:
         return None
+    return BandedLu(lu, ipiv, kl, ku, pos)
 
 
 def ldl_positive_definite(A) -> bool:
-    """True when the symmetric sparse A factors as P A P^T = L D L^T with D > 0.
+    """True when the symmetric A has a banded Cholesky factorization.
 
-    SuperLU runs with a symmetric ordering, no off-diagonal pivoting and its
-    symmetric mode.  When the row and column permutations agree, no pivot
-    left the diagonal, so the factorization is the LDL^T of P A P^T, and
-    positive pivots make every leading principal minor positive (Sylvester's
-    criterion): A is positive definite.  Any other outcome (an off-diagonal
-    pivot, a pivot <= 0, an exactly singular A) gives False; A may still be
-    positive definite then.
+    A (dense or sparse; only its upper triangle is factored) takes the
+    narrower band of its given order and the folded one, and LAPACK
+    ``dpbtrf`` factors it.  The
+    factorization succeeds exactly when every pivot, the ratio of two
+    consecutive leading principal minors, is positive (Sylvester's
+    criterion), so success proves A positive definite.  A pivot <= 0 in
+    floating point gives False; A may still be positive definite then.
     """
-    lu = sparse_lu(
-        A,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    return (
-        lu is not None
-        and np.array_equal(lu.perm_r, lu.perm_c)
-        and bool(np.all(lu.U.diagonal() > 0.0))
-    )
+    rows, cols, vals = _entries(A)
+    n = A.shape[0]
+    pos, _, kd = _narrowest((rank(n) for rank in _Z_RANKS), rows, cols)
+    upper = pos[rows] <= pos[cols]
+    r, c = pos[rows[upper]], pos[cols[upper]]
+    ab = np.zeros((kd + 1, n), order="F")
+    ab[kd + r - c, c] = vals[upper]
+    _, info = scipy.linalg.lapack.dpbtrf(ab, overwrite_ab=1)
+    return info == 0
 
 
 def sparse_sigma_min(A) -> float:
@@ -83,8 +177,11 @@ def sparse_sigma_min(A) -> float:
     if k <= 1:
         return float(scipy.sparse.linalg.norm(B)) if k else 0.0
     G = (B @ B.T).tocsc()
-    lu = sparse_lu(G)
-    if lu is None:
+    try:
+        lu = scipy.sparse.linalg.splu(G)
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
         return 0.0
     inverse = scipy.sparse.linalg.LinearOperator(G.shape, matvec=lu.solve, dtype=float)
     _, y = scipy.sparse.linalg.eigsh(G, k=1, sigma=0.0, OPinv=inverse, v0=start_vector(k))

@@ -9,7 +9,7 @@ import scipy.sparse
 
 from . import transcription
 from .errors import SolverBreakdownError
-from .numerics import sparse_lu
+from .numerics import saddle_lu
 
 # Curvature test of a Newton step: dz'(W + delta I) dz >= KAPPA |dz|^2.
 CURVATURE_KAPPA = 1e-8
@@ -45,24 +45,22 @@ def newton_step(W, J, grad, c):
     """One regularized saddle solve.
 
     Solves [[W + dI, J^T], [J, 0]] [dz; nu] = -[grad; c] starting from
-    d = 0, with a sparse LU factorization (W and J may be dense or
-    sparse).  Instead of counting inertia, the step is accepted when it has
-    positive curvature, dz'(W + dI) dz >= CURVATURE_KAPPA |dz|^2 (the
-    inertia-free test of Chiang and Zavala).  When the test fails or the
-    factorization hits an exactly zero pivot, d is raised to DELTA0 and then
-    escalated by factors of 10; past DELTA_MAX the step is declared a
+    d = 0, with the banded LU of :func:`numerics.saddle_lu` (W and J may be
+    dense or sparse).  Instead of counting inertia, the step is accepted
+    when it has positive curvature, dz'(W + dI) dz >= CURVATURE_KAPPA |dz|^2
+    (the inertia-free test of Chiang and Zavala).  When the test fails or
+    the factorization hits an exactly zero pivot, d is raised to DELTA0 and
+    then escalated by factors of 10; past DELTA_MAX the step is declared a
     breakdown.
 
     Returns (dz, nu, delta_used).
     """
     W = scipy.sparse.csr_matrix(W, dtype=float)
-    J = scipy.sparse.csr_matrix(J, dtype=float)
     n_z = W.shape[0]
     rhs = -np.concatenate([np.asarray(grad, dtype=float), np.asarray(c, dtype=float)])
-    eye = scipy.sparse.identity(n_z, format="csr")
     d = 0.0
     while True:
-        lu = sparse_lu(scipy.sparse.bmat([[W + d * eye, J.T], [J, None]]))
+        lu = saddle_lu(W, J, d)
         if lu is not None:
             sol = lu.solve(rhs)
             dz = sol[:n_z]
@@ -93,8 +91,8 @@ def solve(prob, mesh, scheme, tolerance=1e-12, initial_guess=None):
     Returns (DiscreteKkt, SolveReport).  After reaching the tolerance one
     plain Newton polish step is taken, and kept only when it shrinks the
     max KKT residual, so converged points sit at the round-off floor (on the
-    quadrotor at N = 140 it takes the residual from 3.8e-13 to 2.9e-15; two
-    more steps would only reach 2.5e-15).  The discrete point is returned
+    quadrotor at N = 140 it takes the residual from 3.8e-13 to 2.5e-15; two
+    more steps stay near 3e-15).  The discrete point is returned
     even when the tolerance was not met (flagged in the report);
     certification refuses non-converged inputs.
     """

@@ -105,12 +105,18 @@ def test_unknown_problem_exits_one(tmp_path, capsys):
     assert "unknown problem" in capsys.readouterr().err
 
 
-def test_invalid_flag_exits_one(capsys):
+def test_invalid_flag_exits_one(capsys, tmp_path):
     # sweep takes its meshes from --n-list, and --n abbreviates nothing; the
-    # usage line printed is the subcommand's, not the root parser's
-    for args in (["certify", "--nope"], ["sweep", "--problem", "quadrotor", "--n", "5"]):
+    # usage line printed is that of the parser that did not recognise the flag
+    out = tmp_path / "out"
+    for args, usage in (
+        (["certify", "--nope"], "certify "),
+        (["sweep", "--problem", "quadrotor", "--n", "5"], "sweep "),
+        (["--nope", "certify", "--problem", "quadrotor", "--n", "5", "--out-dir", str(out)], "[-h]"),
+    ):
         assert run_cli(args) == 1
-        assert f"usage: ssoc-certify {args[0]} " in capsys.readouterr().err
+        assert f"usage: ssoc-certify {usage}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

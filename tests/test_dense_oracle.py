@@ -54,7 +54,7 @@ def test_curvature_and_sigma_min_match_dense_oracle(kkt_point, quad_problem):
     smin_dense = sigma_min(Mh.toarray())
 
     assert curv.null_dim == null_dim
-    assert curv.shift == 0.0  # W + rho J^T J passes the LDL^T test
+    assert curv.shift == 0.0  # W + rho J^T J passes the definiteness test
     assert _rel(curv.alpha_hat, alpha) <= 1e-8
     assert _rel(curv.alpha_hat_euclidean, alpha_euclid) <= 1e-8
     assert _rel(smin, smin_dense) <= 1e-8
@@ -76,7 +76,7 @@ def test_newton_step_matches_ldl_solve(kkt_point, quad_problem):
 
 @pytest.mark.parametrize("c", [0.0095, 0.02, 0.5])
 def test_indefinite_curvature_through_gershgorin_shift(c, quad_run, quad_problem, monkeypatch):
-    # W - cM is indefinite on null(J): the LDL^T test fails, and the shift
+    # W - cM is indefinite on null(J): the definiteness test fails, and the shift
     # falls back to the Gershgorin floor below the spectrum
     J, W = quad_run.dkkt.kkt_matrices(quad_problem)
     M = tr.variation_gram_sparse(quad_run.dkkt.layout)

@@ -4,7 +4,8 @@ import scipy.sparse
 
 import ssoc_certify as sc
 from oracles import kkt_matrix, nullspace_basis, sigma_min, sym_eig_min
-from ssoc_certify import numerics, transcription
+from test_transcription import _boundary_problem
+from ssoc_certify import numerics, solver, transcription
 from ssoc_certify.errors import ConstraintQualificationError, ContractError
 
 
@@ -121,6 +122,12 @@ def test_ldl_factorization_inertia_and_solve():
     assert np.max(np.abs(K @ x - b)) <= 1e-12
 
 
+def _banded_symmetric(rng, n, k):
+    """A random symmetric matrix of half bandwidth k."""
+    B = np.triu(np.tril(rng.normal(size=(n, n)), k), -k)
+    return 0.5 * (B + B.T)
+
+
 def test_ldl_positive_definite_matches_eigenvalues():
     rng = np.random.default_rng(29)
     for shift in (-3.0, -0.5, 0.5, 3.0):
@@ -128,6 +135,58 @@ def test_ldl_positive_definite_matches_eigenvalues():
         A = 0.5 * (B + B.T) + shift * np.eye(9)
         expected = np.linalg.eigvalsh(A)[0] > 0.0
         assert numerics.ldl_positive_definite(scipy.sparse.csr_matrix(A)) == expected, shift
+    # banded matrices on both sides of definiteness; a corner coupling
+    # (x(0) with x(T)) that only the folded order keeps banded
+    for n, k in ((40, 3), (61, 6)):
+        A = _banded_symmetric(rng, n, k)
+        A[0, -1] = A[-1, 0] = 0.5
+        lowest = np.linalg.eigvalsh(A)[0]
+        for margin in (-0.1, 0.1):
+            shifted = scipy.sparse.csr_matrix(A + (margin - lowest) * np.eye(n))
+            assert numerics.ldl_positive_definite(shifted) == (margin > 0.0), (n, margin)
     # an exactly singular matrix and a zero diagonal (off-diagonal pivot) fail
     assert not numerics.ldl_positive_definite(np.diag([1.0, 0.0, 2.0]))
     assert not numerics.ldl_positive_definite(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+def test_saddle_lu_matches_dense_solve(quad_problem, delta):
+    mesh = sc.Mesh.uniform(quad_problem.T, 10)
+    layout = transcription.assemble(quad_problem, mesh, "hermite-simpson")
+    rng = np.random.default_rng(31)
+    z = solver.default_initial_guess(quad_problem, layout) + 0.1 * rng.normal(size=layout.n_z)
+    _, _, _, J, W = transcription.eval_kkt(quad_problem, layout, z, rng.normal(size=layout.n_c))
+    b = rng.normal(size=layout.n_z + layout.n_c)
+    lu = numerics.saddle_lu(W, J, delta)
+    assert lu.shape == (b.size, b.size)
+    ref = np.linalg.solve(kkt_matrix(W.toarray(), J.toarray(), delta), b)
+    assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # a vector shift is the same diagonal
+    vector = numerics.saddle_lu(W, J, np.full(layout.n_z, delta))
+    assert np.array_equal(vector.solve(b), lu.solve(b))
+
+
+def test_saddle_lu_zero_pivot_is_none():
+    J = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    assert numerics.saddle_lu(np.eye(3), J) is None
+
+
+@pytest.mark.parametrize("problem", ["boundary", "quadrotor"])
+def test_saddle_band_does_not_grow_with_mesh(problem):
+    # the boundary problem couples x(0) and x(T) through its boundary rows
+    # and its endpoint cost: only the folded order keeps its band narrow
+    prob = _boundary_problem() if problem == "boundary" else sc.builtin_problem(problem)
+    bands = []
+    for n in (10, 40):
+        layout = transcription.assemble(prob, sc.Mesh.uniform(prob.T, n), "hermite-simpson")
+        rng = np.random.default_rng(n)
+        z = rng.normal(size=layout.n_z)
+        _, g, c, J, W = transcription.eval_kkt(prob, layout, z, rng.normal(size=layout.n_c))
+        lu = numerics.saddle_lu(W, J)
+        bands.append((lu.kl, lu.ku))
+        folded = lu.pos[layout.n_z - 1] < lu.pos[layout.n_z // 2]
+        assert folded == (problem == "boundary")
+        dz, nu, delta = solver.newton_step(W, J, g, c)
+        ref = np.linalg.solve(kkt_matrix(W.toarray(), J.toarray(), delta), -np.concatenate([g, c]))
+        assert np.max(np.abs(np.concatenate([dz, nu]) - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert bands[0] == bands[1]

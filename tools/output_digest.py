@@ -5,7 +5,8 @@
 Runs ``ssoc_certify.cli`` from ``CHECKOUT/src`` (default: the checkout holding
 this script) in a temporary directory: ``certify`` over {quadrotor,
 double-integrator-lq} x {trapezoidal, hermite-simpson} x N in {10, 35, 140},
-one ``certify`` on the published constants with injected residuals and
+one quadrotor ``certify`` at N = 280 (whose verdict rests on C_T * E near 1,
+so round-off in E can flip it), one ``certify`` on the published constants with injected residuals and
 curvature (the criterion-2 chain), one ``certify`` with non-default tube
 radii, one ``certify`` with a loose solver tolerance, one ``sweep`` (whose
 ``convergence.csv`` holds alpha, threshold and the verdict per N), and three
@@ -35,6 +36,7 @@ CASES = [
     for scheme in ("trapezoidal", "hermite-simpson")
     for n in (10, 35, 140)
 ] + [
+    ["certify", "--problem", "quadrotor", "--n", "280"],
     ["certify", "--problem", "quadrotor", "--n", "35", "--paper-constants",
      "--inject-en2", "3.27e-14", "--inject-einf", "7.05e-14", "--inject-alpha", "6.29e-4"],
     ["certify", "--problem", "quadrotor", "--scheme", "trapezoidal", "--n", "35",
