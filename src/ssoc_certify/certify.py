@@ -19,7 +19,7 @@ from .errors import (
     SettingsError,
     is_number,
 )
-from .numerics import SEED, ldl_positive_definite, saddle_lu, sparse_sigma_min, start_vector
+from .numerics import SEED, ldl_positive_definite, saddle_lu, sigma_min, start_vector
 
 TOOL_VERSION = "0.1.0"
 
@@ -52,7 +52,7 @@ class CurvatureResult:
 def _rank_deficient(J) -> bool:
     norm = scipy.sparse.linalg.norm
     scale = math.sqrt(norm(J, 1)) * math.sqrt(norm(J, np.inf))
-    return sparse_sigma_min(J) <= RANK_RCOND * max(1.0, scale)
+    return sigma_min(J) <= RANK_RCOND * max(1.0, scale)
 
 
 def _gershgorin_shift(W, s) -> float:
@@ -81,16 +81,11 @@ def _lowest_pencil_eigenvalue(lu, n_z, shift, root) -> float:
     smallest eigenvalue.  The operator is zero on the complement; the start
     vector goes through it once, so Lanczos runs inside its range.
     """
-    rhs = np.zeros(lu.shape[0])
-
-    def apply(y):
-        rhs[:n_z] = root * y
-        return root * lu.solve(rhs)[:n_z]
-
+    inverse = lu.block_inverse(slice(n_z), root)
     d = n_z - (lu.shape[0] - n_z)
-    v0 = apply(start_vector(n_z))
+    v0 = inverse.matvec(start_vector(n_z))
     mu = scipy.sparse.linalg.eigsh(
-        scipy.sparse.linalg.LinearOperator((n_z, n_z), matvec=apply, dtype=float),
+        inverse,
         k=1,
         which="LA",
         v0=v0 / np.abs(v0).max(),  # entries <= 1: the operator scales by 1/(alpha - sigma)

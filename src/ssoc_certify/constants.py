@@ -41,7 +41,7 @@ from .errors import (
     ContractError, EvaluationDomainError, LegendreViolationError, SettingsError,
     StrongRegularityError, is_number,
 )
-from .numerics import sparse_sigma_min
+from .numerics import sigma_min
 
 # multiplier on the sampled Lipschitz difference quotients
 SAFETY_FACTOR = 1.5
@@ -319,11 +319,11 @@ def estimate_C_geo(Mh) -> float:
 
     ``Mh`` is the Jacobian of the collocation equations at the discrete
     solution (compressed form for Hermite-Simpson), dense or sparse;
-    sigma_min comes from shift-invert Lanczos on the sparse Gram
-    M_h M_h^T.
+    sigma_min comes from :func:`numerics.sigma_min`, Lanczos on the
+    banded LU of the saddle [[I, M_h^T], [M_h, 0]].
     """
     Mh = scipy.sparse.csr_matrix(Mh, dtype=float)
-    smin = sparse_sigma_min(Mh)
+    smin = sigma_min(Mh)
     scale = float(abs(Mh).max())
     if smin <= 1e-12 * max(1.0, scale):
         raise StrongRegularityError(

@@ -8,13 +8,15 @@ comes out of one forward-mode sweep per seed direction.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import ad
-from .errors import DimensionError, EvaluationDomainError, RegistryError
+from .errors import DimensionError, EvaluationDomainError, RegistryError, is_number
 
 
 @dataclass
@@ -42,10 +44,14 @@ class OcpProblem:
     u_guess: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise DimensionError("horizon T must be positive")
-        if self.n < 1 or self.m < 1 or self.n_b < 0:
-            raise DimensionError("dimensions must satisfy n>=1, m>=1, n_b>=0")
+        if not (is_number(self.T) and math.isfinite(self.T) and self.T > 0):
+            raise DimensionError(f"horizon T must be finite and positive, got {self.T!r}")
+        dims = (self.n, self.m, self.n_b)
+        integral = all(is_number(d, numbers.Integral) for d in dims)
+        if not integral or min(dims[:2]) < 1 or self.n_b < 0:
+            raise DimensionError(
+                f"dimensions must be integers with n>=1, m>=1, n_b>=0, got {dims}"
+            )
         for name, size in (("x0", self.n), ("x_target", self.n), ("u_guess", self.m)):
             value = getattr(self, name)
             if value is not None:

@@ -13,13 +13,13 @@ columns.  When x(0) and x(T) are coupled (a boundary map or an endpoint
 cost) that band spans the whole matrix, so the folded order z_0, z_{n-1},
 z_1, z_{n-2}, ... is formed as well, and the narrower band is factored.  A
 collocation band does not grow with the mesh, so the factors take memory
-linear in n_z.  The smallest singular value (:func:`sparse_sigma_min`) that
-sigma_min(M_h) and the rank test on J read is ARPACK Lanczos on a Gram
-matrix that SuperLU factors.  The dense reference kernels the tests compare
-these against live in ``tests/oracles.py``, except the dense LDL^T
-factorization at the end of this module: the perfbench tracer patches
-``numerics.LdlFactorization`` by name, so it stays here until the benchmark
-changes.
+linear in n_z.  The smallest singular value (:func:`sigma_min`) that
+sigma_min(M_h) and the rank test on J read is Lanczos on a block of the
+inverse of a saddle that :func:`saddle_lu` factors, so no Gram matrix is
+formed.  The dense reference kernels the tests compare these against live
+in ``tests/oracles.py``, except the dense LDL^T factorization at the end of
+this module: the perfbench tracer patches ``numerics.LdlFactorization`` by
+name, so it stays here until the benchmark changes.
 """
 
 from __future__ import annotations
@@ -99,19 +99,25 @@ class BandedLu:
 
     def __init__(self, lu, ipiv, kl, ku, pos):
         self._lu, self._ipiv, self.kl, self.ku = lu, ipiv, kl, ku
-        self.pos = pos
+        self.pos, self.shape = pos, (pos.size, pos.size)
         self._order = np.argsort(pos)
-
-    @property
-    def shape(self):
-        n = self.pos.size
-        return (n, n)
 
     def solve(self, b):
         x, _ = scipy.linalg.lapack.dgbtrs(
             self._lu, self.kl, self.ku, np.asarray(b, dtype=float)[self._order], self._ipiv
         )
         return x[self.pos]
+
+    def block_inverse(self, block, root=1.0):
+        """The operator y -> diag(root) [A^-1]_bb diag(root) y, b the slice ``block``."""
+        rhs = np.zeros(self.pos.size)
+        k = rhs[block].size
+
+        def apply(y):
+            rhs[block] = root * y
+            return root * self.solve(rhs)[block]
+
+        return scipy.sparse.linalg.LinearOperator((k, k), matvec=apply, dtype=float)
 
 
 def saddle_lu(W, J, shift=0.0):
@@ -160,31 +166,29 @@ def ldl_positive_definite(A) -> bool:
     return info == 0
 
 
-def sparse_sigma_min(A) -> float:
+def sigma_min(A) -> float:
     """Smallest singular value of a sparse (or dense) matrix.
 
-    Shift-invert Lanczos at 0 on the Gram matrix B B^T of the short side B
-    finds the eigenvector y of its eigenvalue nearest 0, which is its
-    smallest because the Gram is positive semidefinite.  The singular value
-    is then ||B^T y||: unlike sqrt(lambda_min) this does not square the
-    round-off, so a singular value far below sqrt(eps) is still resolved.
-    An exactly singular Gram gives 0.
+    For the short side B of A, the constraint block of the inverse of the
+    saddle [[I, B^T], [B, 0]] (:func:`saddle_lu`) is -(B B^T)^-1.  Lanczos
+    finds its eigenvector y of largest magnitude, and sigma_min = ||B^T y||.
+    The largest magnitude, not value: the saddle's condition grows like
+    (sigma_max/sigma_min)^2, so far below sqrt(eps) round-off can flip the
+    computed eigenvalue's sign, while y stays accurate.  ||B^T y||, unlike
+    the eigenvalue, does not square the round-off, so such a sigma_min is
+    still resolved.  An exactly zero pivot gives 0.
     """
     B = scipy.sparse.csr_matrix(A, dtype=float)
     if B.shape[0] > B.shape[1]:
         B = B.T.tocsr()
-    k = B.shape[0]
+    k, n = B.shape
     if k <= 1:
         return float(scipy.sparse.linalg.norm(B)) if k else 0.0
-    G = (B @ B.T).tocsc()
-    try:
-        lu = scipy.sparse.linalg.splu(G)
-    except RuntimeError as exc:
-        if "singular" not in str(exc):
-            raise
+    lu = saddle_lu(scipy.sparse.identity(n), B)
+    if lu is None:
         return 0.0
-    inverse = scipy.sparse.linalg.LinearOperator(G.shape, matvec=lu.solve, dtype=float)
-    _, y = scipy.sparse.linalg.eigsh(G, k=1, sigma=0.0, OPinv=inverse, v0=start_vector(k))
+    inverse = lu.block_inverse(slice(n, None))
+    _, y = scipy.sparse.linalg.eigsh(inverse, k=1, which="LM", v0=start_vector(k))
     return float(np.linalg.norm(B.T @ y[:, 0]))
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -135,6 +136,23 @@ def test_curvature_stays_matrix_free(quad_problem, monkeypatch):
     assert curv.null_dim == J.shape[1] - J.shape[0] == 562
     assert calls == []
     assert peak < 8 * 2**20, peak
+
+
+def test_certification_runs_without_superlu(quad_problem, monkeypatch):
+    """Every sparse factorization is banded LAPACK: a quadrotor HS N=35
+    certification, C_geo and the rank test on J run with SuperLU gone."""
+
+    def no_superlu(*args, **kwargs):
+        raise AssertionError("splu called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_superlu)
+    run = sc.run_certification(
+        quad_problem, sc.Mesh.uniform(quad_problem.T, 35), "hermite-simpson"
+    )
+    assert run.bundle.sigma_min_Mh > 0.0 and run.curvature.null_dim > 0
+    assert cn.estimate_C_geo(np.diag([3.0, 0.5, 2.0])) == pytest.approx(0.5)
+    with pytest.raises(ConstraintQualificationError):
+        sc.reduced_curvature(np.eye(6), _planted_jacobian(5e-10), np.eye(6))
 
 
 def test_repeat_certification_is_bitwise_equal(quad_run, quad_problem):

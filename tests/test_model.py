@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -75,6 +76,18 @@ def test_problem_vectors_must_match_dimensions(field, value):
     # a short x_target used to broadcast against the terminal state
     fields = dict(vars(sc.builtin_problem("double-integrator-lq")), **{field: value})
     with pytest.raises(DimensionError, match=field):
+        model.OcpProblem(**fields)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("T", math.nan), ("T", math.inf), ("T", 0.0), ("T", -1.0), ("n", 1.5), ("n", True)],
+)
+def test_problem_rejects_bad_horizon_and_dimensions(field, value):
+    # inf > inf is False, so an infinite T would pass the mesh's horizon
+    # check and certify on a mesh of any length
+    fields = dict(vars(sc.builtin_problem("double-integrator-lq")), **{field: value})
+    with pytest.raises(DimensionError, match="horizon" if field == "T" else "dimensions"):
         model.OcpProblem(**fields)
 
 

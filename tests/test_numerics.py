@@ -81,6 +81,35 @@ def test_sigma_min_equals_sqrt_eig_of_gram():
         assert smin == pytest.approx(np.sqrt(max(gram_eig, 0.0)), abs=1e-8)
 
 
+def _planted(rng, shape, ratio):
+    """A dense matrix with singular values 100, 10 ... 1 and 100 * ratio."""
+    k = min(shape)
+    U, _ = np.linalg.qr(rng.normal(size=(shape[0], k)))
+    V, _ = np.linalg.qr(rng.normal(size=(shape[1], k)))
+    s = np.concatenate([[100.0], np.geomspace(10.0, 1.0, k - 2), [100.0 * ratio]])
+    return U @ np.diag(s) @ V.T
+
+
+@pytest.mark.parametrize("ratio", [1e-10, 1e-13])
+@pytest.mark.parametrize("shape", [(4, 6), (12, 30), (6, 4)])
+def test_numerics_sigma_min_below_sqrt_eps(shape, ratio):
+    # sigma_min/sigma_max below sqrt(eps): a Gram matrix B B^T would square
+    # it below eps, so its factorization cannot resolve sigma_min
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        A = _planted(rng, shape, ratio)
+        expected = np.linalg.svd(A, compute_uv=False)[-1]
+        got = numerics.sigma_min(scipy.sparse.csr_matrix(A))
+        assert got == pytest.approx(expected, rel=1e-2)
+
+
+def test_numerics_sigma_min_of_duplicate_rows_is_zero():
+    A = np.random.default_rng(43).normal(size=(4, 6))
+    A[2] = A[1]
+    assert numerics.sigma_min(A) == 0.0
+    assert numerics.sigma_min(A.T) == 0.0
+
+
 def test_nullspace_basis_simple():
     Z = nullspace_basis(np.array([[1.0, 0.0, 0.0]]))
     assert Z.shape == (3, 2)
