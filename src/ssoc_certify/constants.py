@@ -19,7 +19,18 @@ affine in p, so Weyl's inequality turns lambda_min(H_uu) and ||H_ux|| at the
 centre costate into bounds that hold for every costate in the box.
 Lipschitz constants of second derivatives come from difference quotients at
 half-radius offsets and carry the factor ``SAFETY_FACTOR`` because sampled
-quotients lower-bound the true sup.  ``FORMULAS`` is the only definition of
+quotients lower-bound the true sup.
+
+Every sup of spectral norms over a stack of sampled matrices (the M2f,
+L21_f, L21_L, L2 and L21_K terms, A_inf, B_inf, H_up_inf, and H_ux_inf row
+by row with the bound ||H_ux||_F + dp * sum_i ||(Hf_i)_ux||_F) is pruned
+by a Frobenius bound, since ||A||_2 <= ||A||_F: the norm of the entry with
+the largest bound is computed first, then only the norms of entries whose
+bound times 1 + ``PRUNE_SLACK`` reaches the running sup.  The slack covers
+the rounding of both computed norms, so each sup is bitwise the unpruned
+one.  rho is not pruned: it is a min of lambda_min minus a Weyl spread,
+whose Gershgorin bound ties across the quadrotor's samples, so no entry
+would be skipped.  ``FORMULAS`` is the only definition of
 each derived constant: :func:`derive` evaluates its expressions over the
 sampled constants, and the bundle serializes them with the prose of
 ``SAMPLED``.
@@ -50,6 +61,15 @@ TIME_SAMPLES_PER_INTERVAL = 4
 # rows per model batch of the tube, which holds whole blocks of one offset
 # each (one block where a block is longer), so its peak memory stays bounded
 TUBE_BATCH_ROWS = 512
+# Relative slack of the Frobenius bound in a pruned sup: a computed spectral
+# norm can exceed, and a computed Frobenius norm fall short of, the exact
+# value by a few k * eps for k x k matrices (below 1e-13 for the tube's at
+# most 64 x 64 stacks), far below this slack.
+PRUNE_SLACK = 1e-10
+# A sup is pruned only between 1 / PRUNE_RANGE and PRUNE_RANGE: there no
+# square of an entry or Gram product overflows, and an underflowed one
+# moves a norm by less than 1e-20 of the sup.
+PRUNE_RANGE = 1e140
 
 # The derived constants in evaluation order, over the sampled fields, the
 # entries above, T, h_max and p (the scheme degree).  C_quad's growth factor is
@@ -179,6 +199,39 @@ def _norm_sum(blocks, norms):
     return np.sum(norms(blocks[:, _nonzero_components(blocks)]), axis=1)
 
 
+def _frobenius(stack):
+    """Frobenius norm of each matrix in a (..., k, l) stack."""
+    return np.sqrt(np.einsum("...ij,...ij->...", stack, stack))
+
+
+def _sup(norms, stack, floor, bounds=None):
+    """max(floor, max(norms(stack))), bitwise, reading ``norms`` only where
+    it can reach that value.
+
+    ``norms`` maps ``stack``, indexed along the leading axes of ``bounds``,
+    to one value per entry; ``bounds`` bounds those values from above and
+    defaults to the Frobenius norms of a matrix stack (||A||_2 <= ||A||_F).
+    The entry of the largest bound is read first, then every entry whose
+    bound times 1 + PRUNE_SLACK reaches the running sup.  Where a bound is
+    not finite or the sup leaves PRUNE_RANGE, every entry is read, so a
+    non-finite entry gives NaN as in the unpruned max.
+    """
+    if bounds is None:
+        bounds = _frobenius(stack)
+    if bounds.size == 0:
+        return float(floor)
+    top = np.argmax(bounds)  # the first NaN, if any
+    if bounds.flat[top] <= PRUNE_RANGE:
+        sup = _max(floor, float(norms(stack[np.unravel_index([top], bounds.shape)])[0]))
+        if 1.0 / PRUNE_RANGE <= sup:
+            reach = bounds * (1.0 + PRUNE_SLACK) >= sup
+            reach.flat[top] = False
+            if reach.any():
+                sup = _max(sup, float(np.max(norms(stack[np.nonzero(reach)]))))
+            return float(sup)
+    return float(_max(floor, float(np.max(norms(stack)))))
+
+
 def _axis_offsets(radii, scales):
     """Offsets radii[a] * s along each axis a, for each s in scales (axis-major)."""
     d = len(radii)
@@ -232,27 +285,36 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
             if new_f:
                 dHf = Hf - centre[1]
                 dHf = dHf[:, _nonzero_components(dHf)]
-                L21_f = _max(L21_f, float(np.max(_sym_spectral_norms(dHf), initial=0.0)) / step)
+                L21_f = _max(L21_f, _sup(_sym_spectral_norms, dHf, 0.0) / step)
             if new_L:
-                L21_L = _max(L21_L, float(np.max(_sym_spectral_norms(Lh - centre[2]))) / step)
+                L21_L = _max(L21_L, _sup(_sym_spectral_norms, Lh - centre[2], 0.0) / step)
             return
-        # np.maximum / np.minimum and _max keep a NaN, which the finiteness
-        # check below rejects
+        # _sup and np.minimum keep a NaN, which the finiteness check below
+        # rejects
         if new_u:
-            H_up_inf = np.maximum(H_up_inf, np.max(_spectral_norms(np.swapaxes(Fu, 1, 2))))
+            # the same Gram, Fu^T Fu, as for the norms of Fu^T
+            H_up_inf = _sup(_spectral_norms, Fu, H_up_inf)
         if new_L:
-            sup_L = np.maximum(sup_L, np.max(_sym_spectral_norms(Lh)))
+            sup_L = _sup(_sym_spectral_norms, Lh, sup_L)
         if not (new_f or new_L):
             return
         curved = _nonzero_components(Hf)
         Hf = Hf[:, curved]
         if new_f:
-            M2f = np.maximum(M2f, np.max(_sym_spectral_norms(Hf), initial=0.0))
+            M2f = _sup(_sym_spectral_norms, Hf, M2f)
         H_u = Lh[:, n:, :] + np.einsum("bi,bijk->bjk", Pc[:, curved], Hf[:, :, n:, :])
         spread_uu = tube.dp * _norm_sum(Hf[:, :, n:, n:], _sym_spectral_norms)
-        spread_ux = tube.dp * _norm_sum(Hf[:, :, n:, :n], _spectral_norms)
         rho = np.minimum(rho, np.min(_eigvalsh(H_u[:, :, n:])[:, 0] - spread_uu))
-        H_ux_inf = np.maximum(H_ux_inf, np.max(_spectral_norms(H_u[:, :, :n]) + spread_ux))
+        # ||H_ux|| plus the Weyl spread of its costate terms, row by row
+        H_ux, Hf_ux = H_u[:, :, :n], Hf[:, :, n:, :n]
+        Hf_ux = Hf_ux[:, _nonzero_components(Hf_ux)]
+
+        def H_ux_norms(rows):
+            spread = tube.dp * np.sum(_spectral_norms(Hf_ux[rows]), axis=1)
+            return _spectral_norms(H_ux[rows]) + spread
+
+        bounds = _frobenius(H_ux) + tube.dp * np.sum(_frobenius(Hf_ux), axis=1)
+        H_ux_inf = _sup(H_ux_norms, np.arange(len(H_ux)), H_ux_inf, bounds)
 
     def evaluate(batch, group):
         """The order-2 parts of ``batch`` on each block of ``group``, in order."""
@@ -272,13 +334,13 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
         cost = evaluate(model.running_cost_batch, [b for b in group if b[4]])
         if first == 0:
             # linearized dynamics along the reconstruction only
-            A_inf, B_inf = (float(np.max(_spectral_norms(a))) for a in dyn[0][1:3])
+            A_inf, B_inf = (_sup(_spectral_norms, a, -math.inf) for a in dyn[0][1:3])
             centre = dyn[0][2].copy(), dyn[0][3].copy(), cost[0][2].copy()
         for block in group:
             Fu, Hf = dyn.pop(0)[2:] if block[2] or block[3] else centre[:2]
             add_block(block, Fu, Hf, cost.pop(0)[2] if block[4] else centre[2])
         del Fu, Hf  # freed first, so the peak holds one batch, not two
-    M2f, sup_L, rho, H_ux_inf, H_up_inf = map(float, (M2f, sup_L, rho, H_ux_inf, H_up_inf))
+    rho = float(rho)
 
     # endpoint cost Hessian over the endpoint tube, in one batch: the center,
     # the full-radius axis offsets, then the half-radius ones for L21_K
@@ -289,14 +351,13 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
     end_offsets = np.vstack([np.zeros(2 * n), end_full, end_half])
     K_hess = model.endpoint_hessian_batch(prob, x0v + end_offsets[:, :n], xTv + end_offsets[:, n:])
     n_end = 1 + len(end_full)
-    sup_K = float(np.max(_sym_spectral_norms(K_hess[:n_end])))
-    k_quotients = _sym_spectral_norms(K_hess[n_end:] - K_hess[0]) / np.linalg.norm(
-        end_half, axis=1
-    )
-    L21_K = _max(0.0, float(np.max(k_quotients)))
+    L2 = _sup(_sym_spectral_norms, K_hess[:n_end], _max(sup_L, M2f))
+    # every half-radius endpoint offset has the same length
+    step = float(np.linalg.norm(end_half, axis=1)[0])
+    L21_K = _sup(_sym_spectral_norms, K_hess[n_end:] - K_hess[0], 0.0) / step
     L21_f, L21_L, L21_K = (SAFETY_FACTOR * q for q in (L21_f, L21_L, L21_K))
     sampled = dict(
-        rho=rho, L2=_max(sup_L, M2f, sup_K), M2f=M2f, L21_f=L21_f, L21_L=L21_L, L21_K=L21_K,
+        rho=rho, L2=L2, M2f=M2f, L21_f=L21_f, L21_L=L21_L, L21_K=L21_K,
         P_max=float(np.max(np.linalg.norm(Pc, axis=1))) + tube.dp,
         A_inf=A_inf, B_inf=B_inf, H_ux_inf=H_ux_inf, H_up_inf=H_up_inf,
     )

@@ -13,10 +13,13 @@ columns.  When x(0) and x(T) are coupled (a boundary map or an endpoint
 cost) that band spans the whole matrix, so the folded order z_0, z_{n-1},
 z_1, z_{n-2}, ... is formed as well, and the narrower band is factored.  A
 collocation band does not grow with the mesh, so the factors take memory
-linear in n_z.  The smallest singular value (:func:`sigma_min`) that
-sigma_min(M_h) and the rank test on J read is Lanczos on a block of the
-inverse of a saddle that :func:`saddle_lu` factors, so no Gram matrix is
-formed.  The dense reference kernels the tests compare these against live
+linear in n_z.  The saddle's order is read once per nonzero pattern of W
+and J: the orders of the last few patterns are kept (a fixed number, not
+one per mesh), so the Newton steps after the pattern settles and the
+curvature's saddle reuse it.  The smallest singular value
+(:func:`sigma_min`) that sigma_min(M_h) and the rank test on J read is
+Lanczos on a block of the inverse of a saddle that :func:`saddle_lu`
+factors, so no Gram matrix is formed.  The dense reference kernels the tests compare these against live
 in ``tests/oracles.py``, except the dense LDL^T factorization at the end of
 this module: the perfbench tracer patches ``numerics.LdlFactorization`` by
 name, so it stays here until the benchmark changes.
@@ -48,7 +51,7 @@ def _entries(A):
     """
     A = scipy.sparse.csr_matrix(A, dtype=float)
     A.sum_duplicates()
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    rows = np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
     keep = A.data != 0.0
     return rows[keep], A.indices[keep], A.data[keep]
 
@@ -120,23 +123,55 @@ class BandedLu:
         return scipy.sparse.linalg.LinearOperator((k, k), matvec=apply, dtype=float)
 
 
+# (pattern, order) of the saddles most recently factored, newest first; a
+# certification factors saddles of four patterns (the Newton steps' once
+# the pattern settles, which the curvature shares, the first step's, and
+# the two sigma_min saddles), so this many are kept
+_ORDERS = []
+_ORDER_MEMO = 4
+
+
+def _saddle_order(n_z, n_c, W_rows, W_cols, J_rows, J_cols):
+    """(pos, kl, ku, band) of the saddle of this nonzero pattern: the
+    narrower order of :func:`saddle_lu` and the flat index of each nonzero
+    (W's, J's, then J^T's) in the Fortran-ordered band storage.
+
+    The order is read once per pattern and kept for the last
+    ``_ORDER_MEMO`` patterns.
+    """
+    pattern = (W_rows, W_cols, J_rows, J_cols)
+    for k, ((shape, seen), order) in enumerate(_ORDERS):
+        if shape == (n_z, n_c) and all(map(np.array_equal, seen, pattern)):
+            _ORDERS.insert(0, _ORDERS.pop(k))
+            return order
+    rows = np.concatenate([W_rows, J_rows + n_z, J_cols])
+    cols = np.concatenate([W_cols, J_cols, J_rows + n_z])
+    candidates = (_saddle_positions(rank(n_z), J_rows, J_cols, n_c) for rank in _Z_RANKS)
+    pos, kl, ku = _narrowest(candidates, rows, cols)
+    ab_shape = (2 * kl + ku + 1, pos.size)
+    band = np.ravel_multi_index((kl + ku + pos[rows] - pos[cols], pos[cols]), ab_shape, order="F")
+    band = band.astype(np.min_scalar_type(band.max(initial=0)))  # the memo's largest array
+    pos.flags.writeable = band.flags.writeable = False  # shared by every factorization
+    order = pos, kl, ku, band
+    _ORDERS.insert(0, (((n_z, n_c), pattern), order))
+    del _ORDERS[_ORDER_MEMO:]
+    return order
+
+
 def saddle_lu(W, J, shift=0.0):
     """Banded LU of [[W + diag(shift), J^T], [J, 0]], or None when a pivot is exactly zero.
 
     ``shift`` is a scalar or a vector of length n_z; W and J may be dense or
     sparse.  The unknowns take the narrower band of the two time orders of
     the module docstring (each constraint row at the centre of its nonzero
-    columns, z as given or folded).
+    columns, z as given or folded), read once per nonzero pattern.
     """
     W_rows, W_cols, W_vals = _entries(W)
     J_rows, J_cols, J_vals = _entries(J)
     n_c, n_z = J.shape
-    rows = np.concatenate([W_rows, J_rows + n_z, J_cols])
-    cols = np.concatenate([W_cols, J_cols, J_rows + n_z])
-    candidates = (_saddle_positions(rank(n_z), J_rows, J_cols, n_c) for rank in _Z_RANKS)
-    pos, kl, ku = _narrowest(candidates, rows, cols)
+    pos, kl, ku, band = _saddle_order(n_z, n_c, W_rows, W_cols, J_rows, J_cols)
     ab = np.zeros((2 * kl + ku + 1, n_z + n_c), order="F")
-    ab[kl + ku + pos[rows] - pos[cols], pos[cols]] = np.concatenate([W_vals, J_vals, J_vals])
+    ab.ravel(order="F")[band] = np.concatenate([W_vals, J_vals, J_vals])
     ab[kl + ku, pos[:n_z]] += shift
     lu, ipiv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
     if info > 0:

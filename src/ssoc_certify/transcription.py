@@ -14,6 +14,7 @@ state, the rows x_0 - x0 = 0 are appended after the interval constraints.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,7 +22,7 @@ import numpy as np
 import scipy.sparse
 
 from . import model
-from .errors import DimensionError, MeshError
+from .errors import DimensionError, MeshError, is_number
 
 TRAPEZOIDAL = "trapezoidal"
 HERMITE_SIMPSON = "hermite-simpson"
@@ -114,8 +115,8 @@ class Mesh:
 
     @classmethod
     def uniform(cls, T, n_intervals):
-        if n_intervals < 1:
-            raise MeshError("need at least one interval")
+        if not (is_number(n_intervals, numbers.Integral) and n_intervals >= 1):
+            raise MeshError(f"need an integer count of at least one interval, got {n_intervals!r}")
         return cls(np.linspace(0.0, float(T), n_intervals + 1))
 
     @property
@@ -298,12 +299,16 @@ def _sparse(shape, *parts):
     """CSR matrix from (rows, cols, values) parts; duplicate entries add up.
 
     The three arrays of a part are broadcast against each other first.
+    Exact zeros are dropped: adding one changes no sum.
     """
     triplets = [np.broadcast_arrays(*part) for part in parts]
     rows, cols, vals = (
         np.concatenate([t[i].ravel() for t in triplets]) for i in range(3)
     )
-    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    keep = vals != 0.0
+    return scipy.sparse.coo_matrix(
+        (vals[keep], (rows[keep], cols[keep])), shape=shape
+    ).tocsr()
 
 
 def _endpoint_states(layout):

@@ -1,11 +1,13 @@
 """Dense reference kernels the tests compare the sparse ones against.
 
-Full SVDs, dense eigensolves and explicit saddle matrices: O(dim^3) and
-O(dim^2) memory, fine at test sizes.  The dense LDL^T factorization they pair
+Full SVDs, dense eigensolves, explicit saddle matrices and unpruned sups:
+O(dim^3) and O(dim^2) memory, fine at test sizes.  The dense LDL^T factorization they pair
 with stays in ``ssoc_certify.numerics`` (the perfbench tracer patches it there
 by name).  :class:`DenseAdScalar2` keeps the second-order AD rules with every
 derivative part over all seed directions.
 """
+
+import math
 
 import numpy as np
 
@@ -48,6 +50,21 @@ def nullspace_basis(J, rcond=1e-10) -> np.ndarray:
             "constraint Jacobian is rank deficient; strong regularity fails"
         )
     return Vt[n_c:].T.copy()
+
+
+def unpruned_sup(norms, stack, floor, bounds=None) -> float:
+    """max(floor, max(norms(stack))) with every entry's norm computed: the
+    reference for ``constants._sup``, which skips entries by their bounds.
+
+    ``stack`` is indexed along the leading axes of ``bounds``, or of the
+    matrices' leading axes without ``bounds``; an empty stack gives the floor.
+    """
+    size = stack.shape[:-2] if bounds is None else bounds.shape
+    if 0 in size:
+        return float(floor)
+    values = norms(stack)
+    top = float(np.max(values))
+    return math.nan if math.isnan(floor) or math.isnan(top) else float(max(floor, top))
 
 
 def kkt_matrix(W, J, delta=0.0) -> np.ndarray:

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ssoc_certify as sc
 from ssoc_certify import constants as cn
@@ -18,6 +21,7 @@ from ssoc_certify.errors import (
     StrongRegularityError,
 )
 from ssoc_certify.transcription import parse_scheme
+from oracles import unpruned_sup
 
 
 def test_tube_spec_validation():
@@ -462,10 +466,10 @@ def test_tube_skips_blocks_that_repeat_the_centre(
     # reads can change along the block's axis: Fu when the axis is in the
     # dynamics' gradient mask (full-radius blocks only), Hf when it is in
     # their Hessian mask, Lh when it is in the running cost's.  The centre
-    # block reaches the norms 8 times (A_inf, B_inf, H_up_inf, M2f, sup_L,
-    # the two Weyl sums, H_ux_inf), a full-radius block at most 6 times and
-    # a half-radius block at most twice (the L21_f and L21_L quotients);
-    # every tube stack holds one block.
+    # block feeds 6 sups (A_inf, B_inf, H_up_inf, M2f, sup_L, H_ux_inf), a
+    # full-radius block at most 4 (all but A_inf and B_inf) and a
+    # half-radius block at most 2 (the L21_f and L21_L quotients); every
+    # tube stack holds one block.
     if case == "every-axis":
         prob = _curved_on_every_axis(_coupled_quadrotor(quad_problem, control=True))
         rec = quad_run.rec
@@ -479,28 +483,117 @@ def test_tube_skips_blocks_that_repeat_the_centre(
     n, d = prob.n, prob.n + prob.m
     n_t = cn.TIME_SAMPLES_PER_INTERVAL * rec.mesh.n_intervals
     rows = []
-    for name in ("_sym_spectral_norms", "_spectral_norms"):
-        inner = getattr(cn, name)
-        monkeypatch.setattr(cn, name, lambda a, inner=inner: rows.append(len(a)) or inner(a))
+
+    def counting(norms, stack, floor, bounds=None):
+        rows.append(len(stack))
+        return inner(norms, stack, floor, bounds)
+
+    inner = cn._sup
+    monkeypatch.setattr(cn, "_sup", counting)
     got, dyn_rows, cost_rows = _tube_rows(prob, rec, monkeypatch)
     # the endpoint tube: its centre and full-radius offsets, then its quotients
     assert set(rows) == {n_t, 1 + 4 * n, 4 * n}
     axes, per_full, per_half = {
         # linear dynamics and a quadratic cost: no mask holds an axis
         "lq": (0, 0, 0),
-        # Lh changes along every axis: sup_L, the Weyl sums, H_ux_inf; L21_L
-        "lq-curved-cost": (d, 4, 1),
+        # Lh changes along every axis: sup_L, H_ux_inf; L21_L
+        "lq-curved-cost": (d, 2, 1),
         # every array changes along every axis
-        "every-axis": (d, 6, 2),
+        "every-axis": (d, 4, 2),
         # Fu can change along x0 and u0, Hf and Lh nowhere: the four
         # full-radius blocks of these axes reach H_up_inf alone
         "gradient-only": (2, 1, 0),
     }[case]
-    assert rows.count(n_t) == 8 + 2 * axes * (per_full + per_half)
+    assert rows.count(n_t) == 6 + 2 * axes * (per_full + per_half)
     if case == "gradient-only":
         assert (sum(dyn_rows), sum(cost_rows)) == (5 * n_t, n_t)
     monkeypatch.undo()
     _assert_matches_per_offset_reference(prob, rec, got)
+
+
+@st.composite
+def _sup_cases(draw):
+    """(symmetric, stack, floor) with ties, zero and tiny matrices, empty
+    stacks, and now and then one entry that is NaN, inf or past the pruned
+    range."""
+    symmetric = draw(st.booleans())
+    lead = draw(st.sampled_from([(0,), (1,), (2,), (6,), (4, 3), (3, 0)]))
+    k = draw(st.integers(1, 4))
+    shape = (*lead, k, k if symmetric else draw(st.integers(1, 4)))
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e-160]) | st.floats(-4.0, 4.0)
+    stack = draw(arrays(float, shape, elements=values))
+    if symmetric:
+        stack = stack + np.swapaxes(stack, -1, -2)
+    if lead[0] > 1 and draw(st.booleans()):
+        stack[1] = stack[0]
+    if stack.size and draw(st.booleans()):
+        index = draw(st.integers(0, stack.size - 1))
+        stack.flat[index] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e200]))
+    floor = draw(st.sampled_from([0.0, -math.inf, 1e9, math.nan]) | st.floats(0.0, 10.0))
+    return symmetric, stack, floor
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sup_cases())
+def test_sup_equals_the_unpruned_max_bitwise(case):
+    symmetric, stack, floor = case
+    norms = cn._sym_spectral_norms if symmetric else cn._spectral_norms
+    with np.errstate(over="ignore", invalid="ignore"):  # the Gram of 1e200
+        got, want = cn._sup(norms, stack, floor), unpruned_sup(norms, stack, floor)
+    assert float.hex(got) == float.hex(want), (got, want)
+
+
+def test_sup_reads_only_the_entries_that_can_reach_it():
+    sizes = []
+
+    def norms(stack):
+        sizes.append(len(stack))
+        return cn._sym_spectral_norms(stack)
+
+    stack = np.stack([np.diag([float(i), 0.0]) for i in range(1, 11)])
+    assert cn._sup(norms, stack, 0.0) == 10.0
+    assert sizes == [1]  # diag(10) first; every other bound is below 10
+    # diag(1, 1) has the largest bound, sqrt(2), and norm 1: then only
+    # diag(1.3, 0) can reach the sup, and diag(0.5, 0) is skipped
+    sizes.clear()
+    stack = np.stack([np.diag(d) for d in ([0.5, 0.0], [1.0, 1.0], [1.3, 0.0])])
+    assert cn._sup(norms, stack, 0.0) == 1.3
+    assert sizes == [1, 1]
+    # a floor above every bound skips all but the first entry
+    sizes.clear()
+    assert cn._sup(norms, stack, 5.0) == 5.0
+    assert sizes == [1]
+    # past PRUNE_RANGE every entry is read, in one call
+    sizes.clear()
+    assert cn._sup(norms, 1e150 * stack, 0.0) == 1.3e150
+    assert sizes == [3]
+
+
+def test_sup_reads_every_entry_below_the_pruned_range():
+    # the square of 1.006e-161 underflows to a subnormal, so its Frobenius
+    # norm reads 1.2 % low, while LAPACK scales the eigenvalue problem and
+    # returns the norm exactly: a bound that falls short of the norm
+    x = 1.006e-161
+    stack = np.zeros((2, 2, 2))
+    stack[0] = np.diag([0.999 * x, 0.999 * x])  # the largest bound, norm 0.999 x
+    stack[1, 0, 0] = x
+    assert cn._frobenius(stack)[1] < 0.999 * x < cn._sym_spectral_norms(stack)[1]
+    assert cn._sup(cn._sym_spectral_norms, stack, 0.0) == x
+
+
+@pytest.mark.parametrize("n_intervals", [10, 35])
+@pytest.mark.parametrize("scheme", ["trapezoidal", "hermite-simpson"])
+@pytest.mark.parametrize("problem", ["quadrotor", "double-integrator-lq"])
+def test_pruned_tube_equals_the_unpruned_reference(problem, scheme, n_intervals, monkeypatch):
+    prob = sc.builtin_problem(problem)
+    rec = sc.run_certification(prob, sc.Mesh.uniform(prob.T, n_intervals), scheme).rec
+
+    def bits(bundle):
+        return {k: float.hex(v) for k, v in bundle.to_dict().items() if isinstance(v, float)}
+
+    got = cn.estimate_curvature_bounds(prob, rec, cn.TubeSpec())
+    monkeypatch.setattr(cn, "_sup", unpruned_sup)
+    assert bits(got) == bits(cn.estimate_curvature_bounds(prob, rec, cn.TubeSpec()))
 
 
 def _tube_rows(prob, rec, monkeypatch):

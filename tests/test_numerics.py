@@ -219,3 +219,38 @@ def test_saddle_band_does_not_grow_with_mesh(problem):
         ref = np.linalg.solve(kkt_matrix(W.toarray(), J.toarray(), delta), -np.concatenate([g, c]))
         assert np.max(np.abs(np.concatenate([dz, nu]) - ref)) <= 1e-10 * np.max(np.abs(ref))
     assert bands[0] == bands[1]
+
+
+def test_saddle_order_is_read_once_per_nonzero_pattern(quad_problem, monkeypatch):
+    mesh = sc.Mesh.uniform(quad_problem.T, 10)
+    layout = transcription.assemble(quad_problem, mesh, "hermite-simpson")
+    rng = np.random.default_rng(5)
+    reads = []
+    inner = numerics._saddle_positions
+    monkeypatch.setattr(
+        numerics, "_saddle_positions", lambda *args: reads.append(1) or inner(*args)
+    )
+    monkeypatch.setattr(numerics, "_ORDERS", [])
+    # the cold start's zero controls leave exact zeros in J and W: another pattern
+    cold = solver.default_initial_guess(quad_problem, layout)
+    warm = cold + 0.1 * rng.normal(size=layout.n_z)
+    b = rng.normal(size=layout.n_z + layout.n_c)
+    solves = []
+    for z in (warm, warm, cold, warm):
+        _, _, _, J, W = transcription.eval_kkt(quad_problem, layout, z, rng.normal(size=layout.n_c))
+        if z is cold:
+            assert J.nnz < solves[0][1].nnz
+        solves.append((numerics.saddle_lu(W, J, 1e-3).solve(b), J, W))
+    # two candidate orders per read: warm, cold, and nothing on the repeats
+    assert len(reads) == 4
+    # a remembered order solves bitwise as a fresh read does
+    _, J, W = solves[-1]
+    monkeypatch.setattr(numerics, "_ORDERS", [])
+    assert np.array_equal(numerics.saddle_lu(W, J, 1e-3).solve(b), solves[-1][0])
+    assert len(reads) == 6
+
+
+def test_saddle_order_memo_stays_bounded(lq_problem):
+    for n in range(5, 5 + 2 * numerics._ORDER_MEMO):
+        sc.run_certification(lq_problem, sc.Mesh.uniform(lq_problem.T, n), "trapezoidal")
+    assert len(numerics._ORDERS) == numerics._ORDER_MEMO

@@ -55,6 +55,17 @@ def test_mesh_rejects_non_finite_nodes():
             make()
 
 
+@pytest.mark.parametrize("count", [2.5, True, "3", 0, -1])
+def test_uniform_mesh_rejects_a_count_that_is_not_a_positive_integer(count):
+    # 2.5 used to leak a TypeError from linspace, True to build one interval
+    with pytest.raises(MeshError, match="integer count"):
+        sc.Mesh.uniform(1.0, count)
+
+
+def test_uniform_mesh_accepts_numpy_integers():
+    assert np.array_equal(sc.Mesh.uniform(1.0, np.int64(3)).nodes, sc.Mesh.uniform(1.0, 3).nodes)
+
+
 def test_bisect_splits_duplicates_once_and_names_bad_indices():
     mesh = sc.Mesh.uniform(1.0, 4)
     assert np.array_equal(mesh.bisect([1, 1]).nodes, mesh.bisect([1]).nodes)
