@@ -15,7 +15,8 @@ z_1, z_{n-2}, ... is formed as well, and the narrower band is factored.  A
 collocation band does not grow with the mesh, so the factors take memory
 linear in n_z.  The saddle's order is read once per nonzero pattern of W
 and J: the orders of the last few patterns are kept (a fixed number, not
-one per mesh), so the Newton steps after the pattern settles and the
+one per mesh; each as one position per unknown, known by a digest of the
+pattern), so the Newton steps after the pattern settles and the
 curvature's saddle reuse it.  The smallest singular value
 (:func:`sigma_min`) that sigma_min(M_h) and the rank test on J read is
 Lanczos on a block of the inverse of a saddle that :func:`saddle_lu`
@@ -26,6 +27,8 @@ name, so it stays here until the benchmark changes.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import scipy.linalg
@@ -123,39 +126,37 @@ class BandedLu:
         return scipy.sparse.linalg.LinearOperator((k, k), matvec=apply, dtype=float)
 
 
-# (pattern, order) of the saddles most recently factored, newest first; a
-# certification factors saddles of four patterns (the Newton steps' once
-# the pattern settles, which the curvature shares, the first step's, and
-# the two sigma_min saddles), so this many are kept
+# (key, order) of the saddles most recently factored, newest first: the key
+# is the shape, the nonzero counts and a digest of W's and J's nonzero
+# pattern, the order (pos, kl, ku), so a kept pattern costs one position per
+# unknown.  A certification factors the first Newton step's saddle, the
+# settled Newton pattern's, the two sigma_min saddles, then the settled
+# pattern's again for the curvature; of these only the settled pattern
+# repeats, and it is at most three patterns back, so three are kept
 _ORDERS = []
-_ORDER_MEMO = 4
+_ORDER_MEMO = 3
 
 
 def _saddle_order(n_z, n_c, W_rows, W_cols, J_rows, J_cols):
-    """(pos, kl, ku, band) of the saddle of this nonzero pattern: the
-    narrower order of :func:`saddle_lu` and the flat index of each nonzero
-    (W's, J's, then J^T's) in the Fortran-ordered band storage.
-
-    The order is read once per pattern and kept for the last
-    ``_ORDER_MEMO`` patterns.
-    """
-    pattern = (W_rows, W_cols, J_rows, J_cols)
-    for k, ((shape, seen), order) in enumerate(_ORDERS):
-        if shape == (n_z, n_c) and all(map(np.array_equal, seen, pattern)):
+    """(pos, kl, ku): the narrower order of :func:`saddle_lu` for the saddle
+    of this nonzero pattern, read once per pattern and kept for the last
+    ``_ORDER_MEMO`` patterns."""
+    digest = hashlib.blake2b(digest_size=16)
+    for index in (W_rows, W_cols, J_rows, J_cols):
+        digest.update(index)
+    key = (n_z, n_c, W_rows.size, J_rows.size, digest.digest())
+    for k, (seen, order) in enumerate(_ORDERS):
+        if seen == key:
             _ORDERS.insert(0, _ORDERS.pop(k))
             return order
     rows = np.concatenate([W_rows, J_rows + n_z, J_cols])
     cols = np.concatenate([W_cols, J_cols, J_rows + n_z])
     candidates = (_saddle_positions(rank(n_z), J_rows, J_cols, n_c) for rank in _Z_RANKS)
     pos, kl, ku = _narrowest(candidates, rows, cols)
-    ab_shape = (2 * kl + ku + 1, pos.size)
-    band = np.ravel_multi_index((kl + ku + pos[rows] - pos[cols], pos[cols]), ab_shape, order="F")
-    band = band.astype(np.min_scalar_type(band.max(initial=0)))  # the memo's largest array
-    pos.flags.writeable = band.flags.writeable = False  # shared by every factorization
-    order = pos, kl, ku, band
-    _ORDERS.insert(0, (((n_z, n_c), pattern), order))
+    pos.flags.writeable = False  # shared by every factorization of the pattern
+    _ORDERS.insert(0, (key, (pos, kl, ku)))
     del _ORDERS[_ORDER_MEMO:]
-    return order
+    return pos, kl, ku
 
 
 def saddle_lu(W, J, shift=0.0):
@@ -169,10 +170,18 @@ def saddle_lu(W, J, shift=0.0):
     W_rows, W_cols, W_vals = _entries(W)
     J_rows, J_cols, J_vals = _entries(J)
     n_c, n_z = J.shape
-    pos, kl, ku, band = _saddle_order(n_z, n_c, W_rows, W_cols, J_rows, J_cols)
+    pos, kl, ku = _saddle_order(n_z, n_c, W_rows, W_cols, J_rows, J_cols)
     ab = np.zeros((2 * kl + ku + 1, n_z + n_c), order="F")
-    ab.ravel(order="F")[band] = np.concatenate([W_vals, J_vals, J_vals])
-    ab[kl + ku, pos[:n_z]] += shift
+    # entry (i, j) sits at row kl + ku + i - j of column j, so at flat index
+    # kl + ku + i + (2 kl + ku) j of the Fortran-ordered storage
+    flat, at_z, at_c = ab.ravel(order="F"), pos[:n_z], pos[n_z:]
+    for i, j, vals in (
+        (at_z[W_rows], at_z[W_cols], W_vals),
+        (at_c[J_rows], at_z[J_cols], J_vals),
+        (at_z[J_cols], at_c[J_rows], J_vals),
+    ):
+        flat[kl + ku + i + (2 * kl + ku) * j] = vals
+    ab[kl + ku, at_z] += shift
     lu, ipiv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
     if info > 0:
         return None

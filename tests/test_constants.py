@@ -466,10 +466,12 @@ def test_tube_skips_blocks_that_repeat_the_centre(
     # reads can change along the block's axis: Fu when the axis is in the
     # dynamics' gradient mask (full-radius blocks only), Hf when it is in
     # their Hessian mask, Lh when it is in the running cost's.  The centre
-    # block feeds 6 sups (A_inf, B_inf, H_up_inf, M2f, sup_L, H_ux_inf), a
-    # full-radius block at most 4 (all but A_inf and B_inf) and a
-    # half-radius block at most 2 (the L21_f and L21_L quotients); every
-    # tube stack holds one block.
+    # block reaches the norms 7 times (the sups A_inf, B_inf, H_up_inf, M2f,
+    # sup_L and H_ux_inf, and rho's Weyl sum), a full-radius block at most 5
+    # times (all but A_inf and B_inf) and a half-radius block at most twice
+    # (the L21_f and L21_L quotients); every tube stack holds one block.  A
+    # sup counts once, whichever norms it reads; a norm computed outside a
+    # sup counts on its own.
     if case == "every-axis":
         prob = _curved_on_every_axis(_coupled_quadrotor(quad_problem, control=True))
         rec = quad_run.rec
@@ -482,29 +484,40 @@ def test_tube_skips_blocks_that_repeat_the_centre(
         rec = lq_run.rec
     n, d = prob.n, prob.n + prob.m
     n_t = cn.TIME_SAMPLES_PER_INTERVAL * rec.mesh.n_intervals
-    rows = []
+    rows, in_sup = [], []
 
-    def counting(norms, stack, floor, bounds=None):
+    def counting_sup(norms, stack, floor, bounds=None, inner=cn._sup):
         rows.append(len(stack))
-        return inner(norms, stack, floor, bounds)
+        in_sup.append(True)
+        try:
+            return inner(norms, stack, floor, bounds)
+        finally:
+            in_sup.pop()
 
-    inner = cn._sup
-    monkeypatch.setattr(cn, "_sup", counting)
+    def counting_norms(a, inner):
+        if not in_sup:
+            rows.append(len(a))
+        return inner(a)
+
+    monkeypatch.setattr(cn, "_sup", counting_sup)
+    for name in ("_sym_spectral_norms", "_spectral_norms"):
+        inner = getattr(cn, name)
+        monkeypatch.setattr(cn, name, lambda a, inner=inner: counting_norms(a, inner))
     got, dyn_rows, cost_rows = _tube_rows(prob, rec, monkeypatch)
     # the endpoint tube: its centre and full-radius offsets, then its quotients
     assert set(rows) == {n_t, 1 + 4 * n, 4 * n}
     axes, per_full, per_half = {
         # linear dynamics and a quadratic cost: no mask holds an axis
         "lq": (0, 0, 0),
-        # Lh changes along every axis: sup_L, H_ux_inf; L21_L
-        "lq-curved-cost": (d, 2, 1),
+        # Lh changes along every axis: sup_L, the Weyl sum, H_ux_inf; L21_L
+        "lq-curved-cost": (d, 3, 1),
         # every array changes along every axis
-        "every-axis": (d, 4, 2),
+        "every-axis": (d, 5, 2),
         # Fu can change along x0 and u0, Hf and Lh nowhere: the four
         # full-radius blocks of these axes reach H_up_inf alone
         "gradient-only": (2, 1, 0),
     }[case]
-    assert rows.count(n_t) == 6 + 2 * axes * (per_full + per_half)
+    assert rows.count(n_t) == 7 + 2 * axes * (per_full + per_half)
     if case == "gradient-only":
         assert (sum(dyn_rows), sum(cost_rows)) == (5 * n_t, n_t)
     monkeypatch.undo()

@@ -250,6 +250,22 @@ def test_saddle_order_is_read_once_per_nonzero_pattern(quad_problem, monkeypatch
     assert len(reads) == 6
 
 
+def test_saddle_order_tells_patterns_of_one_size_apart(monkeypatch):
+    # one shape and nonzero count, but J[0, 2] moves to J[0, 5]: row 0's
+    # centre moves, so the kept order of the first pattern would misplace it
+    rng = np.random.default_rng(3)
+    J = np.zeros((2, 6))
+    J[0, :3], J[1, 3:] = rng.normal(size=3), rng.normal(size=3)
+    moved = J.copy()
+    moved[0, 2], moved[0, 5] = 0.0, J[0, 2]
+    W, b = np.diag(rng.uniform(1.0, 2.0, size=6)), rng.normal(size=8)
+    monkeypatch.setattr(numerics, "_ORDERS", [])
+    numerics.saddle_lu(W, J)
+    x = numerics.saddle_lu(W, moved).solve(b)
+    assert len(numerics._ORDERS) == 2
+    assert np.allclose(x, np.linalg.solve(kkt_matrix(W, moved, 0.0), b), rtol=1e-12, atol=1e-12)
+
+
 def test_saddle_order_memo_stays_bounded(lq_problem):
     for n in range(5, 5 + 2 * numerics._ORDER_MEMO):
         sc.run_certification(lq_problem, sc.Mesh.uniform(lq_problem.T, n), "trapezoidal")

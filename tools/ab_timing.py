@@ -3,28 +3,24 @@
     python3 tools/ab_timing.py CHECKOUT_A CHECKOUT_B --workload certify-large --reps 40
 
 Imports ``CHECKOUT_A/src/ssoc_certify`` and ``CHECKOUT_B/src/ssoc_certify``
-under two distinct module names and times one pass of the workload on each,
-alternating which side goes first, ``--reps`` times.  Both sides then run
-on the same machine state, so slow drifts of the host (which move separate
-benchmark runs by tens of percent) cancel in the per-pair ratio B / A.
-Prints the median pass time of each side, the median of the per-pair
-ratios and the fraction of pairs in which B was faster.
+under two distinct module names and times one pass of a perfbench workload
+on each, alternating which side goes first, ``--reps`` times.  Both sides
+then run on the same machine state, so slow drifts of the host (which move
+separate benchmark runs by tens of percent) cancel in the per-pair ratio
+B / A.  Prints the median pass time of each side, the median of the
+per-pair ratios and the fraction of pairs in which B was faster.
 
-The workloads mirror those of ``perfbench/workloads.py``:
-
-- ``certify-large``: quadrotor Hermite-Simpson at N = 140;
-- ``sweep-small``: {quadrotor, double-integrator-lq} x {trapezoidal,
-  hermite-simpson} x N in {10, 15, ..., 35}, 24 certifications;
-- ``refine-graded``: ``certify_loop`` from quadrotor Hermite-Simpson N = 10
-  with 8 forced-reject rounds (an injected residual of 1e-10).
-
-The BLAS pool is pinned to one thread.  A pass's verdicts and alpha_hat
-values are compared between the sides; a mismatch is reported.
+The passes are those of ``perfbench/run.py``: the workload's operations,
+their order shuffled from ``--seed`` (one order per pair, shared by both
+sides), driven by perfbench's ``Runner``.  The BLAS pool is pinned to one
+thread.  The outcomes of every pass are compared between the sides; a
+mismatch is reported.
 """
 
 import argparse
 import importlib.util
 import os
+import random
 import sys
 import time
 from pathlib import Path
@@ -33,11 +29,9 @@ from statistics import median
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 sys.dont_write_bytecode = True
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-SWEEP_N = (10, 15, 20, 25, 30, 35)
-PROBLEMS = ("quadrotor", "double-integrator-lq")
-SCHEMES = ("trapezoidal", "hermite-simpson")
-WORKLOADS = ("certify-large", "sweep-small", "refine-graded")
+from perfbench.workloads import WORKLOADS, Runner  # noqa: E402
 
 
 def load_package(checkout: Path, name: str):
@@ -52,64 +46,61 @@ def load_package(checkout: Path, name: str):
     return module
 
 
-def make_pass(sc, workload):
-    """A function running one pass of ``workload`` on package ``sc``; it
-    returns the alpha_hat values and verdicts of the pass."""
-    problems = {name: sc.builtin_problem(name) for name in PROBLEMS}
+def make_runner(sc):
+    """A perfbench ``Runner`` on package ``sc``.  The runner imports
+    ``ssoc_certify`` by name, so that name points at ``sc`` while it is built."""
+    saved = sys.modules.get("ssoc_certify")
+    sys.modules["ssoc_certify"] = sc
+    try:
+        return Runner(sc)
+    finally:
+        if saved is None:
+            del sys.modules["ssoc_certify"]
+        else:
+            sys.modules["ssoc_certify"] = saved
 
-    def certify(problem, scheme, n):
-        prob = problems[problem]
-        cert = sc.run_certification(prob, sc.Mesh.uniform(prob.T, n), scheme).certificate
-        return [(cert.alpha_hat, cert.accepted)]
 
-    if workload == "certify-large":
-        return lambda: certify("quadrotor", "hermite-simpson", 140)
-    if workload == "sweep-small":
-        ops = [(p, s, n) for p in PROBLEMS for s in SCHEMES for n in SWEEP_N]
-        return lambda: [record for op in ops for record in certify(*op)]
-
-    def refine():
-        prob = problems["quadrotor"]
-        result = sc.certify_loop(
-            prob,
-            sc.Mesh.uniform(prob.T, 10),
-            "hermite-simpson",
-            policy=sc.RefinePolicy(max_rounds=8),
-            settings=sc.CertifySettings(inject_e_n2=1e-10),
-        )
-        return [(r.n_intervals, r.alpha_hat, r.accepted) for r in result.history]
-
-    return refine
+def outcomes(results):
+    return [(r.op.key, repr(r.outcome)) for r in results]
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout_a", type=Path)
     parser.add_argument("checkout_b", type=Path)
-    parser.add_argument("--workload", choices=WORKLOADS, required=True)
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     parser.add_argument("--reps", type=int, default=40)
+    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
 
-    passes = [
-        make_pass(load_package(root, f"ssoc_certify_{tag}"), args.workload)
+    workload = WORKLOADS[args.workload]
+    rng = random.Random(args.seed)
+    runners = [
+        make_runner(load_package(root, f"ssoc_certify_{tag}"))
         for tag, root in (("a", args.checkout_a), ("b", args.checkout_b))
     ]
-    outputs = [run() for run in passes]  # warm-up, not timed
+    for runner in runners:
+        runner.warm_up()
     times = ([], [])
+    differ = False
     for rep in range(args.reps):
+        ops = workload.pass_order(rng)
+        seen = []
         for side in (0, 1) if rep % 2 == 0 else (1, 0):
             t0 = time.perf_counter()
-            passes[side]()
+            results = runners[side].run_pass(ops)
             times[side].append(time.perf_counter() - t0)
+            seen.append(outcomes(results))
+        differ |= seen[0] != seen[1]
     ratios = [b / a for a, b in zip(*times)]
     print(f"workload {args.workload}, {args.reps} pairs")
     print(f"A median pass  {median(times[0]):.4f} s  ({args.checkout_a})")
     print(f"B median pass  {median(times[1]):.4f} s  ({args.checkout_b})")
     print(f"median ratio B/A  {median(ratios):.3f}")
     print(f"B faster in  {sum(r < 1.0 for r in ratios) / len(ratios):.0%} of pairs")
-    if outputs[0] != outputs[1]:
+    if differ:
         print("outputs differ between A and B")
         return 1
     return 0
