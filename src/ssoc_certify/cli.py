@@ -1,8 +1,9 @@
 """Command line front end: list | certify | sweep | refine.
 
 Exit codes: 0 accepted, 2 rejected, 1 any error (including usage errors).
-File outputs are plain JSON and CSV; repeated runs with the same
-configuration produce byte-identical files.
+File outputs are strict JSON (a non-finite number is the string "inf",
+"-inf" or "nan") and CSV; repeated runs with the same configuration
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -100,7 +101,11 @@ def _given(args, cls):
 
 
 def _json_dump(payload, path: Path):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # JSON has no token for a non-finite number: a round trip writes each
+    # as the string "inf", "-inf" or "nan", which float() reads back
+    names = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
+    strict = json.loads(json.dumps(payload), parse_constant=names.get)
+    path.write_text(json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header, rows):

@@ -13,10 +13,13 @@ when its axis is in their gradient mask (full-radius blocks only), for
 the dynamics' Hessians only when it is in their Hessian mask, and for the
 running cost's Hessian only when it is in its Hessian mask; a block read
 for none is dropped, and the bounds are those of the full tube, bitwise.
-The costate
-direction is bounded over the whole dp-box instead: the Hamiltonian is
-affine in p, so Weyl's inequality turns lambda_min(H_uu) and ||H_ux|| at the
-centre costate into bounds that hold for every costate in the box.
+The dynamics' Hessians are read only for the outputs that the probe finds
+curved; every other output's Hessian is zero throughout the tube (see
+:func:`model.dependency_masks`) and adds nothing to any norm, sum or max.
+The costate direction is bounded over the whole dp-box instead: the
+Hamiltonian is affine in p, so Weyl's inequality turns lambda_min(H_uu)
+and ||H_ux|| at the centre costate into bounds that hold for every costate
+in the box.
 Lipschitz constants of second derivatives come from difference quotients at
 half-radius offsets and carry the factor ``SAFETY_FACTOR`` because sampled
 quotients lower-bound the true sup.
@@ -186,19 +189,6 @@ def _sym_spectral_norms(stack):
     return np.maximum(-eigs[..., 0], eigs[..., -1])
 
 
-def _nonzero_components(stack):
-    """Indices i with a nonzero entry in stack[:, i] of a (B, k, r, s) stack."""
-    return np.flatnonzero(np.any(stack != 0, axis=(0, 2, 3)))
-
-
-def _norm_sum(blocks, norms):
-    """Per-row sum over i of norms(blocks[:, i]) for a (B, k, r, s) stack.
-
-    All-zero blocks add nothing and are skipped.
-    """
-    return np.sum(norms(blocks[:, _nonzero_components(blocks)]), axis=1)
-
-
 def _frobenius(stack):
     """Frobenius norm of each matrix in a (..., k, l) stack."""
     return np.sqrt(np.einsum("...ij,...ij->...", stack, stack))
@@ -260,7 +250,7 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
     # offset, whether it is half-radius, and three flags from its axis's
     # masks: can it change Fu (G_f; only full-radius blocks are read for
     # H_up_inf), Hf (H_f) and Lh (H_L).  A block with no flag is dropped.
-    (G_f, H_f), (_, H_L) = model.dependency_masks(prob, ts[0], Xc[0], Uc[0])
+    (G_f, H_f), (_, H_L), curved = model.dependency_masks(prob, ts[0], Xc[0], Uc[0])
     xu_radii = np.concatenate([np.full(n, tube.dx), np.full(m, tube.du)])
     blocks = [(None, False, True, True, True)]
     for half, scales in ((False, (-1.0, 1.0)), (True, (0.5, -0.5))):
@@ -275,17 +265,14 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
     # a block's unflagged arrays are the centre's.  H(p) = Lh + sum_i p_i Hf_i
     # is affine in p, so Weyl's inequality bounds rho and ||H_ux|| over the
     # whole box |p_i - Pc_i| <= dp from the control rows of H at the centre
-    # costate.  All-zero components of Hf add nothing to any norm or sum:
-    # dropped.
+    # costate.
     def add_block(block, Fu, Hf, Lh):
         nonlocal M2f, sup_L, rho, H_ux_inf, H_up_inf, L21_f, L21_L
         offset, half, new_u, new_f, new_L = block
         if half:
             step = float(np.linalg.norm(offset))
             if new_f:
-                dHf = Hf - centre[1]
-                dHf = dHf[:, _nonzero_components(dHf)]
-                L21_f = _max(L21_f, _sup(_sym_spectral_norms, dHf, 0.0) / step)
+                L21_f = _max(L21_f, _sup(_sym_spectral_norms, Hf - centre[1], 0.0) / step)
             if new_L:
                 L21_L = _max(L21_L, _sup(_sym_spectral_norms, Lh - centre[2], 0.0) / step)
             return
@@ -298,16 +285,13 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
             sup_L = _sup(_sym_spectral_norms, Lh, sup_L)
         if not (new_f or new_L):
             return
-        curved = _nonzero_components(Hf)
-        Hf = Hf[:, curved]
         if new_f:
             M2f = _sup(_sym_spectral_norms, Hf, M2f)
         H_u = Lh[:, n:, :] + np.einsum("bi,bijk->bjk", Pc[:, curved], Hf[:, :, n:, :])
-        spread_uu = tube.dp * _norm_sum(Hf[:, :, n:, n:], _sym_spectral_norms)
+        spread_uu = tube.dp * np.sum(_sym_spectral_norms(Hf[:, :, n:, n:]), axis=1)
         rho = np.minimum(rho, np.min(_eigvalsh(H_u[:, :, n:])[:, 0] - spread_uu))
         # ||H_ux|| plus the Weyl spread of its costate terms, row by row
         H_ux, Hf_ux = H_u[:, :, :n], Hf[:, :, n:, :n]
-        Hf_ux = Hf_ux[:, _nonzero_components(Hf_ux)]
 
         def H_ux_norms(rows):
             spread = tube.dp * np.sum(_spectral_norms(Hf_ux[rows]), axis=1)
@@ -326,11 +310,13 @@ def estimate_curvature_bounds(prob, rec, tube: TubeSpec):
         return [[p[j * n_t : (j + 1) * n_t] for p in parts] for j in range(len(group))]
 
     # Each model batch holds whole blocks and at most max(n_t,
-    # TUBE_BATCH_ROWS) rows, which bounds the tube's peak memory as N grows.
+    # TUBE_BATCH_ROWS) rows, which bounds the tube's peak memory as N grows;
+    # its Hf stacks are cut to the curved outputs, as is every Hf below.
     per_batch = max(1, TUBE_BATCH_ROWS // n_t)
     for first in range(0, len(blocks), per_batch):
         group = blocks[first : first + per_batch]
         dyn = evaluate(model.dynamics_batch, [b for b in group if b[2] or b[3]])
+        dyn = [(*parts, Hf[:, curved]) for *parts, Hf in dyn]
         cost = evaluate(model.running_cost_batch, [b for b in group if b[4]])
         if first == 0:
             # linearized dynamics along the reconstruction only

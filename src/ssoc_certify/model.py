@@ -52,6 +52,9 @@ class OcpProblem:
             raise DimensionError(
                 f"dimensions must be integers with n>=1, m>=1, n_b>=0, got {dims}"
             )
+        if (self.boundary is None) != (self.n_b == 0):  # else the solve drops it or calls None
+            with_map = "without a" if self.boundary is None else "with a"
+            raise DimensionError(f"n_b={self.n_b} {with_map} boundary map; n_b counts its outputs")
         for name, size in (("x0", self.n), ("x_target", self.n), ("u_guess", self.m)):
             value = getattr(self, name)
             if value is not None:
@@ -147,17 +150,22 @@ def running_cost_batch(prob: OcpProblem, t, X, U, order=0):
 
 
 def dependency_masks(prob: OcpProblem, t, x, u):
-    """((G_f, H_f), (G_L, H_L)): the inputs that the dynamics' and the
-    running cost's gradient and Hessian values read, as bitmasks over the
-    n + m axes of (x, u) (see :mod:`ssoc_certify.ad`).
+    """((G_f, H_f), (G_L, H_L), curved): the inputs that the dynamics' and
+    the running cost's gradient and Hessian values read, as bitmasks over
+    the n + m axes of (x, u) (see :mod:`ssoc_certify.ad`), and the indices
+    of the dynamics outputs that carry a Hessian part.
 
     One order-2 probe of both callbacks at the point (t, x (n,), u (m,));
     the dynamics' masks are the unions over its components.  Offsetting
     the point along an axis outside a mask leaves the parts it covers
-    bitwise unchanged.
+    bitwise unchanged, and a dynamics output outside ``curved`` has a zero
+    Hessian at every point: the AD builds a value by the same operations
+    wherever it is evaluated, and a callback cannot branch on an AD value.
     """
     t, X, U = _batch_points(prob, t, x, u)
     xs, us = _seed(X, U, 2)
+    dynamics = prob.dynamics(t, xs, us)
+    curved = [i for i, f in enumerate(dynamics) if isinstance(f, ad.AdScalar2) and not f.is_affine]
 
     def union(outputs):
         G = H = 0  # a plain output is a constant
@@ -166,7 +174,7 @@ def dependency_masks(prob: OcpProblem, t, x, u):
                 G, H = G | out.gmask, H | out.hmask
         return G, H
 
-    return union(prob.dynamics(t, xs, us)), union([prob.running_cost(t, xs, us)])
+    return union(dynamics), union([prob.running_cost(t, xs, us)]), np.array(curved, dtype=int)
 
 
 def hamiltonian_batch(prob: OcpProblem, t, X, U, P):

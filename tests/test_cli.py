@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,28 @@ def test_certificate_json_round_trips(tmp_path):
              "--out-dir", str(tmp_path)])
     raw = (tmp_path / "certificate.json").read_text()
     assert json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n" == raw
+
+
+def _strict_json(path):
+    """The JSON of ``path``, raising on Infinity, -Infinity and NaN."""
+
+    def reject(token):
+        raise ValueError(f"{path.name} holds {token}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", ["certify", "refine"])
+def test_json_outputs_are_strict(command, tmp_path):
+    # Lambda = 0 on the LQ problem, so its trust radius is infinite
+    code = run_cli([command, "--problem", "double-integrator-lq", "--n", "10",
+                    "--out-dir", str(tmp_path)])
+    assert code == 0
+    (path,) = tmp_path.glob("*.json")
+    payload = _strict_json(path)
+    cert = payload if command == "certify" else payload["final_certificate"]
+    assert cert["trust_radius"] == "inf"
+    assert float(cert["trust_radius"]) == math.inf
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):
@@ -258,6 +281,19 @@ def test_output_digest_hashes_each_second_level_key(tmp_path):
     assert list(output_digest.digests(tmp_path / "rows.csv")) == [
         ("rows.csv", output_digest._sha(b"N\n1\n"))
     ]
+
+
+def test_output_digest_diff_prints_only_differing_lines():
+    a = [("certify", 0, {"c.json:a": "1", "c.json:b": "2"}), ("sweep", 1, {}), ("refine", 0, {})]
+    b = [("certify", 0, {"c.json:a": "1", "c.json:b": "3", "t.csv": "4"}), ("sweep", 2, {}),
+         ("refine", 0, {})]
+    assert output_digest.diff(a, b) == [
+        "certify exit=0",
+        "  - 2  c.json:b\n  + 3  c.json:b",
+        "  - missing  t.csv\n  + 4  t.csv",
+        "sweep exit=1/2",
+    ]
+    assert output_digest.diff(a, a) == []
 
 
 @pytest.mark.parametrize(

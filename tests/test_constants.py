@@ -662,3 +662,32 @@ def test_tube_evaluates_only_blocks_its_masks_can_move(
     n_t = cn.TIME_SAMPLES_PER_INTERVAL * rec.mesh.n_intervals
     _, dyn_rows, cost_rows = _tube_rows(prob, rec, monkeypatch)
     assert sum(dyn_rows) == sum(cost_rows) == blocks * n_t
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["quadrotor", "lq", "coupled", "control-coupled", "every-axis", "every-axis-lq-cost",
+     "gradient-only"],
+)
+def test_probe_lists_exactly_the_outputs_with_a_nonzero_hessian_in_the_tube(
+    case, lq_problem, lq_run, quad_problem, quad_run
+):
+    # the tube reads the dynamics Hessians of the probe's curved outputs
+    # only; every other output's Hessian must be zero in every tube block
+    prob, rec = {
+        "quadrotor": (quad_problem, quad_run.rec),
+        "lq": (lq_problem, lq_run.rec),
+        "coupled": (_coupled_quadrotor(quad_problem), quad_run.rec),
+        "control-coupled": (_coupled_quadrotor(quad_problem, control=True), quad_run.rec),
+        "every-axis": (_curved_on_every_axis(quad_problem), quad_run.rec),
+        "every-axis-lq-cost": (_curved_on_every_axis(lq_problem, dynamics=False), lq_run.rec),
+        "gradient-only": (_curved_in_gradient_only(lq_problem), lq_run.rec),
+    }[case]
+    n_t = cn.TIME_SAMPLES_PER_INTERVAL * rec.mesh.n_intervals
+    ts, Xc, Uc, *_, t_all, X_all, U_all, _ = _tube_batch(
+        prob, rec, cn.TubeSpec(), (-1.0, 1.0, 0.5, -0.5), n_t
+    )
+    *_, curved = model.dependency_masks(prob, ts[0], Xc[0], Uc[0])
+    Hf = model.dynamics_batch(prob, t_all, X_all, U_all, order=2)[3]
+    assert curved.tolist() == np.flatnonzero(np.any(Hf != 0, axis=(0, 2, 3))).tolist()
+    assert curved.size == {"lq": 0, "every-axis-lq-cost": 0, "gradient-only": 1}.get(case, 2)

@@ -91,6 +91,45 @@ def test_problem_rejects_bad_horizon_and_dimensions(field, value):
         model.OcpProblem(**fields)
 
 
+def _reach_half(x0, xT):
+    return [xT[0] - 0.5]
+
+
+def test_boundary_map_without_n_b_is_rejected():
+    # with n_b = 0 the transcription never read the map: the solve ended at
+    # x(T)_0 = 0.806 and certified a problem without the boundary equation
+    lq = sc.builtin_problem("double-integrator-lq")
+    with pytest.raises(DimensionError, match="n_b=0 with a boundary map"):
+        dataclasses.replace(lq, boundary=_reach_half)
+    prob = dataclasses.replace(lq, boundary=_reach_half, n_b=1)
+    run = sc.run_certification(prob, sc.Mesh.uniform(prob.T, 10), "trapezoidal")
+    assert run.rec.X.eval(prob.T)[0] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_n_b_without_boundary_map_is_rejected():
+    # the solve used to call None and leak a TypeError
+    lq = sc.builtin_problem("double-integrator-lq")
+    with pytest.raises(DimensionError, match="n_b=1 without a boundary map"):
+        dataclasses.replace(lq, n_b=1)
+
+
+def test_dependency_masks_list_no_plain_or_affine_output_as_curved():
+    # outputs: a plain constant, a seed, an affine combination, a product
+    # of two seeds (constant nonzero Hessian) and a curved scalar function
+    def dynamics(t, x, u):
+        return [1.5, x[0], 2.0 * x[1] - u[0] + 3.0, x[0] * u[0], ad.sin(x[1])]
+
+    prob = model.OcpProblem(
+        name="mixed", n=5, m=1, T=1.0, dynamics=dynamics,
+        running_cost=lambda t, x, u: 0.5 * u[0] * u[0],
+        endpoint_cost=lambda x0, xT: 0.0 * xT[0],
+    )
+    _, _, curved = model.dependency_masks(prob, 0.0, np.full(5, 0.3), np.array([0.2]))
+    assert curved.tolist() == [3, 4]
+    affine = dataclasses.replace(prob, dynamics=lambda t, x, u: [1.5, x[0], 2.0 * x[1], x[3], u[0]])
+    assert model.dependency_masks(affine, 0.0, np.zeros(5), np.zeros(1))[2].size == 0
+
+
 def test_hamiltonian_with_zero_costate_is_running_cost_bitwise():
     prob = sc.builtin_problem("quadrotor")
     rng = np.random.default_rng(0)

@@ -1,6 +1,7 @@
 """Print the exit code and the sha256 digests of every CLI output over a fixed case matrix.
 
     python3 tools/output_digest.py [CHECKOUT]
+    python3 tools/output_digest.py CHECKOUT_A CHECKOUT_B
 
 Runs ``ssoc_certify.cli`` from ``CHECKOUT/src`` (default: the checkout holding
 this script) in a temporary directory: ``certify`` over {quadrotor,
@@ -20,6 +21,12 @@ A JSON output gets one digest per key path down to the second level
 object shows as that line; any other file gets one digest.  Two checkouts
 that print the same lines write the same certificates, trajectories,
 residuals and reports.
+
+Given two checkouts, runs both and prints only the lines that differ: each
+case line (its exit codes joined by ``/`` where they differ) followed by
+its differing labels, ``-`` for A's digest and ``+`` for B's (``missing``
+where one checkout wrote no such output).  Exits 1 on any difference and,
+printing nothing, 0 when the outputs are identical.
 """
 
 import hashlib
@@ -71,9 +78,10 @@ def digests(path: Path):
             yield label, _sha(json.dumps(item, sort_keys=True).encode())
 
 
-def main():
-    root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
+def run(root: Path):
+    """[(case, exit code, {label: digest})] of every case, run from ``root/src``."""
     env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"), PYTHONDONTWRITEBYTECODE="1")
+    results = []
     with tempfile.TemporaryDirectory() as tmp:
         for k, case in enumerate(CASES + FAILING_CASES):
             out = Path(tmp) / str(k)
@@ -81,10 +89,39 @@ def main():
                 [sys.executable, "-m", "ssoc_certify.cli", *case, "--out-dir", str(out)],
                 env=env, cwd=tmp, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             )
-            print(" ".join(case), f"exit={proc.returncode}")
-            for path in sorted(out.iterdir()) if out.exists() else []:
-                for label, digest in digests(path):
-                    print(f"  {digest}  {label}")
+            paths = sorted(out.iterdir()) if out.exists() else []
+            labels = {label: digest for path in paths for label, digest in digests(path)}
+            results.append((" ".join(case), proc.returncode, labels))
+    return results
+
+
+def diff(a, b):
+    """The lines of :func:`run` results ``a`` and ``b`` that differ."""
+    lines = []
+    for (case, code_a, labels_a), (_, code_b, labels_b) in zip(a, b):
+        changed = [
+            f"  - {labels_a.get(label, 'missing')}  {label}\n"
+            f"  + {labels_b.get(label, 'missing')}  {label}"
+            for label in sorted(labels_a.keys() | labels_b.keys())
+            if labels_a.get(label) != labels_b.get(label)
+        ]
+        if changed or code_a != code_b:
+            code = code_a if code_a == code_b else f"{code_a}/{code_b}"
+            lines += [f"{case} exit={code}", *changed]
+    return lines
+
+
+def main():
+    roots = [Path(arg) for arg in sys.argv[1:]] or [Path(__file__).resolve().parent.parent]
+    if len(roots) == 2:
+        lines = diff(run(roots[0]), run(roots[1]))
+        for line in lines:
+            print(line)
+        sys.exit(1 if lines else 0)
+    for case, code, labels in run(roots[0]):
+        print(case, f"exit={code}")
+        for label, digest in labels.items():
+            print(f"  {digest}  {label}")
 
 
 if __name__ == "__main__":
