@@ -63,6 +63,8 @@ class OcpProblem:
                     raise DimensionError(
                         f"{name} must have shape ({size},), got {value.shape}"
                     )
+                if not np.all(np.isfinite(value)):  # else a callback is blamed for it
+                    raise DimensionError(f"{name} must be finite, got {value}")
                 setattr(self, name, value)
 
 

@@ -9,26 +9,23 @@ positive-definiteness test that certifies the reduced curvature's shift
 order from the nonzero values of the matrices, as this module sits below the
 layout: z keeps its order, which is time order because the layout's samples
 are time-ordered, and each constraint row sits at the centre of its nonzero
-columns.  When x(0) and x(T) are coupled (a boundary map or an endpoint
-cost) that band spans the whole matrix, so the folded order z_0, z_{n-1},
-z_1, z_{n-2}, ... is formed as well, and the narrower band is factored.  A
-collocation band does not grow with the mesh, so the factors take memory
-linear in n_z.  The saddle's order is read once per nonzero pattern of W
-and J: the orders of the last few patterns are kept (a fixed number, not
-one per mesh; each as one position per unknown, known by a digest of the
-pattern), so the Newton steps after the pattern settles and the
-curvature's saddle reuse it.  The smallest singular value
+columns.  Every nonzero of a collocation matrix links samples a few
+intervals apart, except where x(0) and x(T) are coupled (a boundary map or
+an endpoint cost); so beyond the smallest meshes only that coupling widens
+the band to half the matrix or more.  Then the folded order z_0, z_{n-1},
+z_1, z_{n-2}, ... is formed as well, and it is factored when its band is
+strictly narrower.  A collocation band does not grow with the mesh, so the
+factors take memory linear in n_z.  The smallest singular value
 (:func:`sigma_min`) that sigma_min(M_h) and the rank test on J read is
 Lanczos on a block of the inverse of a saddle that :func:`saddle_lu`
-factors, so no Gram matrix is formed.  The dense reference kernels the tests compare these against live
-in ``tests/oracles.py``, except the dense LDL^T factorization at the end of
-this module: the perfbench tracer patches ``numerics.LdlFactorization`` by
-name, so it stays here until the benchmark changes.
+factors, so no Gram matrix is formed.  The dense reference kernels the
+tests compare these against live in ``tests/oracles.py``, except the dense
+LDL^T factorization at the end of this module: the perfbench tracer patches
+``numerics.LdlFactorization`` by name, so it stays here until the benchmark
+changes.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 import scipy.linalg
@@ -80,20 +77,23 @@ def _saddle_positions(z_rank, J_rows, J_cols, n_c):
     return pos
 
 
-def _narrowest(candidates, rows, cols):
-    """(pos, kl, ku) of the candidate order with the fewest diagonals in its band."""
-    best = None
-    for pos in candidates:
+def _band_order(n_z, n_c, rows, cols, J_rows, J_cols):
+    """(pos, kl, ku) of the saddle unknowns (:func:`_saddle_positions`) for
+    the nonzero values at (rows, cols): z in time order, or folded when the
+    time-order band covers at least half the matrix and the folded band is
+    strictly narrower (the module docstring gives the reason)."""
+
+    def band(z_rank):
+        pos = _saddle_positions(z_rank, J_rows, J_cols, n_c)
         d = pos[rows] - pos[cols]
-        kl, ku = int(d.max(initial=0)), int(-d.min(initial=0))
-        if best is None or kl + ku < best[1] + best[2]:
-            best = (pos, kl, ku)
-    return best
+        return pos, int(d.max(initial=0)), int(-d.min(initial=0))
 
-
-# The candidate ranks of z: as given, which is time order because the
-# layout's samples are time-ordered, and folded, which puts x(0) next to x(T).
-_Z_RANKS = (np.arange, _folded_rank)
+    pos, kl, ku = band(np.arange(n_z))
+    if 2 * (kl + ku) >= n_z + n_c:
+        folded = band(_folded_rank(n_z))
+        if folded[1] + folded[2] < kl + ku:
+            return folded
+    return pos, kl, ku
 
 
 class BandedLu:
@@ -126,51 +126,18 @@ class BandedLu:
         return scipy.sparse.linalg.LinearOperator((k, k), matvec=apply, dtype=float)
 
 
-# (key, order) of the saddles most recently factored, newest first: the key
-# is the shape, the nonzero counts and a digest of W's and J's nonzero
-# pattern, the order (pos, kl, ku), so a kept pattern costs one position per
-# unknown.  A certification factors the first Newton step's saddle, the
-# settled Newton pattern's, the two sigma_min saddles, then the settled
-# pattern's again for the curvature; of these only the settled pattern
-# repeats, and it is at most three patterns back, so three are kept
-_ORDERS = []
-_ORDER_MEMO = 3
-
-
-def _saddle_order(n_z, n_c, W_rows, W_cols, J_rows, J_cols):
-    """(pos, kl, ku): the narrower order of :func:`saddle_lu` for the saddle
-    of this nonzero pattern, read once per pattern and kept for the last
-    ``_ORDER_MEMO`` patterns."""
-    digest = hashlib.blake2b(digest_size=16)
-    for index in (W_rows, W_cols, J_rows, J_cols):
-        digest.update(index)
-    key = (n_z, n_c, W_rows.size, J_rows.size, digest.digest())
-    for k, (seen, order) in enumerate(_ORDERS):
-        if seen == key:
-            _ORDERS.insert(0, _ORDERS.pop(k))
-            return order
-    rows = np.concatenate([W_rows, J_rows + n_z, J_cols])
-    cols = np.concatenate([W_cols, J_cols, J_rows + n_z])
-    candidates = (_saddle_positions(rank(n_z), J_rows, J_cols, n_c) for rank in _Z_RANKS)
-    pos, kl, ku = _narrowest(candidates, rows, cols)
-    pos.flags.writeable = False  # shared by every factorization of the pattern
-    _ORDERS.insert(0, (key, (pos, kl, ku)))
-    del _ORDERS[_ORDER_MEMO:]
-    return pos, kl, ku
-
-
 def saddle_lu(W, J, shift=0.0):
     """Banded LU of [[W + diag(shift), J^T], [J, 0]], or None when a pivot is exactly zero.
 
     ``shift`` is a scalar or a vector of length n_z; W and J may be dense or
-    sparse.  The unknowns take the narrower band of the two time orders of
-    the module docstring (each constraint row at the centre of its nonzero
-    columns, z as given or folded), read once per nonzero pattern.
+    sparse.  The unknowns take the order of :func:`_band_order`.
     """
     W_rows, W_cols, W_vals = _entries(W)
     J_rows, J_cols, J_vals = _entries(J)
     n_c, n_z = J.shape
-    pos, kl, ku = _saddle_order(n_z, n_c, W_rows, W_cols, J_rows, J_cols)
+    rows = np.concatenate([W_rows, J_rows + n_z, J_cols])
+    cols = np.concatenate([W_cols, J_cols, J_rows + n_z])
+    pos, kl, ku = _band_order(n_z, n_c, rows, cols, J_rows, J_cols)
     ab = np.zeros((2 * kl + ku + 1, n_z + n_c), order="F")
     # entry (i, j) sits at row kl + ku + i - j of column j, so at flat index
     # kl + ku + i + (2 kl + ku) j of the Fortran-ordered storage
@@ -191,17 +158,17 @@ def saddle_lu(W, J, shift=0.0):
 def ldl_positive_definite(A) -> bool:
     """True when the symmetric A has a banded Cholesky factorization.
 
-    A (dense or sparse; only its upper triangle is factored) takes the
-    narrower band of its given order and the folded one, and LAPACK
-    ``dpbtrf`` factors it.  The
-    factorization succeeds exactly when every pivot, the ratio of two
-    consecutive leading principal minors, is positive (Sylvester's
-    criterion), so success proves A positive definite.  A pivot <= 0 in
-    floating point gives False; A may still be positive definite then.
+    A (dense or sparse; only its upper triangle is factored) takes the order
+    of :func:`_band_order`, as a saddle without constraint rows, and LAPACK
+    ``dpbtrf`` factors it.  The factorization succeeds exactly when every
+    pivot, the ratio of two consecutive leading principal minors, is
+    positive (Sylvester's criterion), so success proves A positive definite.
+    A pivot <= 0 in floating point gives False; A may still be positive
+    definite then.
     """
     rows, cols, vals = _entries(A)
     n = A.shape[0]
-    pos, _, kd = _narrowest((rank(n) for rank in _Z_RANKS), rows, cols)
+    pos, _, kd = _band_order(n, 0, rows, cols, rows[:0], cols[:0])
     upper = pos[rows] <= pos[cols]
     r, c = pos[rows[upper]], pos[cols[upper]]
     ab = np.zeros((kd + 1, n), order="F")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -20,7 +21,7 @@ class RefinePolicy:
             raise SettingsError(f"fraction must lie in (0, 1], got {self.fraction!r}")
         for name, low in (("max_rounds", 0), ("max_total_intervals", 1)):
             value = getattr(self, name)
-            if not (is_number(value, int) and value >= low):
+            if not (is_number(value, numbers.Integral) and value >= low):
                 raise SettingsError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

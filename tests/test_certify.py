@@ -12,8 +12,13 @@ from hypothesis import strategies as st
 
 import ssoc_certify as sc
 from oracles import nullspace_basis
-from ssoc_certify import certify, constants as cn, transcription as tr
-from ssoc_certify.errors import ConstraintQualificationError, ContractError, SettingsError
+from ssoc_certify import certify, constants as cn, solver, transcription as tr
+from ssoc_certify.errors import (
+    ConstraintQualificationError,
+    ContractError,
+    ConvergenceError,
+    SettingsError,
+)
 
 
 def test_pencil_proportional_matrices():
@@ -309,6 +314,14 @@ def test_loose_tolerance_reaches_the_solver(quad_problem):
     assert rep.converged
     assert max(rep.kkt_residual, rep.constraint_residual) > 1e-9
     assert run.certificate.provenance["settings"]["tolerance"] == 1e-2
+
+
+def test_unconverged_solve_raises_with_its_report(quad_problem, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError, match="solver stopped") as caught:
+        sc.run_certification(quad_problem, sc.Mesh.uniform(quad_problem.T, 10), "hermite-simpson")
+    assert not caught.value.report.converged
+    assert caught.value.report.iterations == 1
 
 
 def test_paper_arithmetic_chain_values(quad_problem):

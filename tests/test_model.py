@@ -79,9 +79,21 @@ def test_problem_vectors_must_match_dimensions(field, value):
         model.OcpProblem(**fields)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["x0", "x_target", "u_guess"])
+def test_problem_vectors_must_be_finite(field, bad):
+    # the solve used to fail on them with "non-finite value in running
+    # cost" or "... in dynamics", blaming a callback for the bad input
+    lq = sc.builtin_problem("double-integrator-lq")
+    value = np.zeros(lq.m if field == "u_guess" else lq.n)
+    value[0] = bad
+    with pytest.raises(DimensionError, match=f"{field} must be finite"):
+        dataclasses.replace(lq, **{field: value})
+
+
 @pytest.mark.parametrize(
     "field, value",
-    [("T", math.nan), ("T", math.inf), ("T", 0.0), ("T", -1.0), ("n", 1.5), ("n", True)],
+    [("T", math.nan),("T", math.inf), ("T", 0.0), ("T", -1.0), ("n", 1.5), ("n", True)],
 )
 def test_problem_rejects_bad_horizon_and_dimensions(field, value):
     # inf > inf is False, so an infinite T would pass the mesh's horizon

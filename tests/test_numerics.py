@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 import ssoc_certify as sc
@@ -221,52 +224,77 @@ def test_saddle_band_does_not_grow_with_mesh(problem):
     assert bands[0] == bands[1]
 
 
-def test_saddle_order_is_read_once_per_nonzero_pattern(quad_problem, monkeypatch):
-    mesh = sc.Mesh.uniform(quad_problem.T, 10)
-    layout = transcription.assemble(quad_problem, mesh, "hermite-simpson")
-    rng = np.random.default_rng(5)
-    reads = []
-    inner = numerics._saddle_positions
+def _coupled_quadrotor():
+    # a boundary map linking x(0) and x(T): the time-order band spans the matrix
+    quad = sc.builtin_problem("quadrotor")
+    return dataclasses.replace(quad, boundary=lambda x0, xT: [xT[1] - x0[1] - 0.5], n_b=1)
+
+
+@pytest.mark.parametrize("scheme", ["trapezoidal", "hermite-simpson"])
+def test_uncoupled_certification_never_forms_the_folded_order(quad_problem, scheme, monkeypatch):
+    folds = []
+    inner = numerics._folded_rank
+    monkeypatch.setattr(numerics, "_folded_rank", lambda n: folds.append(n) or inner(n))
+    sc.run_certification(quad_problem, sc.Mesh.uniform(quad_problem.T, 10), scheme)
+    assert folds == []
+    # the counter sees the folded order where x(0) and x(T) are coupled
+    coupled = _coupled_quadrotor()
+    sc.run_certification(coupled, sc.Mesh.uniform(coupled.T, 10), scheme)
+    assert folds
+
+
+def _dense_band(A, pos):
+    """(kl, ku) of the dense A with unknown i at position pos[i]."""
+    i, j = np.nonzero(A)
+    d = pos[i] - pos[j]
+    return int(d.max(initial=0)), int(-d.min(initial=0))
+
+
+@pytest.mark.parametrize("n", [1, 10])
+@pytest.mark.parametrize("scheme", ["trapezoidal", "hermite-simpson"])
+@pytest.mark.parametrize("name", ["quadrotor", "double-integrator-lq", "boundary", "coupled"])
+def test_factored_band_is_the_narrower_candidate(name, scheme, n, monkeypatch):
+    prob = {"boundary": _boundary_problem, "coupled": _coupled_quadrotor}.get(
+        name, lambda: sc.builtin_problem(name)
+    )()
+    layout = transcription.assemble(prob, sc.Mesh.uniform(prob.T, n), scheme)
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=layout.n_z)
+    _, _, _, J, W = transcription.eval_kkt(prob, layout, z, rng.normal(size=layout.n_c))
+    n_z, n_c = layout.n_z, layout.n_c
+    J_rows, J_cols = np.nonzero(J.toarray())
+
+    def narrower(matrix, place):
+        """(kl, ku) and positions of the narrower candidate; time order on a tie."""
+        candidates = [place(rank) for rank in (np.arange(n_z), numerics._folded_rank(n_z))]
+        pos = min(candidates, key=lambda pos: sum(_dense_band(matrix, pos)))
+        return _dense_band(matrix, pos), pos
+
+    lu = numerics.saddle_lu(W, J)
+    K = kkt_matrix(W.toarray(), J.toarray())
+    band, pos = narrower(K, lambda rank: numerics._saddle_positions(rank, J_rows, J_cols, n_c))
+    assert (lu.kl, lu.ku) == band and np.array_equal(lu.pos, pos)
+    factored = []
+    dpbtrf = scipy.linalg.lapack.dpbtrf
     monkeypatch.setattr(
-        numerics, "_saddle_positions", lambda *args: reads.append(1) or inner(*args)
+        scipy.linalg.lapack,
+        "dpbtrf",
+        lambda ab, **kw: factored.append(ab.shape[0] - 1) or dpbtrf(ab, **kw),
     )
-    monkeypatch.setattr(numerics, "_ORDERS", [])
-    # the cold start's zero controls leave exact zeros in J and W: another pattern
-    cold = solver.default_initial_guess(quad_problem, layout)
-    warm = cold + 0.1 * rng.normal(size=layout.n_z)
-    b = rng.normal(size=layout.n_z + layout.n_c)
-    solves = []
-    for z in (warm, warm, cold, warm):
-        _, _, _, J, W = transcription.eval_kkt(quad_problem, layout, z, rng.normal(size=layout.n_c))
-        if z is cold:
-            assert J.nnz < solves[0][1].nnz
-        solves.append((numerics.saddle_lu(W, J, 1e-3).solve(b), J, W))
-    # two candidate orders per read: warm, cold, and nothing on the repeats
-    assert len(reads) == 4
-    # a remembered order solves bitwise as a fresh read does
-    _, J, W = solves[-1]
-    monkeypatch.setattr(numerics, "_ORDERS", [])
-    assert np.array_equal(numerics.saddle_lu(W, J, 1e-3).solve(b), solves[-1][0])
-    assert len(reads) == 6
+    A = W + J.T @ J
+    numerics.ldl_positive_definite(A)
+    assert factored == [narrower(A.toarray(), lambda rank: rank)[0][1]]
 
 
-def test_saddle_order_tells_patterns_of_one_size_apart(monkeypatch):
+def test_saddle_order_tells_patterns_of_one_size_apart():
     # one shape and nonzero count, but J[0, 2] moves to J[0, 5]: row 0's
-    # centre moves, so the kept order of the first pattern would misplace it
+    # centre moves, and the second solve must place it by its own pattern
     rng = np.random.default_rng(3)
     J = np.zeros((2, 6))
     J[0, :3], J[1, 3:] = rng.normal(size=3), rng.normal(size=3)
     moved = J.copy()
     moved[0, 2], moved[0, 5] = 0.0, J[0, 2]
     W, b = np.diag(rng.uniform(1.0, 2.0, size=6)), rng.normal(size=8)
-    monkeypatch.setattr(numerics, "_ORDERS", [])
     numerics.saddle_lu(W, J)
     x = numerics.saddle_lu(W, moved).solve(b)
-    assert len(numerics._ORDERS) == 2
     assert np.allclose(x, np.linalg.solve(kkt_matrix(W, moved, 0.0), b), rtol=1e-12, atol=1e-12)
-
-
-def test_saddle_order_memo_stays_bounded(lq_problem):
-    for n in range(5, 5 + 2 * numerics._ORDER_MEMO):
-        sc.run_certification(lq_problem, sc.Mesh.uniform(lq_problem.T, n), "trapezoidal")
-    assert len(numerics._ORDERS) == numerics._ORDER_MEMO

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import ssoc_certify as sc
-from ssoc_certify.errors import SettingsError
+from ssoc_certify import certify, solver
+from ssoc_certify.errors import ConvergenceError, SettingsError
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,16 @@ def test_policy_validation():
 def test_policy_rejects_strings_and_bools(kwargs):
     with pytest.raises(SettingsError):
         sc.RefinePolicy(**kwargs)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+@pytest.mark.parametrize("name", ["max_rounds", "max_total_intervals"])
+def test_policy_accepts_numpy_integers(name, kind, lq_problem):
+    # Mesh.uniform accepts any numbers.Integral; the policy rejected these
+    policy = sc.RefinePolicy(**{name: kind(3)})
+    assert getattr(policy, name) == 3
+    res = sc.certify_loop(lq_problem, sc.Mesh.uniform(1.0, 3), "trapezoidal", policy=policy)
+    assert res.history
 
 
 def test_already_certified_returns_in_one_round(lq_problem):
@@ -96,3 +107,22 @@ def test_interval_cap_stops_refinement(stiff_problem):
     res = sc.certify_loop(stiff_problem, sc.Mesh.uniform(1.0, 4), "hermite-simpson", policy=policy)
     assert res.termination in ("max-intervals", "accepted")
     assert all(s.n_intervals <= 6 for s in res.history)
+
+
+def test_failed_round_keeps_the_earlier_rounds_on_the_error(stiff_problem, monkeypatch):
+    # round 0 rejects; the warm-started round 1 gets no Newton iteration
+    rounds = []
+    run_certification = certify.run_certification
+
+    def failing_later(*args, **kwargs):
+        rounds.append(1)
+        if len(rounds) == 2:
+            monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
+        return run_certification(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "run_certification", failing_later)
+    with pytest.raises(ConvergenceError) as caught:
+        sc.certify_loop(stiff_problem, sc.Mesh.uniform(1.0, 4), "hermite-simpson")
+    history = caught.value.history
+    assert [s.round for s in history] == [0]
+    assert not history[0].accepted

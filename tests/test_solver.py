@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,34 @@ def test_merit_history_monotone_nonincreasing(quad_problem):
     hist = rep.merit_history
     assert len(hist) >= 2
     assert all(b <= a + 1e-10 * max(1.0, abs(a)) for a, b in zip(hist, hist[1:]))
+
+
+def test_line_search_backtracks_and_returns_the_kkt_of_its_point(quad_problem, monkeypatch):
+    # full thrust from the start overshoots: some Newton steps are halved
+    prob = dataclasses.replace(quad_problem, u_guess=np.array([1.0, 1.0]))
+    trials = []
+    eval_objective = transcription.eval_objective
+    monkeypatch.setattr(
+        transcription, "eval_objective", lambda *args: trials.append(1) or eval_objective(*args)
+    )
+    dkkt, rep = sc.solve(prob, sc.Mesh.uniform(prob.T, 10), "hermite-simpson")
+    assert rep.converged
+    assert len(trials) > rep.iterations
+    hist = rep.merit_history
+    assert all(b <= a for a, b in zip(hist, hist[1:]))
+    _, _, _, J, W = transcription.eval_kkt(prob, dkkt.layout, dkkt.z, dkkt.nu)
+    assert (dkkt.J != J).nnz == 0 and (dkkt.W != W).nnz == 0
+
+
+def test_stalled_line_search_reports_non_convergence(lq_problem, monkeypatch):
+    # no step meets an Armijo fraction above 1, so the first search stalls
+    monkeypatch.setattr(solver, "ARMIJO", 2.0)
+    mesh = sc.Mesh.uniform(lq_problem.T, 5)
+    dkkt, rep = sc.solve(lq_problem, mesh, "trapezoidal")
+    assert not rep.converged
+    assert rep.iterations == 1 and rep.merit_history == []
+    layout = sc.assemble(lq_problem, mesh, "trapezoidal")
+    assert np.array_equal(dkkt.z, solver.default_initial_guess(lq_problem, layout))
 
 
 def test_report_records_guess_policy(lq_problem):

@@ -7,8 +7,10 @@ under two distinct module names and times one pass of a perfbench workload
 on each, alternating which side goes first, ``--reps`` times.  Both sides
 then run on the same machine state, so slow drifts of the host (which move
 separate benchmark runs by tens of percent) cancel in the per-pair ratio
-B / A.  Prints the median pass time of each side, the median of the
-per-pair ratios and the fraction of pairs in which B was faster.
+B / A.  Prints the median pass time of each side with its quartiles
+[q1, q3], the median of the per-pair ratios and the fraction of pairs in
+which B was faster.  A median difference smaller than A's q3 - q1 lies
+within A's own run-to-run spread.
 
 The passes are those of ``perfbench/run.py``: the workload's operations,
 their order shuffled from ``--seed`` (one order per pair, shared by both
@@ -30,6 +32,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+import numpy as np  # noqa: E402  (after the thread pins above)
 
 from perfbench.workloads import WORKLOADS, Runner  # noqa: E402
 
@@ -96,8 +100,9 @@ def main(argv=None):
         differ |= seen[0] != seen[1]
     ratios = [b / a for a, b in zip(*times)]
     print(f"workload {args.workload}, {args.reps} pairs")
-    print(f"A median pass  {median(times[0]):.4f} s  ({args.checkout_a})")
-    print(f"B median pass  {median(times[1]):.4f} s  ({args.checkout_b})")
+    for tag, side, root in (("A", times[0], args.checkout_a), ("B", times[1], args.checkout_b)):
+        q1, q3 = np.percentile(side, [25, 75])
+        print(f"{tag} median pass  {median(side):.4f} s  [{q1:.4f}, {q3:.4f}]  ({root})")
     print(f"median ratio B/A  {median(ratios):.3f}")
     print(f"B faster in  {sum(r < 1.0 for r in ratios) / len(ratios):.0%} of pairs")
     if differ:
